@@ -5,9 +5,13 @@ Plain run: one JSON line
    "queries": {...per-query sec...}, "sf": ..., "num_cpus": N,
    "docs_per_sec": ...}
 
-``--scaling``: the headline pipeline at num_cpus=8 and 32 in fresh
+``--scaling``: the headline pipeline at num_cpus=lo and hi in fresh
 processes on the same (pre-warmed) input; prints both throughputs and
-the scaling efficiency  eff = (t_lo / t_hi) / (32 / 8).
+the scaling efficiency  eff = (t_lo / t_hi) / (hi / lo).  Defaults:
+hi = the machine's cores (``os.cpu_count()``), lo = hi // 4; override
+with ``GRAFT_SCALE_HI`` / ``GRAFT_SCALE_LO``.  A plain run uses
+``RAY_GRAFT_CPUS``, default the machine's cores, so no default
+oversubscribes the box.
 
 ``--scaling-ops``: the same two-cluster-size protocol over the
 EXCHANGE-BACKED dedup ops (default ``doc_exact_dedup,doc_segment_dedup``,
@@ -30,7 +34,14 @@ REPO = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, REPO)
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+CORES = os.cpu_count() or 1
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", str(CORES)))
+
+
+def _scale_pair() -> tuple[int, int]:
+    hi = int(os.environ.get("GRAFT_SCALE_HI", str(CORES)))
+    lo = int(os.environ.get("GRAFT_SCALE_LO", str(max(1, hi // 4))))
+    return lo, hi
 
 
 def _run_benchmarks() -> dict:
@@ -178,8 +189,7 @@ def _scaling() -> None:
         ).stdout
         return json.loads(out.strip().splitlines()[-1])
 
-    lo = int(os.environ.get("GRAFT_SCALE_LO", "8"))
-    hi = int(os.environ.get("GRAFT_SCALE_HI", "32"))
+    lo, hi = _scale_pair()
     r_lo, r_hi = run(lo), run(hi)
     t_lo, t_hi = r_lo["value"], r_hi["value"]
     eff = (t_lo / t_hi) / (hi / lo)
@@ -220,8 +230,7 @@ def _scaling_ops() -> None:
         ).stdout
         return json.loads(out.strip().splitlines()[-1])
 
-    lo = int(os.environ.get("GRAFT_SCALE_LO", "8"))
-    hi = int(os.environ.get("GRAFT_SCALE_HI", "32"))
+    lo, hi = _scale_pair()
     r_lo, r_hi = run(lo), run(hi)
     t_lo, t_hi = r_lo["value"], r_hi["value"]
     eff = (t_lo / t_hi) / (hi / lo)

@@ -91,3 +91,27 @@ def test_db_sink_class_tables(ray_session, tmp_path):
         assert write_class_tables(out, db) == counts
     finally:
         con.close()
+
+
+def test_db_sink_rejects_unsafe_column_names(tmp_path):
+    """Column names are spliced into the load SQL: a name carrying a
+    quote or a statement separator is refused before any SQL runs,
+    and a plain identifier still loads."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import pytest
+
+    from valere_ocr_ray.pipelines.db_sink import write_class_tables
+
+    part = tmp_path / "out" / "part_id=0" / "doc_type=invoice"
+    part.mkdir(parents=True)
+    pq.write_table(
+        pa.table({"url": ["u1"], "fields_json": ["{}"], "confidence": [0.5]}),
+        str(part / "0.parquet"),
+    )
+    db = str(tmp_path / "classes.duckdb")
+    for bad in ('url" AS x; DROP TABLE invoice; --', "url; SELECT 1", 'u"rl'):
+        for arg in ("key_col", "json_col", "conf_col"):
+            with pytest.raises(ValueError, match="unsafe column name"):
+                write_class_tables(str(tmp_path / "out"), db, **{arg: bad})
+    assert write_class_tables(str(tmp_path / "out"), db) == {"invoice": 1}

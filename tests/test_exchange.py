@@ -173,9 +173,10 @@ def test_exchange_tolerates_schema_drift(ray_session):
 
 def test_exchange_property_random_frames(ray_session):
     """Property check: for randomized frames (skewed keys, negatives,
-    empty groups, many partitions), grouped_sum / grouped_agg-min over
-    the exchange equal a plain pandas groupby, and hash_exchange
-    partitions every key into exactly one block."""
+    empty groups, many partitions), grouped_sum / grouped_agg (min, and
+    a mixed sum/min/max mapping) over the exchange equal a plain pandas
+    groupby, and hash_exchange partitions every key into exactly one
+    block."""
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -211,7 +212,7 @@ def test_exchange_property_random_frames(ray_session):
 
         want_min = df.groupby("k", as_index=False)[["v"]].min()
         got_min = (
-            grouped_agg(ds.select_columns(["k", "v"]), ["k"], ["v"], how="min",
+            grouped_agg(ds.select_columns(["k", "v"]), ["k"], {"v": "min"},
                         num_partitions=npart)
             .to_pandas()
             .sort_values("k")
@@ -220,6 +221,21 @@ def test_exchange_property_random_frames(ray_session):
         pd.testing.assert_frame_equal(
             got_min, want_min.sort_values("k").reset_index(drop=True),
             obj=f"min t{trial}",
+        )
+
+        # one fold per column: mixed sum/min/max in a single aggregate
+        mixed = {"v": "min", "w": "max", "u": "sum"}
+        want_mixed = df.assign(u=df["v"] // 7).groupby("k", as_index=False).agg(mixed)
+        with_u = ds.map_batches(lambda b: b.assign(u=b["v"] // 7), batch_format="pandas")
+        got_mixed = (
+            grouped_agg(with_u, ["k"], mixed, num_partitions=npart)
+            .to_pandas()
+            .sort_values("k")
+            .reset_index(drop=True)
+        )
+        pd.testing.assert_frame_equal(
+            got_mixed, want_mixed.sort_values("k").reset_index(drop=True),
+            obj=f"mixed t{trial}",
         )
 
         # every key lives in exactly ONE exchange block
@@ -267,3 +283,28 @@ def test_default_width_exchange_matches_explicit(ray_session, keyed_df):
         .to_pandas().sort_values("k").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(got, want)
+
+
+def test_key_hash_pinned():
+    """Every keyed exchange and keyed aggregate places rows by
+    ``_key_hash``: pin its outputs for int, string and composite keys
+    so a hash or library change that moves partitions fails loudly."""
+    import pyarrow as pa
+
+    from valere_ocr_ray.ops.exchange import _key_hash
+
+    t = pa.table(
+        {
+            "i": pa.array([0, 1, -1, 2**40], pa.int64()),
+            "s": pa.array(["", "a", "doc-42", "ünï"]),
+        }
+    )
+    assert _key_hash(t, ["i"]).tolist() == [
+        0, 8841707400507832957, 5476333178966447588, 16808009861968932849,
+    ]
+    assert _key_hash(t, ["s"]).tolist() == [
+        0, 10039532107466413229, 18435584648127556655, 11044795577901309641,
+    ]
+    assert _key_hash(t, ["i", "s"]).tolist() == [
+        0, 11532174184144613436, 9479467551187275380, 16144340249790929076,
+    ]

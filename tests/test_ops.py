@@ -430,38 +430,6 @@ def test_frame_sample_plan():
     assert frame_sample_plan(0) == []
 
 
-def test_tree_keyed_sum_exact(ray_session):
-    """Tree combine == exact pandas groupby on a high-cardinality key."""
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
-
-    n = 20000
-    df = pd.DataFrame(
-        {
-            "k": (np.arange(n) * 7919) % 5000,
-            "v": np.arange(n, dtype="int64"),
-            "c": 1,
-        }
-    )
-    ds = rd.from_pandas(df).repartition(13)
-    got = (
-        tree_keyed_sum(ds, ["k"], ["v", "c"])
-        .to_pandas()
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
-    want = (
-        df.groupby("k", as_index=False)[["v", "c"]]
-        .sum()
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
-
-
 def test_kmv_sketch_exact_below_k_and_bounded_above(ray_session):
     import numpy as np
     import pandas as pd

@@ -242,13 +242,6 @@ class _BitReader:
         return ((self.w32[p >> 3] >> (16 - (p & 7))) & 0xFFFF) >> (16 - k)
 
 
-def _extend(v: int, s: int) -> int:
-    """JPEG F.2.2.1 EXTEND: map the s received bits to a signed value."""
-    if s and v < (1 << (s - 1)):
-        return v - (1 << s) + 1
-    return v
-
-
 def _split_entropy(payload: bytes, start: int) -> tuple[list[bytes], int]:
     """Entropy-coded data from ``start`` → (segments split at RSTn with
     0xFF00 unstuffed, position of the terminating marker's 0xFF)."""

@@ -7,10 +7,12 @@ hitters (``heavyhitters``), content-defined-chunking dedup (``cdc``),
 deterministic domain-mixture sampling (``mixing``),
 leakage-safe train/holdout splitting (``split``),
 multimodal plumbing (``multimodal``), as-of/range joins (``asof``),
-and the keyed-combine machinery for high-cardinality groupbys
-(``exchange`` — custom hash exchange; ``combine`` — tree reduce;
+and the keyed data-movement layer: ``exchange`` — the one keyed
+exchange (split by key hash → gather) and the one keyed-aggregate
+primitive on it (``grouped_agg``: partial → exchange → fold);
+``combine`` — mergeable top-k (``tree_topk``, ``keyed_topn``);
 ``bucketed`` — durable key-bucketed layout: pay the shuffle once at
-write, grouped reads are shuffle-free forever after).
+write, grouped reads are shuffle-free forever after.
 
 All are Dataset→Dataset transforms built on ``map_batches`` plus the
 custom exchange — no driver-side row loops.

@@ -9,7 +9,7 @@ Subword Units" — the GPT-2 tokenizer's construction) shaped for Ray
 Data:
 
     word stats   one pass over the corpus: per-batch word counts →
-                 ONE hash exchange (``grouped_agg`` sum) → the global
+                 ONE hash exchange (``grouped_sum``) → the global
                  word-frequency table.  Only (word, count) pairs cross
                  the wire — the corpus itself never moves.  At 100 TB
                  cap the table with ``max_words`` (frequency top-N via
@@ -63,7 +63,7 @@ def word_counts(
     one keyed exchange → exact sums.  ``max_words`` keeps the top-N by
     (count desc, word asc) AFTER the exact global count — deterministic
     whatever the partitioning."""
-    from valere_ocr_ray.ops.exchange import grouped_agg
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         c: Counter = Counter()
@@ -77,9 +77,7 @@ def word_counts(
         )
 
     pre = ds.map_batches(partial, batch_format="pandas")
-    agg = grouped_agg(
-        pre, ["word"], ["count"], how="sum", num_partitions=num_partitions
-    )
+    agg = grouped_sum(pre, ["word"], ["count"], num_partitions=num_partitions)
     wf = agg.to_pandas()  # vocab-sized, not corpus-sized
     wf = wf.sort_values(
         ["count", "word"], ascending=[False, True], kind="mergesort"

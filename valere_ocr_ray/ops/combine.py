@@ -1,22 +1,12 @@
-"""Tree-reduce keyed aggregation — the high-cardinality-groupby path.
+"""Mergeable top-k operators — no sort shuffle.
 
-Ray Data's sort-shuffle ``groupby().aggregate()`` pays a per-distinct-
-key Python cost in the reduce (~1 ms/key in 2.49) — fine for hundreds
-of groups, pathological for hundreds of thousands.  For **algebraic
-aggregates** (sum/count/min/max — anything mergeable by re-applying the
-same fold), a tree of whole-batch pandas combines gives the same exact
-result with every stage vectorized:
+``tree_topk``: exact global top-k — per-block top-k, then a small
+repartition tree of the same kernel (top-k of unioned top-k's ==
+global top-k).  ``keyed_topn``: per-key top-n — per-block partial
+top-n, one hash exchange, final top-n per key.
 
-    per-block partial → repartition(w₁) → combine → … → repartition(1)
-    → final combine (one task, all keys co-located)
-
-Measured 16.4 s → 0.8 s on a 15k-key aggregate at sf0.01.
-
-Scale contract: the FINAL stage holds one row per distinct key in one
-block — valid while distinct keys fit a worker's heap (hundreds of
-millions of short rows).  Beyond that, shard the last level by key hash
-(``widths`` ending in k > 1 plus a key-hash repartition) and consume
-shard-wise, or fall back to the keyed-exchange ``groupby``.
+Keyed aggregates (sum/min/max per key) are not here: they run on the
+exchange (``ops/exchange.grouped_agg``).
 """
 
 from __future__ import annotations
@@ -26,60 +16,9 @@ from collections.abc import Sequence
 import pandas as pd
 import ray.data
 
-
-def tree_keyed_sum(
-    ds: ray.data.Dataset,
-    keys: Sequence[str],
-    sums: Sequence[str],
-    *,
-    widths: Sequence[int] = (4, 1),
-) -> ray.data.Dataset:
-    """Exact per-key sums of ``sums`` columns grouped by ``keys``.
-
-    ``widths`` are the fan-in levels (default 4 → 1).  Input rows may
-    already be partials — summing is idempotent over re-grouping.
-    """
-    keys = list(keys)
-    sums = list(sums)
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(keys, as_index=False)[sums].sum()
-
-    out = ds.map_batches(combine, batch_format="pandas")
-    for w in widths:
-        out = out.repartition(w).map_batches(
-            combine, batch_format="pandas", batch_size=None
-        )
-    return out
-
-
-def tree_keyed_agg(
-    ds: ray.data.Dataset,
-    keys: Sequence[str],
-    aggs: dict[str, str],
-    *,
-    widths: Sequence[int] = (4, 1),
-) -> ray.data.Dataset:
-    """Exact per-key algebraic aggregates (``{"col": "sum"|"max"|"min"}``)
-    grouped by ``keys`` — the :func:`tree_keyed_sum` tree generalized to
-    any fold that is idempotent over re-grouping (sum/max/min/count-as-
-    sum all are; mean/nunique are NOT — decompose those into sums)."""
-    keys = list(keys)
-    for how in aggs.values():
-        if how not in ("sum", "max", "min"):
-            raise ValueError(f"non-mergeable agg {how!r}")
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(keys, as_index=False).agg(
-            **{c: (c, how) for c, how in aggs.items()}
-        )
-
-    out = ds.map_batches(combine, batch_format="pandas")
-    for w in widths:
-        out = out.repartition(w).map_batches(
-            combine, batch_format="pandas", batch_size=None
-        )
-    return out
+# fan-in levels of the tree_topk combine: k·n_blocks rows → ≤4 blocks
+# → one block; only k rows per block cross each level
+_TOPK_WIDTHS = (4, 1)
 
 
 def tree_topk(
@@ -87,8 +26,6 @@ def tree_topk(
     sort_cols: Sequence[str],
     ascending: Sequence[bool],
     k: int,
-    *,
-    widths: Sequence[int] = (4, 1),
 ) -> ray.data.Dataset:
     """Exact global top-k WITHOUT an all-to-all sort shuffle: top-k is
     mergeable (top-k of unioned top-k's == global top-k), so each block
@@ -103,7 +40,7 @@ def tree_topk(
         return df.sort_values(sort_cols, ascending=ascending, kind="stable").head(k)
 
     out = ds.map_batches(head, batch_format="pandas")
-    for w in widths:
+    for w in _TOPK_WIDTHS:
         out = out.repartition(w).map_batches(
             head, batch_format="pandas", batch_size=None
         )

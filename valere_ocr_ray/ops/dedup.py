@@ -34,6 +34,9 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from valere_ocr_ray.ops.exchange import hash_split
+
+
 def _empty_pairs(value_col: str, dtype: str) -> "pd.DataFrame":
     """Typed empty pair frame — keeps empty blocks schema-identical to
     non-empty ones (int64 ids) across the hash exchange."""
@@ -353,9 +356,7 @@ def minhash_lsh_pairs(
         min_group_size=2,
     )
     # same pair can surface from several bands → distinct
-    return grouped_agg(
-        pairs, ["id_a", "id_b"], ["est_jaccard"], how="min"
-    )
+    return grouped_agg(pairs, ["id_a", "id_b"], {"est_jaccard": "min"})
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +380,6 @@ def simhash_batch(df: pd.DataFrame, col: str = "text") -> pd.DataFrame:
     df = df.copy()
     df["simhash"] = df[col].map(simhash64).astype("uint64").astype("int64")
     return df
-
-
-def _hamming(a: int, b: int) -> int:
-    return bin((a ^ b) & ((1 << 64) - 1)).count("1")
 
 
 def simhash_pairs(
@@ -443,9 +440,7 @@ def simhash_pairs(
         bucket,
         min_group_size=2,
     )
-    return grouped_agg(
-        pairs, ["id_a", "id_b"], ["hamming"], how="min"
-    )
+    return grouped_agg(pairs, ["id_a", "id_b"], {"hamming": "min"})
 
 
 # ---------------------------------------------------------------------------
@@ -855,8 +850,6 @@ def _cl_send(labels: pa.Table, edges: pa.Table, p: int) -> list[pa.Table]:
     labels onto its outgoing edges (vectorized searchsorted — labels
     are the partition's distinct nodes), emit (dst ← label_of_src)
     messages plus the flagged self-rows, split by destination hash."""
-    from valere_ocr_ray.ops.exchange import _key_hash
-
     nodes = labels["node"].to_numpy(zero_copy_only=False)
     labs = labels["lab"].to_numpy(zero_copy_only=False)
     order = np.argsort(nodes)
@@ -877,13 +870,7 @@ def _cl_send(labels: pa.Table, edges: pa.Table, p: int) -> list[pa.Table]:
             ),
         }
     )
-    if out.num_rows == 0:
-        return [out] * p
-    part = (_key_hash(out, ["node"]) % np.uint64(p)).astype(np.int64)
-    order = np.argsort(part, kind="stable")
-    sorted_tbl = out.take(pa.array(order))
-    bounds = np.searchsorted(part[order], np.arange(p + 1))
-    return [sorted_tbl.slice(bounds[i], bounds[i + 1] - bounds[i]) for i in range(p)]
+    return hash_split(out, ["node"], p)
 
 
 @ray.remote(num_returns=2)
@@ -916,8 +903,6 @@ def _cl_jump_req(labels: pa.Table, p: int) -> list[pa.Table]:
     """Pointer-jump request send: each non-root node v asks the OWNER
     partition of its label l = lab[v] for lab[l] — keyed by hash(l),
     which is exactly the partition whose label table holds node l."""
-    from valere_ocr_ray.ops.exchange import _key_hash
-
     nodes = labels["node"].to_numpy(zero_copy_only=False)
     labs = labels["lab"].to_numpy(zero_copy_only=False)
     m = labs != nodes  # roots already point at themselves
@@ -927,21 +912,13 @@ def _cl_jump_req(labels: pa.Table, p: int) -> list[pa.Table]:
             "asker": pa.array(nodes[m], pa.int64()),
         }
     )
-    if out.num_rows == 0:
-        return [out] * p
-    part = (_key_hash(out, ["node"]) % np.uint64(p)).astype(np.int64)
-    order = np.argsort(part, kind="stable")
-    s = out.take(pa.array(order))
-    bounds = np.searchsorted(part[order], np.arange(p + 1))
-    return [s.slice(bounds[i], bounds[i + 1] - bounds[i]) for i in range(p)]
+    return hash_split(out, ["node"], p)
 
 
 @ray.remote
 def _cl_jump_reply(labels: pa.Table, p: int, *req_parts: pa.Table) -> list[pa.Table]:
     """Serve lab[l] for each request (l, asker); replies keyed by
     hash(asker) back to the asker's partition."""
-    from valere_ocr_ray.ops.exchange import _key_hash
-
     empty = pa.table(
         {"node": pa.array([], pa.int64()), "cand": pa.array([], pa.int64())}
     )
@@ -963,13 +940,7 @@ def _cl_jump_reply(labels: pa.Table, p: int, *req_parts: pa.Table) -> list[pa.Ta
             "cand": pa.array(ls[pos][found], pa.int64()),
         }
     )
-    if out.num_rows == 0:
-        return [out] * p
-    part = (_key_hash(out, ["node"]) % np.uint64(p)).astype(np.int64)
-    order = np.argsort(part, kind="stable")
-    s = out.take(pa.array(order))
-    bounds = np.searchsorted(part[order], np.arange(p + 1))
-    return [s.slice(bounds[i], bounds[i + 1] - bounds[i]) for i in range(p)]
+    return hash_split(out, ["node"], p)
 
 
 @ray.remote(num_returns=2)

@@ -10,9 +10,9 @@ bag-of-hashed-ngrams (unigram+bigram) multinomial models:
    assignment bit-for-bit.  Only UNIQUE grams per batch are hashed
    (factorize → hash → gather).
 2. **Corpus bucket counts** — per-block partial (bucket, c_target,
-   c_raw) rows (≤K per block on the wire, never text), tree-combined
-   to one ≤K-row table.  The driver holds 2·K ints — bounded however
-   large the corpus.
+   c_raw) rows (≤K per block on the wire, never text), summed over
+   one keyed exchange to a ≤K-row table.  The driver holds 2·K ints —
+   bounded however large the corpus.
 3. **Log-ratio table** — Laplace-smoothed
    ``floor((ln((ct+1)/(T+K)) - ln((cr+1)/(R+K))) * 1e6)`` as int64,
    broadcast once via ``ray.put``.
@@ -138,12 +138,12 @@ def dsir_weights(
     text_col: str = "text",
 ) -> ray.data.Dataset:
     """Per-doc (doc_id, n_grams, weight_scaled) — docs with ≥1 gram."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     partials = bucket_count_partials(
         ds, target_source=target_source, k=k, text_col=text_col
     )
-    counts = tree_keyed_sum(partials, ["bucket"], ["c_target", "c_raw"]).to_pandas()
+    counts = grouped_sum(partials, ["bucket"], ["c_target", "c_raw"]).to_pandas()
     # the log-ratio table is K int64s (8 KB at the default K) — small
     # enough to ship inside the task closure itself: task pools reuse
     # the session's warm workers (no actor-pool process spin-up), and

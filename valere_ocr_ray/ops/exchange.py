@@ -34,7 +34,7 @@ null keys — filter or fill nulls upstream, as every caller here does).
 from __future__ import annotations
 
 import zlib
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 import pandas as pd
@@ -55,7 +55,7 @@ MAX_PARTITIONS = 65536
 def _auto_partitions(total_bytes: int) -> int:
     """Size-derived exchange width: enough partitions that each gather
     holds ≤ TARGET_PARTITION_BYTES; medium inputs widen toward the CPU
-    count (but never below ~8 MiB per partition, so toy inputs don't
+    count (but never below ~2 MiB per partition, so toy inputs don't
     fan out into near-empty gather tasks)."""
     total_bytes = int(total_bytes)
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
@@ -96,13 +96,17 @@ def _key_hash(table: pa.Table, keys: Sequence[str]) -> np.ndarray:
     return acc
 
 
-@ray.remote
-def _split(table: pa.Table, keys: list[str], p: int) -> list[pa.Table]:
+def hash_split(table: pa.Table, keys: Sequence[str], p: int) -> list[pa.Table]:
+    """The exchange's split kernel: ``p`` sub-tables, sub-table i
+    holding the rows with ``hash(keys) % p == i`` in input order."""
     part = (_key_hash(table, keys) % np.uint64(p)).astype(np.int64)
     order = np.argsort(part, kind="stable")
     sorted_tbl = table.take(pa.array(order))
     bounds = np.searchsorted(part[order], np.arange(p + 1))
     return [sorted_tbl.slice(bounds[i], bounds[i + 1] - bounds[i]) for i in range(p)]
+
+
+_split = ray.remote(hash_split)
 
 
 @ray.remote
@@ -289,25 +293,30 @@ def grouped_map(
 def grouped_agg(
     ds: ray.data.Dataset,
     keys: Sequence[str],
-    cols: Sequence[str],
+    aggs: Mapping[str, str],
     *,
-    how: str = "sum",
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
-    """Exact keyed algebraic aggregate (sum/min/max) at hash-exchange
-    speed — the high-cardinality alternative to ``Dataset.groupby()``
-    (measured 145 s → 1.2 s on a 147k-key sum of 600k rows).  Partial
-    per input block, exchange, vectorized final combine per partition."""
-    if how not in ("sum", "min", "max"):
-        raise ValueError(f"unsupported how={how!r}")
-    keys, cols = list(keys), list(cols)
+    """Exact keyed algebraic aggregate, one fold per column
+    (``{"col": "sum"|"min"|"max"}``) — the one keyed-aggregate
+    primitive, and the high-cardinality alternative to
+    ``Dataset.groupby()`` (measured 145 s → 1.2 s on a 147k-key sum of
+    600k rows).  Partial per input block, exchange, the same fold again
+    per partition: every fold here is idempotent over re-grouping, so
+    input rows may already be partials (mean/nunique are NOT — decompose
+    those into sums).  Output: every key in exactly one block, no
+    global order."""
+    for how in aggs.values():
+        if how not in ("sum", "min", "max"):
+            raise ValueError(f"unsupported agg {how!r}")
+    keys = list(keys)
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return getattr(df.groupby(keys, as_index=False)[cols], how)()
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby(keys, as_index=False).agg(aggs)
 
-    pre = ds.map_batches(partial, batch_format="pandas")
+    pre = ds.map_batches(fold, batch_format="pandas")
     ex = hash_exchange(pre, keys, num_partitions)
-    return ex.map_batches(partial, batch_format="pandas", batch_size=None)
+    return ex.map_batches(fold, batch_format="pandas", batch_size=None)
 
 
 def grouped_sum(
@@ -317,4 +326,6 @@ def grouped_sum(
     *,
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
-    return grouped_agg(ds, keys, sums, how="sum", num_partitions=num_partitions)
+    return grouped_agg(
+        ds, keys, {c: "sum" for c in sums}, num_partitions=num_partitions
+    )

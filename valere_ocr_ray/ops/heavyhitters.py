@@ -8,10 +8,11 @@ groupby — the groupby ships every distinct key through an all-to-all
 exchange just to discard almost all of them.  The Misra-Gries summary
 keeps ``k`` counters per block and merges associatively, so the
 candidate discovery costs ``k`` rows per block through a small tree and
-ZERO exchanges.  A second, equally exchange-free pass exact-counts just
-the ≤``k`` surviving candidates (broadcast to every block — the
-classic small-side broadcast), making the final report exact: the
-sketch's only job is to bound what gets exact-counted.
+ZERO exchanges.  A second pass exact-counts just the ≤``k`` surviving
+candidates (broadcast to every block — the classic small-side
+broadcast) and sums those ≤``k`` keys over one keyed exchange, making
+the final report exact: the sketch's only job is to bound what gets
+exact-counted.
 
 Guarantee (public scheme: Misra & Gries 1982; mergeability per
 Agarwal et al., "Mergeable summaries", PODS 2012): an MG summary with
@@ -35,6 +36,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import ray.data
+
+# fan-in levels of the pass-1 sketch merge tree: one sketch row per
+# block → ≤8 blocks → the single final sketch
+_MERGE_WIDTHS = (8, 1)
 
 
 def mg_compress(counts: dict, k: int) -> dict:
@@ -70,7 +75,6 @@ def heavy_hitters(
     k: int = 64,
     denom: int = 16,
     count_col: str = "cnt",
-    widths: tuple[int, ...] = (8, 1),
 ) -> pd.DataFrame:
     """EXACT report of every value of ``col`` whose count exceeds
     ``n/denom`` (``count·denom > n``, strict), discovered via a
@@ -78,11 +82,12 @@ def heavy_hitters(
     the candidates.
 
     Pass 1: per-block exact ``value_counts`` (an error-free MG summary
-    of the block) → ``mg_compress(k)`` → one sketch row per block → a
-    ``widths`` repartition tree of ``mg_merge`` → ONE row holding ≤k
+    of the block) → ``mg_compress(k)`` → one sketch row per block → an
+    8 → 1 repartition tree of ``mg_merge`` → ONE row holding ≤k
     candidates plus the exact total ``n``.  Pass 2: candidates (≤k
     values — closure-captured; at this size the capture IS the
-    broadcast) exact-counted per block, tree-summed, thresholded.
+    broadcast) exact-counted per block, summed over the keyed exchange
+    (``grouped_sum``), thresholded.
 
     Requires ``denom <= k + 1`` — the MG bound that makes the candidate
     set provably complete.  Output: DataFrame ``[col, count_col]``
@@ -107,7 +112,7 @@ def heavy_hitters(
         )
 
     parts = ds.map_batches(partial, batch_format="pandas")
-    for w in widths:
+    for w in _MERGE_WIDTHS:
         parts = parts.repartition(w).map_batches(
             merge_block, batch_format="pandas", batch_size=None
         )
@@ -132,13 +137,12 @@ def heavy_hitters(
             {col: vc.index, count_col: vc.to_numpy().astype("int64")}
         )
 
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
-    exact = tree_keyed_sum(
+    exact = grouped_sum(
         ds.map_batches(exact_partial, batch_format="pandas"),
         [col],
         [count_col],
-        widths=widths,
     ).to_pandas()
     if not len(exact):
         return empty

@@ -19,7 +19,7 @@ import numpy as np
 import pandas as pd
 import ray.data
 
-from valere_ocr_ray.ops.exchange import cogroup_exchange
+from valere_ocr_ray.ops.exchange import cogroup_exchange, grouped_sum
 
 
 def semi_join(
@@ -144,19 +144,17 @@ def skew_hash_join(
     """Inner equi-join with HOT-KEY SALTING: a plain hash join sends
     every row of a hot key to ONE partition, so a single skewed key
     (think a template page duplicated 10^8 times) serializes the whole
-    join.  Here the left side's per-key counts are tree-combined first;
-    keys above ``hot_threshold`` rows are split across ``num_salts``
-    sub-partitions (left rows salted round-robin, the matching RIGHT
-    rows replicated into every salt), and the join runs keyed on
-    ``(key, salt)`` — hot keys now occupy ``num_salts`` cores.
+    join.  Here the left side's per-key counts are summed first (one
+    keyed exchange); keys above ``hot_threshold`` rows are split across
+    ``num_salts`` sub-partitions (left rows salted round-robin, the
+    matching RIGHT rows replicated into every salt), and the join runs
+    keyed on ``(key, salt)`` — hot keys now occupy ``num_salts`` cores.
 
     Driver state is the hot-key list only — bounded by corpus_rows /
     hot_threshold (≤ 20k entries per 10^9 rows at the default), NOT by
     key cardinality.  Result rows are identical to ``hash_join``."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
-
     right_key = right_key or left_key
-    counts = tree_keyed_sum(
+    counts = grouped_sum(
         left.select_columns([left_key]).map_batches(
             lambda df: df.assign(_n=np.int64(1)), batch_format="pandas"
         ),

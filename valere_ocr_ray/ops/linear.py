@@ -3,11 +3,11 @@ column — the standard "train a linear classifier on frozen embeddings"
 evaluation, as full-batch gradient descent on Ray Data: each epoch
 broadcasts the weight matrix once (``ray.put``), every batch computes
 its gradient contribution vectorized (one matmul + softmax), and the
-k×(d+1) partials tree-combine — the driver only ever holds the weights.
-Full-batch (not SGD) because a sum of per-batch gradients is
-order-independent and mergeable, which is exactly what the tree combine
-gives; the corpus is re-read per epoch (streams at any scale, never
-pinned).
+k×(d+1) partials sum over one keyed exchange (``grouped_sum``) — the
+driver only ever holds the weights.  Full-batch (not SGD) because a sum
+of per-batch gradients is order-independent and mergeable, which is
+exactly what the keyed sum gives; the corpus is re-read per epoch
+(streams at any scale, never pinned).
 
 Reference parity: no analog (the reference never trains); part of the
 added training-data suite (SURVEY.md round-2 delta).
@@ -32,8 +32,8 @@ def linear_probe_fit(
 ):
     """Returns ``(weights (k, d+1) ndarray, history DataFrame with
     per-epoch mean loss and training accuracy)``.  Deterministic up to
-    float tree-combine order (~1e-12 relative)."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    float summation order (~1e-12 relative)."""
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     first = ds.take(1)[0]
     d = len(first[vec_col])
@@ -79,7 +79,7 @@ def linear_probe_fit(
             cols_out.update({g: grad[:, j] for j, g in enumerate(gcols)})
             return pd.DataFrame(cols_out)
 
-        agg = tree_keyed_sum(
+        agg = grouped_sum(
             ds.map_batches(partial, batch_format="pandas"),
             ["cls"],
             ["n", "loss", "correct"] + gcols,

@@ -11,7 +11,7 @@ GPT-3's WebText-vs-CommonCrawl quality model).  The engine's shape:
                 broadcast dictionary, identical on every node.
     train       full-batch gradient descent via ``ops/linear``'s
                 broadcast-weights → per-batch gradient partials →
-                tree-combine loop: the driver only ever holds the
+                keyed-sum loop: the driver only ever holds the
                 (k, dim+1) weights; the corpus streams per epoch.
                 A SUM of per-batch gradients is order-independent, so
                 training is partition-invariant (pinned by test) —

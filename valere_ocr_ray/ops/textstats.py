@@ -456,7 +456,7 @@ def tfidf_top_terms(
     Two passes over the corpus:
 
     1. document frequency: per-block distinct ``(doc, tok)`` → per-tok
-       partial counts → ``tree_keyed_sum`` (one row per vocab term);
+       partial counts → ``grouped_sum`` (one row per vocab term);
     2. scoring: the df table is broadcast as SORTED numpy arrays
        (``ray.put`` once; ~16 bytes/term → ~1.6 GB per 10^8-term
        vocabulary, within a worker heap — beyond that, exchange tokens
@@ -470,7 +470,7 @@ def tfidf_top_terms(
     """
     import ray as _ray
 
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     n_docs = ds.count()
 
@@ -494,7 +494,7 @@ def tfidf_top_terms(
         g = out.groupby("tok", as_index=False).size()
         return g.rename(columns={"size": "df"})
 
-    df_tbl = tree_keyed_sum(
+    df_tbl = grouped_sum(
         ds.map_batches(df_partial, batch_format="pandas"), ["tok"], ["df"]
     ).to_pandas()
     df_tbl = df_tbl.sort_values("tok").reset_index(drop=True)

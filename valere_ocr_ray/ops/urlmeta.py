@@ -43,12 +43,6 @@ def url_tokens_batch(df: pd.DataFrame, col: str = "url") -> pd.DataFrame:
     return df
 
 
-def url_date_batch(df: pd.DataFrame, col: str = "url") -> pd.DataFrame:
-    df = df.copy()
-    df["url_date"] = df[col].map(url_date)
-    return df
-
-
 # §2.7 — member name/ID split (``IDD/MiscTestingScripts/insuranceID:201-213``):
 # the last whitespace token of the "Member Name" value is the Member ID.
 # Applied in the insuranceID variant script only — the mainline query

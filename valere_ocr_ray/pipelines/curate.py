@@ -478,7 +478,7 @@ def build_training_shards(
             **hold_audit,
         }
         return _stamp_audit(audit_path, audit)
-    # per-SHARD partials tree-combined to <= n_shards rows: the audit
+    # per-SHARD partials combined to <= n_shards rows: the audit
     # never materializes per-doc state on the driver (VERDICT r3 "What's
     # wrong" #1 — the old to_pandas() over [n_toks, seq_id, shard] was
     # ~24 B/doc of driver memory, terabytes at 10^11 docs).  Every fold
@@ -488,7 +488,7 @@ def build_training_shards(
     # (docs straddle chunk boundaries — seq_id records only STARTS).
     import ray.data as _rd
 
-    from valere_ocr_ray.ops.combine import tree_keyed_agg
+    from valere_ocr_ray.ops.exchange import grouped_agg
 
     out_ds = _rd.read_parquet(out_dir, columns=["n_toks", "seq_id", "shard"])
 
@@ -503,7 +503,7 @@ def build_training_shards(
             max_seq=("seq_id", "max"),
         )
 
-    shard_rows = tree_keyed_agg(
+    shard_rows = grouped_agg(
         out_ds.map_batches(partial, batch_format="pandas"),
         ["shard"],
         {"n_docs": "sum", "sum_toks": "sum", "n_oversize": "sum", "max_seq": "max"},

@@ -49,6 +49,14 @@ def _table_name(doc_type: str) -> str:
     return name
 
 
+def _column_name(col: str) -> str:
+    """Column identifiers are spliced into SQL, so accept only the
+    ``[A-Za-z0-9_]`` alphabet ``_table_name`` maps onto."""
+    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", col):
+        raise ValueError(f"unsafe column name {col!r}")
+    return col
+
+
 def write_class_tables(
     run_dir: str,
     db_path: str,
@@ -64,6 +72,7 @@ def write_class_tables(
     Returns ``{table: n_rows}``."""
     import duckdb
 
+    key_col, json_col, conf_col = map(_column_name, (key_col, json_col, conf_col))
     classes = _class_tables(run_dir)
     if not classes:
         raise FileNotFoundError(f"no doc_type partitions under {run_dir!r}")

@@ -129,12 +129,13 @@ def doc_distinct_tokens(sf_dir: str):
 
 def doc_top_tokens(sf_dir: str):
     """Exact corpus heavy hitters: top-10 tokens by occurrence —
-    vectorized explode + per-block count partials, ``tree_keyed_sum``
+    vectorized explode + per-block count partials, ``grouped_sum``
     over the (bounded-vocabulary) token key, then a partial top-k tree
     combine.  For open-vocabulary corpora swap the exact combine for a
     space-saving sketch; the tokenization matches
     ``doc_distinct_tokens`` (lower-cased alpha runs, len >= 3)."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum, tree_topk
+    from valere_ocr_ray.ops.combine import tree_topk
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["text"])
 
@@ -144,7 +145,7 @@ def doc_top_tokens(sf_dir: str):
         g = s.value_counts().rename_axis("tok").reset_index(name="n")
         return g
 
-    combined = tree_keyed_sum(
+    combined = grouped_sum(
         ds.map_batches(counts, batch_format="pandas"), ["tok"], ["n"]
     )
     return tree_topk(combined, ["n", "tok"], [False, True], 10)
@@ -327,12 +328,12 @@ def _percentile_disc(counts: pd.DataFrame, val_col: str, q: float) -> int:
 
 def doc_length_percentiles(sf_dir: str):
     """EXACT global percentiles (p50/p90/p99) of document length with
-    no sort shuffle: per-block value counts → tree combine → one tiny
+    no sort shuffle: per-block value counts → keyed sum → one tiny
     cumulative scan.  The exchanged state is one row per DISTINCT
     length (a bounded integer domain), not per document — the
     scale-safe exact-quantile shape for bounded domains; for unbounded
     doubles, bucket first and accept bucket resolution."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["n_chars"])
 
@@ -340,7 +341,7 @@ def doc_length_percentiles(sf_dir: str):
         g = df.groupby("n_chars", as_index=False).size()
         return g.rename(columns={"size": "n"})
 
-    combined = tree_keyed_sum(
+    combined = grouped_sum(
         ds.map_batches(counts, batch_format="pandas"), ["n_chars"], ["n"]
     ).to_pandas()
     return pa.table(
@@ -354,9 +355,9 @@ def doc_length_percentiles(sf_dir: str):
 
 def doc_length_p90_by_lang(sf_dir: str):
     """Grouped exact percentile: p90 document length per lang — keyed
-    (lang, n_chars) count partials, tree combine, vectorized per-group
+    (lang, n_chars) count partials, keyed sum, vectorized per-group
     cumulative scan on the (small) distinct-value frame."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["lang", "n_chars"])
 
@@ -364,7 +365,7 @@ def doc_length_p90_by_lang(sf_dir: str):
         g = df.groupby(["lang", "n_chars"], as_index=False).size()
         return g.rename(columns={"size": "n"})
 
-    combined = tree_keyed_sum(
+    combined = grouped_sum(
         ds.map_batches(counts, batch_format="pandas"), ["lang", "n_chars"], ["n"]
     ).to_pandas()
     rows = [
@@ -382,7 +383,7 @@ def doc_length_p90_by_lang(sf_dir: str):
 
 def doc_tfidf_top(sf_dir: str):
     """Per-doc top-3 TF-IDF terms (``ops/textstats.tfidf_top_terms``:
-    df via tree combine, broadcast vocab arrays, vectorized scoring).
+    df via keyed sum, broadcast vocab arrays, vectorized scoring).
     SQL-oracled: score emitted micro-scaled (``score_e6``) — both sides
     floor the same ``tf * ln(N/df)`` IEEE double."""
     from valere_ocr_ray.ops.textstats import tfidf_top_terms
@@ -827,9 +828,9 @@ def doc_dsir_weights(sf_dir: str):
     """DSIR importance weights (Xie et al. 2023) for selecting raw docs
     that look like the target source (``src0``): hashed unigram+bigram
     bag-of-ngrams log-ratio per doc (``ops/dsir.py``).  Bucket counts
-    tree-combine to ≤K rows; the K-int log-ratio table broadcasts once;
-    scoring is a stateless pass — weights are exact int64 (scaled 1e6)
-    so the SQL oracle matches bit-for-bit."""
+    sum over one keyed exchange to ≤K rows; the K-int log-ratio table
+    broadcasts once; scoring is a stateless pass — weights are exact
+    int64 (scaled 1e6) so the SQL oracle matches bit-for-bit."""
     from valere_ocr_ray.ops.dsir import dsir_weights
 
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "source", "text"])
@@ -1314,15 +1315,12 @@ def orders_topk_revenue(sf_dir: str):
     """TPC-H Q3-ish: high-cardinality (l_orderkey) aggregate + top-k.
 
     Ray's sort-shuffle groupby pays a per-distinct-key Python cost
-    (~1 ms/key → 15 s for 15k keys here), so the combine is a
-    **tree-reduce of keyed partials**: per-block vectorized pandas
-    groupby → repartition to a handful of blocks → combine again →
-    single block → exact global combine + top-10.  Every stage is a
-    whole-batch pandas kernel; correctness is exact (keys fully
-    co-located at the final combine).  At cluster scale the fan-in
-    widths grow with data (and the final combine stays one task only
-    while distinct keys fit one block — else fall back to the keyed
-    exchange)."""
+    (~1 ms/key → 15 s for 15k keys here), so the aggregate is the keyed
+    exchange (``grouped_sum``): per-block vectorized pandas partials →
+    hash exchange by order key → exact per-partition fold.  The top-10
+    is the mergeable ``tree_topk`` over the aggregate, so only
+    10 rows per block cross the wire after the exchange and no stage
+    ever holds every key in one block."""
     ds = rd.read_parquet(
         _t(sf_dir, "lineitem"),
         columns=["l_orderkey", "l_extendedprice", "l_discount"],
@@ -1337,18 +1335,13 @@ def orders_topk_revenue(sf_dir: str):
         )
         return df.groupby("l_orderkey", as_index=False)[["revenue_c", "n"]].sum()
 
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.combine import tree_topk
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     parts = ds.map_batches(partial, batch_format="pandas")
-    agg = tree_keyed_sum(parts, ["l_orderkey"], ["revenue_c", "n"])
-    final = agg.map_batches(
-        lambda df: df.sort_values(
-            ["revenue_c", "l_orderkey"], ascending=[False, True]
-        ).head(10),
-        batch_format="pandas",
-        batch_size=None,
-    )
-    return final.to_pandas().reset_index(drop=True)
+    agg = grouped_sum(parts, ["l_orderkey"], ["revenue_c", "n"])
+    top = tree_topk(agg, ["revenue_c", "l_orderkey"], [False, True], 10)
+    return top.to_pandas().reset_index(drop=True)
 
 
 def customer_no_urgent_orders(sf_dir: str):
@@ -1503,12 +1496,13 @@ def supplier_roster_by_nation(sf_dir: str):
 
 def orders_priority_status_rollup(sf_dir: str):
     """GROUP BY ROLLUP(priority, status): the finest-level aggregate is
-    computed distributed (per-block partials → tree combine), then the
-    coarser grouping sets re-aggregate the FINEST RESULT (tiny — one
-    row per (priority,status)), never rescanning the fact table.
+    computed distributed (per-block partials → keyed exchange), then
+    the coarser grouping sets re-aggregate the FINEST RESULT (tiny —
+    one row per (priority,status), gathered into one block), never
+    rescanning the fact table.
     NULL grouping levels surface as the literal 'ALL' so the value
     hash is oracle-stable."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     orders = rd.read_parquet(
         _t(sf_dir, "orders"), columns=["o_orderpriority", "o_orderstatus", "o_totalprice"]
@@ -1523,7 +1517,7 @@ def orders_priority_status_rollup(sf_dir: str):
         ),
         batch_format="pandas",
     )
-    finest = tree_keyed_sum(orders, ["priority", "status"], ["rev_c", "n"])
+    finest = grouped_sum(orders, ["priority", "status"], ["rev_c", "n"])
 
     def rollup(df: pd.DataFrame) -> pd.DataFrame:
         lvl1 = df.groupby("priority", as_index=False)[["rev_c", "n"]].sum()
@@ -1539,7 +1533,9 @@ def orders_priority_status_rollup(sf_dir: str):
         out = pd.concat([df, lvl1, total], ignore_index=True)
         return out[["priority", "status", "rev_c", "n"]]
 
-    return finest.map_batches(rollup, batch_format="pandas", batch_size=None)
+    return finest.repartition(1).map_batches(
+        rollup, batch_format="pandas", batch_size=None
+    )
 
 
 def doc_stratified_sample(sf_dir: str):
@@ -1615,12 +1611,12 @@ def events_user_cumsum(sf_dir: str):
 
 def part_lineitem_left_count(sf_dir: str):
     """LEFT OUTER join without scanning the fact side twice: lineitem
-    is pre-aggregated per partkey (tree combine — the join's right side
+    is pre-aggregated per partkey (keyed sum — the join's right side
     shrinks to one row per key), then ``hash_join(how='left')`` keeps
     every part, and unmatched parts get 0s.  The aggregate-THEN-join
     ordering is the scale move: joining raw lineitem first would
     multiply fact rows through the exchange for no reason."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
     from valere_ocr_ray.ops.joins import hash_join
 
     li = rd.read_parquet(
@@ -1635,7 +1631,7 @@ def part_lineitem_left_count(sf_dir: str):
         ),
         batch_format="pandas",
     )
-    agg = tree_keyed_sum(li, ["l_partkey"], ["qty_c", "n"])
+    agg = grouped_sum(li, ["l_partkey"], ["qty_c", "n"])
     part = rd.read_parquet(_t(sf_dir, "part"), columns=["p_partkey", "p_name"])
     joined = hash_join(part, agg, "p_partkey", "l_partkey", how="left")
 
@@ -1655,7 +1651,7 @@ def part_lineitem_left_count(sf_dir: str):
 def orders_customer_join_skew(sf_dir: str):
     """Same result as ``orders_customer_join_exchange`` but through the
     SKEW-AWARE salted join (``ops/joins.skew_hash_join``): per-key
-    counts are tree-combined first, keys above the hot threshold are
+    counts are summed first, keys above the hot threshold are
     split across salts with the right side replicated per salt.  The
     low threshold here is purely to exercise the salted path on test
     data; at scale the default (50k rows/key) only triggers on true
@@ -1772,7 +1768,7 @@ def doc_quality_classifier(sf_dir: str):
     features + distributed full-batch logistic regression (the
     CCNet/fastText quality-scoring step).  A deterministic marker
     phrase is planted into ``lang='es'`` docs so the task is linearly
-    separable; 6 broadcast-weights/tree-combine epochs reach 100%
+    separable; 6 broadcast-weights/keyed-sum epochs reach 100%
     train accuracy with decision margin ≥0.07 at every sf (far above
     the ~1e-12 combine-order jitter), so the predicted class is exact
     and the oracle is simply ``pred == label``.  The driver only ever
@@ -1906,7 +1902,7 @@ def doc_lang_outliers(sf_dir: str):
     ``doc_length_p90_by_lang``, so no whole-language group ever
     co-locates (at 100 TB one language is most of the corpus) — fences
     broadcast, one vectorized flag pass, per-lang outlier counts."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     docs = rd.read_parquet(_t(sf_dir, "documents"), columns=["lang", "n_chars"])
 
@@ -1914,7 +1910,7 @@ def doc_lang_outliers(sf_dir: str):
         g = df.groupby(["lang", "n_chars"], as_index=False).size()
         return g.rename(columns={"size": "n"})
 
-    hist = tree_keyed_sum(
+    hist = grouped_sum(
         docs.map_batches(counts, batch_format="pandas"), ["lang", "n_chars"], ["n"]
     ).to_pandas()
     rows = []
@@ -1949,7 +1945,7 @@ def doc_lang_outliers(sf_dir: str):
             }
         )
 
-    return tree_keyed_sum(
+    return grouped_sum(
         docs.map_batches(flag, batch_format="pandas"),
         ["lang"],
         ["n_docs", "n_outliers"],
@@ -2044,7 +2040,7 @@ def events_cooccurrence(sf_dir: str):
 
     # per-user presence vector via an algebraic MAX exchange (one
     # indicator column per type — no Python fn per user), then pair
-    # counts are sums of indicator PRODUCTS, tree-combined
+    # counts are keyed sums of indicator PRODUCTS
     def indicators(df: pd.DataFrame) -> pd.DataFrame:
         df = df.drop_duplicates()
         out = pd.DataFrame({"user_id": df["user_id"].astype("int64")})
@@ -2055,8 +2051,7 @@ def events_cooccurrence(sf_dir: str):
     present = grouped_agg(
         ev.map_batches(indicators, batch_format="pandas"),
         ["user_id"],
-        [f"has_{t}" for t in types],
-        how="max",
+        {f"has_{t}": "max" for t in types},
     )
 
     def pair_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -2079,10 +2074,10 @@ def events_cooccurrence(sf_dir: str):
             {"n_users": "int64"}
         )
 
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     pre = present.map_batches(pair_partial, batch_format="pandas")
-    out = tree_keyed_sum(pre, ["type_a", "type_b"], ["n_users"])
+    out = grouped_sum(pre, ["type_a", "type_b"], ["n_users"])
     # drop pairs no user has (the per-group formulation never emitted them)
     return out.map_batches(
         lambda df: df[df["n_users"] > 0], batch_format="pandas"
@@ -2141,9 +2136,9 @@ def events_user_day_first(sf_dir: str):
 
 def events_value_hist(sf_dir: str):
     """Equal-width histogram of ``value`` (bin width 10): per-batch
-    partial bin counts, tiny tree combine — the fixed-size-output
+    partial bin counts, tiny keyed sum — the fixed-size-output
     profile op every ingest pipeline runs first."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     ev = rd.read_parquet(_t(sf_dir, "events"), columns=["value"])
 
@@ -2153,7 +2148,7 @@ def events_value_hist(sf_dir: str):
         out["n"] = out["n"].astype("int64")
         return out
 
-    return tree_keyed_sum(
+    return grouped_sum(
         ev.map_batches(pre, batch_format="pandas"), ["bin"], ["n"]
     )
 
@@ -2216,7 +2211,7 @@ def orders_priority_status_cube(sf_dir: str):
     — finest level distributed, ALL FOUR grouping sets re-aggregate
     the tiny finest result (adds the status-only margin ROLLUP lacks);
     'ALL' stands in for NULL grouping levels."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     orders = rd.read_parquet(
         _t(sf_dir, "orders"),
@@ -2232,7 +2227,7 @@ def orders_priority_status_cube(sf_dir: str):
         ),
         batch_format="pandas",
     )
-    finest = tree_keyed_sum(orders, ["priority", "status"], ["rev_c", "n"])
+    finest = grouped_sum(orders, ["priority", "status"], ["rev_c", "n"])
 
     def cube(df: pd.DataFrame) -> pd.DataFrame:
         by_p = df.groupby("priority", as_index=False)[["rev_c", "n"]].sum()
@@ -2250,7 +2245,9 @@ def orders_priority_status_cube(sf_dir: str):
         out = pd.concat([df, by_p, by_s, total], ignore_index=True)
         return out[["priority", "status", "rev_c", "n"]]
 
-    return finest.map_batches(cube, batch_format="pandas", batch_size=None)
+    return finest.repartition(1).map_batches(
+        cube, batch_format="pandas", batch_size=None
+    )
 
 
 def events_moving_avg3(sf_dir: str):
@@ -2303,7 +2300,7 @@ def events_type_markov(sf_dir: str):
     consecutive event types within each user's time-ordered stream
     (the Markov/bigram table session-model training starts from).  One
     exchange co-locates each user; the successor is ONE partition-level
-    ``groupby(user).shift``; transition counts tree-combine."""
+    ``groupby(user).shift``; transition counts are a keyed sum."""
     from valere_ocr_ray.ops.exchange import grouped_sum
 
     ev = rd.read_parquet(
@@ -2403,7 +2400,7 @@ def events_debounce(sf_dir: str):
 def emb_linear_probe(sf_dir: str):
     """Distributed linear-probe evaluation (``ops/linear``): 30 epochs
     of full-batch softmax regression on the frozen embeddings, weights
-    broadcast per epoch, gradients tree-combined.  Output: final-epoch
+    broadcast per epoch, gradients summed per class.  Output: final-epoch
     loss/accuracy (floor-scaled; ~3.7× the 10-class baseline on this
     corpus).  Iterative — rows-only check; convergence and
     baseline-beating are unit-tested."""
@@ -2759,7 +2756,7 @@ def emb_norm_by_label(sf_dir: str):
     sum of squared L2 norms — one vectorized numpy pass per batch over
     the stacked embedding matrix, floor-scaled per ROW before the sum
     so the keyed combine is exact integer math."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     emb = rd.read_parquet(_t(sf_dir, "embeddings"), columns=["label", "embedding"])
 
@@ -2774,7 +2771,7 @@ def emb_norm_by_label(sf_dir: str):
             }
         )
 
-    return tree_keyed_sum(
+    return grouped_sum(
         emb.map_batches(pre, batch_format="pandas"), ["label"], ["normsq_e4", "n"]
     )
 
@@ -2851,7 +2848,7 @@ def orders_status_age(sf_dir: str):
     max_us = int(orders.max("date_us"))
     ref = ray.put(max_us)
 
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     US_YEAR = 31_536_000_000_000  # 365-day years, both sides
 
@@ -2866,7 +2863,7 @@ def orders_status_age(sf_dir: str):
             }
         )
 
-    return tree_keyed_sum(
+    return grouped_sum(
         orders.map_batches(bucket, batch_format="pandas"),
         ["o_orderstatus", "age_years"],
         ["n"],
@@ -2876,9 +2873,9 @@ def orders_status_age(sf_dir: str):
 def lineitem_monthly(sf_dir: str):
     """Calendar-month rollup: ship month extracted vectorized
     (year*100+month ints end to end), cent-scaled revenue, one
-    tree-combined keyed sum — the time-bucketed aggregate at a coarser
+    keyed sum — the time-bucketed aggregate at a coarser
     grain than ``events_hourly``."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     li = rd.read_parquet(
         _t(sf_dir, "lineitem"),
@@ -2897,7 +2894,7 @@ def lineitem_monthly(sf_dir: str):
             }
         )
 
-    return tree_keyed_sum(
+    return grouped_sum(
         li.map_batches(pre, batch_format="pandas"),
         ["ship_month"],
         ["rev_c", "n"],
@@ -2970,7 +2967,7 @@ def events_props_extract(sf_dir: str):
     JSON ``props`` column with ONE vectorized regex (compiled once,
     C-speed ``Series.str.extract``) — never a per-row ``json.loads`` —
     then a small keyed sum per event type."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     ev = rd.read_parquet(_t(sf_dir, "events"), columns=["event_type", "props"])
 
@@ -2989,7 +2986,7 @@ def events_props_extract(sf_dir: str):
             }
         )
 
-    return tree_keyed_sum(
+    return grouped_sum(
         ev.map_batches(pull, batch_format="pandas"), ["event_type"], ["sum_k", "n"]
     )
 
@@ -3109,8 +3106,7 @@ def source_token_jaccard(sf_dir: str):
     per_tok = grouped_agg(
         docs.map_batches(pairs, batch_format="pandas"),
         ["token"],
-        ["in_a", "in_b"],
-        how="max",
+        {"in_a": "max", "in_b": "max"},
     ).map_batches(
         lambda df: df.assign(
             in_both=(df["in_a"] * df["in_b"]).astype("int64")
@@ -3207,7 +3203,7 @@ def doc_split_assign(sf_dir: str):
     added), audited per (source, split)."""
     import hashlib
 
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "source"])
 
@@ -3224,7 +3220,7 @@ def doc_split_assign(sf_dir: str):
             }
         )
 
-    return tree_keyed_sum(
+    return grouped_sum(
         ds.map_batches(assign, batch_format="pandas"), ["source", "split"], ["n"]
     )
 
@@ -3234,10 +3230,10 @@ def doc_mix_sample(sf_dir: str):
     step): per-source deterministic keep rates — src0 keep-all, src1
     1/2, src2 1/4, everything else 1/8 — decided by the doc's md5 hex
     prefix (reproducible, partition-invariant, no shuffle), then one
-    tree-combined per-source audit of total vs kept docs/chars."""
+    keyed-sum per-source audit of total vs kept docs/chars."""
     import hashlib
 
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     ds = rd.read_parquet(
         _t(sf_dir, "documents"), columns=["doc_id", "source", "n_chars"]
@@ -3263,7 +3259,7 @@ def doc_mix_sample(sf_dir: str):
         )
 
     pre = ds.map_batches(audit, batch_format="pandas")
-    return tree_keyed_sum(pre, ["source"], ["n_total", "n_kept", "kept_chars"])
+    return grouped_sum(pre, ["source"], ["n_total", "n_kept", "kept_chars"])
 
 
 def doc_token_df(sf_dir: str):
@@ -3290,7 +3286,7 @@ def doc_conjunctive_search(sf_dir: str):
 def emb_kmeans(sf_dir: str):
     """Distributed Lloyd k-means (``ops/similarity.kmeans_fit``): k=10,
     5 rounds of broadcast-centroids → vectorized assign+partial-sums →
-    k-row tree combine.  Iterative, so no SQL oracle (rows-only check);
+    k-row keyed sum.  Iterative, so no SQL oracle (rows-only check);
     determinism is unit-tested against a local numpy reference.
     Output: per-cluster size + floor-scaled inertia."""
     from valere_ocr_ray.ops.similarity import kmeans_fit
@@ -3385,11 +3381,11 @@ def events_user_lag(sf_dir: str):
 def doc_zscore_by_lang(sf_dir: str):
     """Grouped z-score normalization — ``(x - mean_g) / std_g`` per
     language — as two passes: exact integer group sums (sum, sum of
-    squares, n) via tree combine, tiny stats broadcast, vectorized
+    squares, n) via keyed sum, tiny stats broadcast, vectorized
     per-doc transform.  mean/var derive from INTEGER sums with one
     fixed f64 expression on both sides, so the floor-scaled output is
     bit-stable against the oracle (no float-summation-order drift)."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     docs = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "lang", "n_chars"])
 
@@ -3404,7 +3400,7 @@ def doc_zscore_by_lang(sf_dir: str):
         ),
         batch_format="pandas",
     )
-    stats = tree_keyed_sum(pre, ["lang"], ["s1", "s2", "n"]).to_pandas()
+    stats = grouped_sum(pre, ["lang"], ["s1", "s2", "n"]).to_pandas()
     stats = stats[stats["n"] > 1]
     mean = {}
     std = {}
@@ -3544,11 +3540,11 @@ def events_type_ntile(sf_dir: str):
 def emb_label_centroid(sf_dir: str):
     """Grouped VECTOR aggregate over the ``list<float>`` embedding
     column: per label, row count + exact integer sums of the first 4
-    dimensions (scaled 1e4) — the partial-then-tree-combine shape a
+    dimensions (scaled 1e4) — the partial-then-keyed-sum shape a
     full centroid / k-means update step uses at scale.  The list column
     is stacked to a dense numpy matrix per batch; nothing leaves the
     batch but (label, 4 ints, count) partials."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     emb = rd.read_parquet(
         _t(sf_dir, "embeddings"), columns=["label", "embedding"]
@@ -3569,16 +3565,16 @@ def emb_label_centroid(sf_dir: str):
         )
 
     pre = emb.map_batches(partial, batch_format="pandas")
-    return tree_keyed_sum(pre, ["label"], ["s0_c", "s1_c", "s2_c", "s3_c", "n"])
+    return grouped_sum(pre, ["label"], ["s0_c", "s1_c", "s2_c", "s3_c", "n"])
 
 
 def events_user_pivot(sf_dir: str):
     """PIVOT: per-user event counts spread across one column per event
     type — indicator columns built vectorized per batch, then ONE
-    tree-combined keyed sum.  The wide-format shape of feature
+    keyed sum.  The wide-format shape of feature
     engineering; no per-type scans, no shuffle beyond the small keyed
     combine."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     types = ["click", "error", "purchase", "signup", "view"]
     ev = rd.read_parquet(_t(sf_dir, "events"), columns=["user_id", "event_type"])
@@ -3590,7 +3586,7 @@ def events_user_pivot(sf_dir: str):
         return out
 
     pre = ev.map_batches(indicators, batch_format="pandas")
-    return tree_keyed_sum(pre, ["user_id"], [f"n_{t}" for t in types])
+    return grouped_sum(pre, ["user_id"], [f"n_{t}" for t in types])
 
 
 def events_ranged_value_band(sf_dir: str):
@@ -3601,7 +3597,7 @@ def events_ranged_value_band(sf_dir: str):
     full scan + filter — the oracle proves it."""
     import tempfile
 
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
     from valere_ocr_ray.ops.ranged import read_range, write_ranged
 
     ev = rd.read_parquet(
@@ -3619,7 +3615,7 @@ def events_ranged_value_band(sf_dir: str):
         ),
         batch_format="pandas",
     )
-    return tree_keyed_sum(band, ["event_type"], ["sum_value_c", "n"])
+    return grouped_sum(band, ["event_type"], ["sum_value_c", "n"])
 
 
 def supplier_by_region(sf_dir: str):
@@ -3838,10 +3834,10 @@ def events_sliding(sf_dir: str):
 
     # final combine stays distributed (window×type cardinality grows
     # with the log's span) but off the sort-shuffle groupby
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     parts = ds.map_batches(explode_partial, batch_format="pandas")
-    return tree_keyed_sum(parts, ["window_start", "event_type"], ["sum_value_m", "n"])
+    return grouped_sum(parts, ["window_start", "event_type"], ["sum_value_m", "n"])
 
 
 def doc_near_dup_verified(sf_dir: str):
@@ -4056,32 +4052,30 @@ def doc_distinct_tokens_kmv(sf_dir: str):
 
 def events_user_top_event(sf_dir: str):
     """Per-group argmax: each user's most frequent event_type (ties →
-    lexicographically smallest).  Keyed partial counts, tree combine,
-    then a vectorized idxmax per user — no per-group Python."""
+    lexicographically smallest).  Keyed (user, type) counts summed over
+    the exchange, then the per-user top-1 by (count desc, type asc) via
+    ``keyed_topn`` — no per-group Python."""
     ds = rd.read_parquet(_t(sf_dir, "events"), columns=["user_id", "event_type"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         df = df.assign(n=1)
         return df.groupby(["user_id", "event_type"], as_index=False)[["n"]].sum()
 
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.combine import keyed_topn
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
-    counts = tree_keyed_sum(
+    counts = grouped_sum(
         ds.map_batches(partial, batch_format="pandas"),
         ["user_id", "event_type"],
         ["n"],
     )
-
-    def argmax(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(
-            ["user_id", "n", "event_type"], ascending=[True, False, True]
-        )
-        top = df.drop_duplicates("user_id", keep="first")
-        return top.rename(columns={"event_type": "top_event"})[
+    top = keyed_topn(counts, ["user_id"], ["n", "event_type"], [False, True], 1)
+    return top.map_batches(
+        lambda df: df.rename(columns={"event_type": "top_event"})[
             ["user_id", "top_event", "n"]
-        ]
-
-    return counts.map_batches(argmax, batch_format="pandas", batch_size=None)
+        ],
+        batch_format="pandas",
+    )
 
 
 def doc_dup_clusters(sf_dir: str):
@@ -4159,9 +4153,10 @@ def events_trailing_window(sf_dir: str):
 def events_user_topk(sf_dir: str):
     """Top-10 users by event count.  user_id cardinality grows with the
     corpus, so the count avoids ``Dataset.groupby``'s ~1 ms/key
-    sort-shuffle reduce: per-block partial counts → ``tree_keyed_sum``
+    sort-shuffle reduce: per-block partial counts → ``grouped_sum``
     → partial top-k tree combine (no global sort)."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum, tree_topk
+    from valere_ocr_ray.ops.combine import tree_topk
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     ds = rd.read_parquet(_t(sf_dir, "events"), columns=["user_id"])
 
@@ -4169,7 +4164,7 @@ def events_user_topk(sf_dir: str):
         df = df.assign(n=1)
         return df.groupby("user_id", as_index=False)[["n"]].sum()
 
-    counts = tree_keyed_sum(
+    counts = grouped_sum(
         ds.map_batches(partial, batch_format="pandas"), ["user_id"], ["n"]
     )
     return tree_topk(counts, ["n", "user_id"], [False, True], 10)
@@ -4223,13 +4218,13 @@ def events_hourly(sf_dir: str):
         )
         return df.groupby(["hour", "event_type"], as_index=False)[["sum_value_m", "n"]].sum()
 
-    # final combine via tree_keyed_sum: (hour × type) cardinality grows
+    # final combine via grouped_sum: (hour × type) cardinality grows
     # with the log's time span, so the combine stays distributed —
     # but without Dataset.groupby's ~1 ms/key sort-shuffle reduce
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     parts = ds.map_batches(bucket, batch_format="pandas")
-    return tree_keyed_sum(parts, ["hour", "event_type"], ["sum_value_m", "n"])
+    return grouped_sum(parts, ["hour", "event_type"], ["sum_value_m", "n"])
 
 
 # ---------------------------------------------------------------------------
@@ -4518,7 +4513,7 @@ def pages_dsir_weights(sf_dir: str):
     select-like-my-target).  Rows-only (two-pass over engine-extracted
     text).  Returns per-host weight aggregates so the result is small
     and stable."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
     from valere_ocr_ray.ops.dsir import dsir_weights
 
     out_dir = _extracted_pages_dir(sf_dir)
@@ -4553,7 +4548,7 @@ def pages_dsir_weights(sf_dir: str):
             }
         )
 
-    return tree_keyed_sum(
+    return grouped_sum(
         w.map_batches(partial, batch_format="pandas"),
         ["k"],
         ["n_docs", "n_positive", "sum_weight", "sum_grams"],
@@ -4658,7 +4653,7 @@ def pages_line_dedup(sf_dir: str):
 
     pages_dir = ensure_pages(sf_dir)
     ds = build_extraction_ds(pages_dir).select_columns(["url", "extracted_text"])
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     stripped = strip_repeated_lines(
         ds, min_docs=20, text_col="extracted_text", id_col="url"
@@ -4675,8 +4670,8 @@ def pages_line_dedup(sf_dir: str):
             }
         )
 
-    # per-block partials → k-row tree combine: the driver sees ONE row
-    return tree_keyed_sum(
+    # per-block partials → one-key keyed sum: the driver sees ONE row
+    return grouped_sum(
         stripped.map_batches(partial, batch_format="pandas"),
         ["k"],
         ["n_dropped", "n_docs_hit", "n_docs"],
@@ -4754,8 +4749,8 @@ def pages_kind_counts(sf_dir: str):
     sniff is prefix-byte CASE logic (``stages/docmeta._sniff_kinds``),
     reproduced by the oracle over ``to_hex(html)`` prefixes, so the F1
     predicate itself is driver-green.  Partial counts per block → tiny
-    4-row tree combine."""
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    4-row keyed sum."""
+    from valere_ocr_ray.ops.exchange import grouped_sum
     from valere_ocr_ray.stages.docmeta import _sniff_kinds
 
     pages_dir = ensure_pages(sf_dir)
@@ -4769,7 +4764,7 @@ def pages_kind_counts(sf_dir: str):
         )
 
     pre = ds.map_batches(partial, batch_format="pyarrow")
-    return tree_keyed_sum(pre, ["doc_kind"], ["n"])
+    return grouped_sum(pre, ["doc_kind"], ["n"])
 
 
 def pages_domain_stats(sf_dir: str):
@@ -5177,12 +5172,12 @@ def doc_bpe_fertility(sf_dir: str):
     corpus's word inventory is tiny, and 256 merges fully merge every
     word, collapsing fertility to exactly 1.0 everywhere — vacuous),
     broadcast rank table, per-doc counts folded
-    to #(source x lang) cells by the tree combine — the driver holds
+    to #(source x lang) cells by the keyed sum — the driver holds
     cells, never docs.  Rows-only (the greedy lowest-rank encode is a
     fold, not SQL); counts are pinned bit-exact vs a single-process
     local twin by pytest (tests/test_bpe.py)."""
     from valere_ocr_ray.ops.bpe import bpe_token_counts, train_bpe
-    from valere_ocr_ray.ops.combine import tree_keyed_sum
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     ds = rd.read_parquet(
         _t(sf_dir, "documents"), columns=["doc_id", "source", "text"]
@@ -5205,7 +5200,7 @@ def doc_bpe_fertility(sf_dir: str):
             }
         ).groupby(["source", "lang"], as_index=False).sum()
 
-    cells = tree_keyed_sum(
+    cells = grouped_sum(
         out.map_batches(partial, batch_format="pandas"),
         ["source", "lang"],
         ["n_docs", "n_words", "n_bpe"],
@@ -5719,7 +5714,7 @@ def doc_bm25_search(sf_dir: str):
     """BM25 ranked search (Robertson/Lucene form, k1=1.2 b=0.75) for a
     fixed 4-term query over the documents table, SQL-ORACLED: pass 1 is
     one vectorized token pass producing per-doc query-term tfs + doc
-    length AND the global (N, Σdl, df_t) partials tree-combined to a
+    length AND the global (N, Σdl, df_t) partials summed to a
     handful of ints; the tiny idf table broadcasts back and pass 2
     scores + tree-top-20s.  Float discipline: the per-(doc,term)
     contribution is floor-quantized to 1e-6 FIRST and the doc score is
@@ -5819,8 +5814,7 @@ def events_watermark_hourly(sf_dir: str):
     job checkpoints), broadcast back, then one classify+hourly-sum
     pass.  Values ride as exact integer cents so sums are
     order-free."""
-    from valere_ocr_ray.ops.combine import tree_keyed_agg
-    from valere_ocr_ray.ops.exchange import grouped_sum
+    from valere_ocr_ray.ops.exchange import grouped_agg, grouped_sum
 
     N_SHARDS = 16
     LATENESS_US = 3_600_000_000  # 1 hour
@@ -5858,7 +5852,7 @@ def events_watermark_hourly(sf_dir: str):
         g = df.groupby("shard", as_index=False)["tsu"].max()
         return g.rename(columns={"tsu": "mx"})
 
-    sm = tree_keyed_agg(
+    sm = grouped_agg(
         prepped.map_batches(shard_max, batch_format="pandas"),
         ["shard"],
         {"mx": "max"},

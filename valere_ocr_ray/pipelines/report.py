@@ -17,7 +17,7 @@ Composes the engine's existing kernels into ONE summary dict:
                 (``ops/textstats.gopher_keep``), C4 keep rate (the
                 curate ``--c4`` markers)
     length      exact p50/p90/p99 of char length via the value-count
-                tree combine (one row per DISTINCT length crosses the
+                keyed sum (one row per DISTINCT length crosses the
                 wire — bounded integer domain, never per-doc)
 
 Scale shape: ONE vectorized signal pass over the corpus (the corpus is
@@ -36,7 +36,6 @@ import pandas as pd
 import ray.data
 
 from valere_ocr_ray.ops import textstats
-from valere_ocr_ray.ops.combine import tree_keyed_sum
 from valere_ocr_ray.ops.exchange import grouped_sum
 
 
@@ -147,7 +146,7 @@ def corpus_report(
         g = df.groupby("n_chars", as_index=False).size()
         return g.rename(columns={"size": "n"})
 
-    lens = tree_keyed_sum(
+    lens = grouped_sum(
         sig.map_batches(len_counts, batch_format="pandas"), ["n_chars"], ["n"]
     ).to_pandas()
     lens = lens.sort_values("n_chars").reset_index(drop=True)

@@ -163,12 +163,12 @@ def read_file_metadata(
 
 def _first_key_where(meta: ray.data.Dataset, expr_frame) -> str | None:
     """Distributed first-match: per-block partial min(key) over the
-    predicate rides the shared tree combine down to ≤1 row — the
+    predicate rides the keyed aggregate down to ≤1 row — the
     reference's scan-and-return-first loop without materializing the
     listing (or even the per-block partials) on the driver."""
     import pandas as pd
 
-    from valere_ocr_ray.ops.combine import tree_keyed_agg
+    from valere_ocr_ray.ops.exchange import grouped_agg
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         hit = df[expr_frame(df)]
@@ -179,7 +179,7 @@ def _first_key_where(meta: ray.data.Dataset, expr_frame) -> str | None:
             )
         return pd.DataFrame({"k": [0], "key": [hit["key"].min()]})
 
-    rows = tree_keyed_agg(
+    rows = grouped_agg(
         meta.map_batches(partial, batch_format="pandas"),
         ["k"],
         {"key": "min"},
