@@ -238,6 +238,20 @@ def test_exchange_property_random_frames(ray_session):
             obj=f"mixed t{trial}",
         )
 
+        # a caller-side per-block pre-fold adds nothing: the aggregate's
+        # own first fold already sees each block, so the pre-folded
+        # input gives the same frame as the raw rows, int64 dtypes too
+        prefolded = with_u.map_batches(
+            lambda b: b.groupby("k", as_index=False).agg(mixed), batch_format="pandas"
+        )
+        got_pre = (
+            grouped_agg(prefolded, ["k"], mixed, num_partitions=npart)
+            .to_pandas()
+            .sort_values("k")
+            .reset_index(drop=True)
+        )
+        pd.testing.assert_frame_equal(got_pre, got_mixed, obj=f"prefold t{trial}")
+
         # every key lives in exactly ONE exchange block
         ex_blocks = [
             b.to_pandas()

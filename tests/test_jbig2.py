@@ -293,6 +293,40 @@ def test_symbol_dict_multiple_height_classes():
         assert np.array_equal(got, want)
 
 
+def test_symbol_dict_no_progress_streams_end(monkeypatch):
+    """Integer streams that never advance the symbol dictionary — empty
+    height classes (dh=0, then OOB at once) and zero-length export runs
+    — raise a routed error instead of spinning forever."""
+    import itertools
+    import struct
+
+    from valere_ocr_ray.extract import jbig2
+
+    def scripted(values):
+        it = itertools.cycle(values)
+        calls = itertools.count()
+
+        def fake(dec, ctx):
+            assert next(calls) < 10_000, "decoder did not terminate"
+            return next(it)
+
+        return fake
+
+    def payload(n_new):
+        return struct.pack(">H", 0) + jbig2._SD_AT_NOMINAL + struct.pack(
+            ">II", 0, n_new
+        ) + b"\x00" * 8
+
+    # IADH 0 / IADW OOB forever: every height class is empty
+    monkeypatch.setattr(jbig2, "_decode_int", scripted([0, None]))
+    with pytest.raises(ImageFormatError):
+        jbig2.decode_symbol_dict(payload(3))
+    # IAEX 0 forever over one input symbol: the export index never moves
+    monkeypatch.setattr(jbig2, "_decode_int", scripted([0]))
+    with pytest.raises(ImageFormatError):
+        jbig2.decode_symbol_dict(payload(0), [np.ones((2, 2), bool)])
+
+
 def test_scanned_pdf_symbol_jbig2_ocr():
     """A symbol-coded /JBIG2Decode XObject OCRs byte-exact — the
     jbig2enc-shape PDF reads like its generic-coded and BMP twins."""

@@ -2821,3 +2821,40 @@ def test_pq_persisted_and_ivfpq(ray_session, tmp_path):
         assert set(ref[ref["query_id"] == qi]["vec_id"]) == set(
             brute[brute["query_id"] == qi]["vec_id"]
         )
+
+
+def test_ivfpq_coarse_sample_bounded_on_driver(ray_session, tmp_path, monkeypatch):
+    """ivfpq_build's coarse-quantizer sample brings at most sample_size
+    rows to the driver, not the whole (id, vector) corpus, even at
+    sample_stride=1.  pq_fit's own training sample is bounded by its
+    stride, not by sample_size, so its driver reads are not counted."""
+    import ray.data as rd
+
+    from valere_ocr_ray.ops import similarity
+
+    sizes = []
+    in_fit = [False]
+    real_to_pandas = rd.Dataset.to_pandas
+    real_pq_fit = similarity.pq_fit
+
+    def to_pandas(self, *args, **kwargs):
+        df = real_to_pandas(self, *args, **kwargs)
+        if not in_fit[0]:
+            sizes.append(len(df))
+        return df
+
+    def pq_fit(*args, **kwargs):
+        in_fit[0] = True
+        try:
+            return real_pq_fit(*args, **kwargs)
+        finally:
+            in_fit[0] = False
+
+    monkeypatch.setattr(rd.Dataset, "to_pandas", to_pandas)
+    monkeypatch.setattr(similarity, "pq_fit", pq_fit)
+    ds = rd.read_parquet(f"{SF}/embeddings.parquet")
+    similarity.ivfpq_build(
+        ds, str(tmp_path / "ivfpq"), n_clusters=4, m=8, n_centroids=16,
+        sample_size=64,
+    )
+    assert sizes and max(sizes) <= 64 < ds.count()

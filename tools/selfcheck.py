@@ -11,6 +11,11 @@ with ``rows_match`` / ``schema_match`` / ``values_match`` booleans.
 Usage (owns its own Ray session — run standalone, never from tests):
 
     python tools/selfcheck.py [sf_dir] > SELFCHECK_rN.json
+
+``--against=<record.json>`` compares this run with a saved record (e.g.
+the parent commit's): every query whose ``value_hash`` or ``rows``
+differs is printed to stderr, and the exit status is non-zero if any
+does.
 """
 
 from __future__ import annotations
@@ -92,6 +97,11 @@ def main() -> None:
     # where the engine-synthesized pages_* pipelines would re-extract
     # the 200k-page corpus once per query
     sf_dir = args[0] if args else "/root/testdata/sf0.01"
+    saved = None  # read up front: a bad path fails before the long run
+    for a in sys.argv[1:]:
+        if a.startswith("--against="):
+            with open(a.split("=", 1)[1]) as f:
+                saved = json.load(f)["queries"]
 
     import duckdb
     import ray
@@ -178,7 +188,24 @@ def main() -> None:
     )
     print(json.dumps(record, indent=1, sort_keys=True))
     ray.shutdown()
-    sys.exit(1 if n_fail else 0)
+    n_diff = len(_diff_records(saved, record["queries"])) if saved is not None else 0
+    sys.exit(1 if n_fail or n_diff else 0)
+
+
+def _diff_records(saved: dict, got: dict) -> list[str]:
+    """Names of this run's queries whose ``value_hash`` or ``rows``
+    differ from the saved record (a query the record lacks differs;
+    queries this run skipped, e.g. under ``--only``, are not compared).
+    Each is printed to stderr with both values."""
+    diff = []
+    for name in sorted(got):
+        a, b = saved.get(name, {}), got[name]
+        pair = [(e.get("rows"), e.get("value_hash")) for e in (a, b)]
+        if pair[0] != pair[1]:
+            diff.append(name)
+            print(f"DIFF {name}: saved {pair[0]} != this run {pair[1]}", file=sys.stderr)
+    print(f"against: {len(diff)} of {len(got)} queries differ", file=sys.stderr)
+    return diff
 
 
 if __name__ == "__main__":

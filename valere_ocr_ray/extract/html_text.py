@@ -388,7 +388,6 @@ _RAWTEXT_CLOSE = {
     "style": re.compile(r"</\s*style", re.IGNORECASE),
 }
 _ATTR_TAGS = frozenset({"input", "img", "canvas"})  # walker reads these tags' attrs
-_AMP_OR_TAG = re.compile(r"[&<]")
 
 
 def _parse_attrs(raw: str) -> list[tuple[str, str | None]]:

@@ -783,12 +783,16 @@ def decode_symbol_dict(
     gb_mps = [0] * (1 << 16)
     hcheight = 0
     new_syms: list = []
+    # a height class that adds no symbol makes no progress: a crafted
+    # stream of them would never end, so cap the consecutive run
+    n_empty = 0
     while len(new_syms) < n_new:
         dh = _decode_int(dec, iadh)
         if dh is None:
             raise ImageFormatError("OOB in IADH")
         hcheight += dh
         symwidth = 0
+        n_before = len(new_syms)
         while True:
             dw = _decode_int(dec, iadw)
             if dw is None:
@@ -799,11 +803,18 @@ def decode_symbol_dict(
             new_syms.append(
                 _decode_generic_bitmap(dec, gb_icx, gb_mps, symwidth, hcheight)
             )
+        n_empty = n_empty + 1 if len(new_syms) == n_before else 0
+        if n_empty > n_new:
+            raise ImageFormatError("too many empty height classes")
     all_syms = list(input_syms or []) + new_syms
     exported: list = []
     cur = 0
     i = 0
-    while i < len(all_syms):
+    # zero-length runs are legal but do not advance ``i``: a valid
+    # stream alternates runs, so it needs at most 2 per symbol
+    for _ in range(2 * len(all_syms) + 2):
+        if i >= len(all_syms):
+            break
         run = _decode_int(dec, iaex)
         if run is None or run < 0:
             raise ImageFormatError("bad IAEX run")
@@ -811,6 +822,8 @@ def decode_symbol_dict(
             exported.extend(all_syms[i : i + run])
         i += run
         cur ^= 1
+    if i < len(all_syms):
+        raise ImageFormatError("too many IAEX runs")
     if len(exported) != n_ex:
         raise ImageFormatError("export count mismatch")
     return exported

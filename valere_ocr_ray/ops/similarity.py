@@ -687,6 +687,8 @@ def ivfpq_build(
     import json
     import os
 
+    from valere_ocr_ray.ops.combine import tree_topk
+
     # deterministic coarse-quantizer sample: the same id-stride slice
     # convention as pq_fit (partition-invariant, replayable by a
     # single-process twin) — random_sample's draw depends on block
@@ -699,7 +701,13 @@ def ivfpq_build(
             return df[df[id_col].to_numpy() % stride == 0]
 
         coarse_src = coarse_src.map_batches(keep, batch_format="pandas")
-    sample_df = coarse_src.to_pandas().sort_values(id_col).head(sample_size)
+    # the sample_size smallest ids via the mergeable top-k: only those
+    # rows reach the driver, never the whole (id, vector) corpus
+    sample_df = (
+        tree_topk(coarse_src, [id_col], [True], sample_size)
+        .to_pandas()
+        .sort_values(id_col)
+    )
     sample = np.stack(sample_df[vec_col].to_numpy()).astype(np.float32)
     coarse = _kmeans(sample, min(n_clusters, len(sample)), seed=seed)
     codebooks = pq_fit(

@@ -68,7 +68,7 @@ def build_dedup_corpus_ds(
     # pipeline's one barrier (it materializes the extracted rows into
     # the object store); downstream consumers re-read those refs, so
     # extraction runs exactly once.
-    ex = hash_exchange(ok, ["content_hash"], 16)
+    ex = hash_exchange(ok, ["content_hash"])
 
     def keep_exact_canonical(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):

@@ -103,27 +103,21 @@ def doc_topk_longest(sf_dir: str):
 
 def doc_distinct_tokens(sf_dir: str):
     """F6 tokenizer + A6 distinct: EXACT global distinct alpha-token
-    count — per-block unique partials → hash exchange by token →
-    per-partition nunique → tiny sum (``Dataset.unique`` is a
-    sort-shuffle whose reduce pays ~1 ms/distinct key; at web-scale
-    vocabularies that is the same pathology the exchange exists for)."""
-    from valere_ocr_ray.ops.exchange import hash_exchange
+    count — the keyed aggregate by token holds each token in exactly
+    one output row, so the distinct count is its row count
+    (``Dataset.unique`` is a sort-shuffle whose reduce pays ~1
+    ms/distinct key).  The per-block ``drop_duplicates`` bounds the
+    explode, which emits more rows than the block read."""
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["text"])
 
     def toks(df: pd.DataFrame) -> pd.DataFrame:
         s = df["text"].str.lower().str.findall(r"[a-z]+").explode().dropna()
         s = s[s.str.len() >= 3].drop_duplicates()
-        return pd.DataFrame({"tok": s})
+        return pd.DataFrame({"tok": s, "n": 1})
 
-    pre = ds.map_batches(toks, batch_format="pandas")
-    ex = hash_exchange(pre, ["tok"], 8)
-
-    def count_part(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"n": pd.Series([df["tok"].nunique()], dtype="int64")})
-
-    parts = ex.map_batches(count_part, batch_format="pandas", batch_size=None)
-    n = int(parts.sum("n") or 0)
+    n = grouped_sum(ds.map_batches(toks, batch_format="pandas"), ["tok"], ["n"]).count()
     return pa.table({"n_distinct": pa.array([n], pa.int64())})
 
 
@@ -328,22 +322,16 @@ def _percentile_disc(counts: pd.DataFrame, val_col: str, q: float) -> int:
 
 def doc_length_percentiles(sf_dir: str):
     """EXACT global percentiles (p50/p90/p99) of document length with
-    no sort shuffle: per-block value counts → keyed sum → one tiny
-    cumulative scan.  The exchanged state is one row per DISTINCT
-    length (a bounded integer domain), not per document — the
+    no sort shuffle: keyed count per length → one tiny cumulative
+    scan.  The exchanged state is one row per DISTINCT length per
+    block (a bounded integer domain), not per document — the
     scale-safe exact-quantile shape for bounded domains; for unbounded
     doubles, bucket first and accept bucket resolution."""
     from valere_ocr_ray.ops.exchange import grouped_sum
 
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["n_chars"])
-
-    def counts(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("n_chars", as_index=False).size()
-        return g.rename(columns={"size": "n"})
-
-    combined = grouped_sum(
-        ds.map_batches(counts, batch_format="pandas"), ["n_chars"], ["n"]
-    ).to_pandas()
+    ones = ds.map_batches(lambda df: df.assign(n=1), batch_format="pandas")
+    combined = grouped_sum(ones, ["n_chars"], ["n"]).to_pandas()
     return pa.table(
         {
             "p50": pa.array([_percentile_disc(combined, "n_chars", 0.5)], pa.int64()),
@@ -355,19 +343,13 @@ def doc_length_percentiles(sf_dir: str):
 
 def doc_length_p90_by_lang(sf_dir: str):
     """Grouped exact percentile: p90 document length per lang — keyed
-    (lang, n_chars) count partials, keyed sum, vectorized per-group
-    cumulative scan on the (small) distinct-value frame."""
+    (lang, n_chars) count, vectorized per-group cumulative scan on the
+    (small) distinct-value frame."""
     from valere_ocr_ray.ops.exchange import grouped_sum
 
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["lang", "n_chars"])
-
-    def counts(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["lang", "n_chars"], as_index=False).size()
-        return g.rename(columns={"size": "n"})
-
-    combined = grouped_sum(
-        ds.map_batches(counts, batch_format="pandas"), ["lang", "n_chars"], ["n"]
-    ).to_pandas()
+    ones = ds.map_batches(lambda df: df.assign(n=1), batch_format="pandas")
+    combined = grouped_sum(ones, ["lang", "n_chars"], ["n"]).to_pandas()
     rows = [
         {"lang": lang, "p90": _percentile_disc(g, "n_chars", 0.9)}
         for lang, g in combined.groupby("lang")
@@ -680,7 +662,7 @@ def doc_cross_source_dupes(sf_dir: str):
         )
 
     pre = ds.map_batches(partial, batch_format="pandas")
-    ex = hash_exchange(pre, ["text_hash"], 16)
+    ex = hash_exchange(pre, ["text_hash"])
     return ex.map_batches(combine, batch_format="pandas", batch_size=None)
 
 
@@ -1053,32 +1035,27 @@ def doc_simhash_md5(sf_dir: str):
 
 
 def lineitem_agg(sf_dir: str):
-    """TPC-H Q1 shape with partial aggregation: per-batch combine to
-    (key → partial sums), then a small groupby — the input shuffle
-    moves one row per key per block, not every row."""
+    """TPC-H Q1 shape: row-level integer-scaled projection, then the
+    keyed aggregate (its per-block partial means the exchange moves
+    one row per key per block, not every row)."""
+    from valere_ocr_ray.ops.exchange import grouped_sum
+
     ds = rd.read_parquet(
         _t(sf_dir, "lineitem"),
         columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
     )
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(
+    def scaled(df: pd.DataFrame) -> pd.DataFrame:
+        return df.assign(
             sum_qty_c=np.floor(df["l_quantity"] * 100).astype("int64"),
             sum_price_c=np.floor(df["l_extendedprice"] * 100).astype("int64"),
             n=1,
-        )
-        g = (
-            df.groupby(["l_returnflag", "l_linestatus"], as_index=False)[
-                ["sum_qty_c", "sum_price_c", "n"]
-            ].sum()
-        )
-        return g
+        )[["l_returnflag", "l_linestatus", "sum_qty_c", "sum_price_c", "n"]]
 
-    partials = ds.map_batches(partial, batch_format="pandas")
-    return partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sum_qty_c", alias_name="sum_qty_c"),
-        Sum("sum_price_c", alias_name="sum_price_c"),
-        Sum("n", alias_name="n"),
+    return grouped_sum(
+        ds.map_batches(scaled, batch_format="pandas"),
+        ["l_returnflag", "l_linestatus"],
+        ["sum_qty_c", "sum_price_c", "n"],
     )
 
 
@@ -1088,10 +1065,10 @@ def orders_by_nation(sf_dir: str):
     a corpus-scaling python dict — driver OOM at 100×): the
     orders→customer hop is resolved **on the hash exchange** — orders
     pre-aggregated per custkey (one row per custkey per block), customer
-    rows exchanged by the same key, vectorized in-block map → nationkey
-    partials.  Only the 25-row nation table is broadcast.  Final
-    combine: 25-key ``Dataset.groupby`` (trivially small)."""
-    from valere_ocr_ray.ops.exchange import hash_exchange
+    rows exchanged by the same key, vectorized in-block map → one
+    (nation, sums) row per custkey.  Only the 25-row nation table is
+    broadcast.  Final combine: the keyed aggregate by nation."""
+    from valere_ocr_ray.ops.exchange import grouped_sum, hash_exchange
 
     nation = pd.read_parquet(_t(sf_dir, "nation"), columns=["n_nationkey", "n_name"])
     nmap_ref = ray.put(
@@ -1134,41 +1111,23 @@ def orders_by_nation(sf_dir: str):
     mixed = orders.map_batches(fact_rows, batch_format="pandas").union(
         cust.map_batches(dim_rows, batch_format="pandas")
     )
-    ex = hash_exchange(mixed, ["custkey"], 16)
+    ex = hash_exchange(mixed, ["custkey"])
 
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
+    def resolve(df: pd.DataFrame) -> pd.DataFrame:
         nmap = ray.get(nmap_ref)
         dim = df[df["is_dim"] == 1].set_index("custkey")["nationkey"]
         fact = df[df["is_dim"] == 0]
-        nk = fact["custkey"].map(dim)
         out = pd.DataFrame(
             {
-                "nation": nk.map(nmap),
+                "nation": fact["custkey"].map(dim).map(nmap),
                 "sum_total_c": fact["sum_total_c"].to_numpy(),
                 "n_orders": fact["n_orders"].to_numpy(),
             }
         )
-        out = out[out["nation"].notna()]
-        return out.groupby("nation", as_index=False)[["sum_total_c", "n_orders"]].sum()
+        return out[out["nation"].notna()]
 
-    partials = ex.map_batches(fold, batch_format="pandas", batch_size=None)
-    # final combine: ≤25 nations × 16 partitions of partial rows — a
-    # driver-side pandas fold (a Ray sort-shuffle aggregate here costs
-    # ~2 s of fixed overhead for 400 rows)
-    out = (
-        partials.to_pandas()
-        .groupby("nation", as_index=False)[["sum_total_c", "n_orders"]]
-        .sum()
-        .sort_values("nation")
-        .reset_index(drop=True)
-    )
-    return pa.table(
-        {
-            "nation": pa.array(out["nation"].astype(str), pa.string()),
-            "sum_total_c": pa.array(out["sum_total_c"].to_numpy(np.int64), pa.int64()),
-            "n_orders": pa.array(out["n_orders"].to_numpy(np.int64), pa.int64()),
-        }
-    )
+    per_cust = ex.map_batches(resolve, batch_format="pandas", batch_size=None)
+    return grouped_sum(per_cust, ["nation"], ["sum_total_c", "n_orders"])
 
 
 def lineitem_part_join(sf_dir: str):
@@ -1183,8 +1142,11 @@ def lineitem_part_join(sf_dir: str):
     outgrows that contract, use ``lineitem_part_join_shuffle`` (the
     two-large-sides hash-shuffle fallback below).  Probe is a
     vectorized ``searchsorted`` per batch — no python dict (round 1's
-    dict of python objects was ~10× the footprint).  Measured 45 s →
-    <2 s vs ``Dataset.join`` at sf0.1."""
+    dict of python objects was ~10× the footprint) — and the brand
+    totals are the keyed aggregate.  Measured 45 s → <2 s vs
+    ``Dataset.join`` at sf0.1."""
+    from valere_ocr_ray.ops.exchange import grouped_sum
+
     part = pd.read_parquet(_t(sf_dir, "part"), columns=["p_partkey", "p_brand"])
     order = np.argsort(part["p_partkey"].to_numpy())
     keys_sorted = part["p_partkey"].to_numpy(dtype=np.int64)[order]
@@ -1195,13 +1157,13 @@ def lineitem_part_join(sf_dir: str):
 
     li = rd.read_parquet(_t(sf_dir, "lineitem"), columns=["l_partkey", "l_quantity"])
 
-    def join_partial(df: pd.DataFrame) -> pd.DataFrame:
+    def probe(df: pd.DataFrame) -> pd.DataFrame:
         keys, codes, names = ray.get(ref)
         lk = df["l_partkey"].to_numpy(dtype=np.int64)
         pos = np.searchsorted(keys, lk)
         pos_c = np.minimum(pos, len(keys) - 1)
         hit = keys[pos_c] == lk
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "p_brand": names[codes[pos_c]],
                 "sum_qty_c": np.floor(df["l_quantity"].to_numpy() * 100).astype(
@@ -1210,25 +1172,9 @@ def lineitem_part_join(sf_dir: str):
                 "n": 1,
             }
         )[hit]
-        return df.groupby("p_brand", as_index=False)[["sum_qty_c", "n"]].sum()
 
-    parts = li.map_batches(join_partial, batch_format="pandas")
-    # ≤25 brands × n_blocks partial rows → driver-side final fold (a
-    # Ray sort-shuffle aggregate costs ~2 s fixed for a few hundred rows)
-    out = (
-        parts.to_pandas()
-        .groupby("p_brand", as_index=False)[["sum_qty_c", "n"]]
-        .sum()
-        .sort_values("p_brand")
-        .reset_index(drop=True)
-    )
-    return pa.table(
-        {
-            "p_brand": pa.array(out["p_brand"].astype(str), pa.string()),
-            "sum_qty_c": pa.array(out["sum_qty_c"].to_numpy(np.int64), pa.int64()),
-            "n": pa.array(out["n"].to_numpy(np.int64), pa.int64()),
-        }
-    )
+    joined = li.map_batches(probe, batch_format="pandas")
+    return grouped_sum(joined, ["p_brand"], ["sum_qty_c", "n"])
 
 
 def lineitem_part_join_shuffle(sf_dir: str):
@@ -1236,7 +1182,9 @@ def lineitem_part_join_shuffle(sf_dir: str):
     ``Dataset.join`` — the path for when NEITHER side fits in memory
     (e.g. self-joins of the fact table).  Slower than broadcast when a
     dimension side exists; kept as the coverage row for J5-style hash
-    joins."""
+    joins.  The brand totals are the keyed aggregate."""
+    from valere_ocr_ray.ops.exchange import grouped_sum
+
     li = rd.read_parquet(_t(sf_dir, "lineitem"), columns=["l_partkey", "l_quantity"])
     part = rd.read_parquet(_t(sf_dir, "part"), columns=["p_partkey", "p_brand"])
     joined = li.join(
@@ -1249,27 +1197,37 @@ def lineitem_part_join_shuffle(sf_dir: str):
         right_on=("p_partkey",),
     )
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(sum_qty_c=np.floor(df["l_quantity"] * 100).astype("int64"), n=1)
-        return df.groupby("p_brand", as_index=False)[["sum_qty_c", "n"]].sum()
+    def scaled(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {
+                "p_brand": df["p_brand"],
+                "sum_qty_c": np.floor(df["l_quantity"] * 100).astype("int64"),
+                "n": 1,
+            }
+        )
 
-    return joined.map_batches(partial, batch_format="pandas").groupby("p_brand").aggregate(
-        Sum("sum_qty_c", alias_name="sum_qty_c"), Sum("n", alias_name="n")
-    )
+    # materialized first: the exchange's to_arrow_refs() read of the
+    # join's actor-pool output costs ~3 s more at sf0.01 than this
+    rows = joined.map_batches(scaled, batch_format="pandas").materialize()
+    return grouped_sum(rows, ["p_brand"], ["sum_qty_c", "n"])
 
 
 def events_type_agg(sf_dir: str):
+    from valere_ocr_ray.ops.exchange import grouped_sum
+
     ds = rd.read_parquet(_t(sf_dir, "events"), columns=["event_type", "value"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(
-            sum_value_m=np.floor(df["value"] * 1000).astype("int64"), n=1
+    def scaled(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {
+                "event_type": df["event_type"],
+                "sum_value_m": np.floor(df["value"] * 1000).astype("int64"),
+                "n": 1,
+            }
         )
-        return df.groupby("event_type", as_index=False)[["sum_value_m", "n"]].sum()
 
-    return ds.map_batches(partial, batch_format="pandas").groupby("event_type").aggregate(
-        Sum("sum_value_m", alias_name="sum_value_m"), Sum("n", alias_name="n")
-    )
+    rows = ds.map_batches(scaled, batch_format="pandas")
+    return grouped_sum(rows, ["event_type"], ["sum_value_m", "n"])
 
 
 def lineitem_filter_agg(sf_dir: str):
@@ -1316,8 +1274,7 @@ def orders_topk_revenue(sf_dir: str):
 
     Ray's sort-shuffle groupby pays a per-distinct-key Python cost
     (~1 ms/key → 15 s for 15k keys here), so the aggregate is the keyed
-    exchange (``grouped_sum``): per-block vectorized pandas partials →
-    hash exchange by order key → exact per-partition fold.  The top-10
+    exchange (``grouped_sum``) over a row-level revenue projection.  The top-10
     is the mergeable ``tree_topk`` over the aggregate, so only
     10 rows per block cross the wire after the exchange and no stage
     ever holds every key in one block."""
@@ -1326,20 +1283,22 @@ def orders_topk_revenue(sf_dir: str):
         columns=["l_orderkey", "l_extendedprice", "l_discount"],
     )
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(
-            revenue_c=np.floor(
-                df["l_extendedprice"] * (1 - df["l_discount"]) * 100
-            ).astype("int64"),
-            n=1,
+    def revenue(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {
+                "l_orderkey": df["l_orderkey"],
+                "revenue_c": np.floor(
+                    df["l_extendedprice"] * (1 - df["l_discount"]) * 100
+                ).astype("int64"),
+                "n": 1,
+            }
         )
-        return df.groupby("l_orderkey", as_index=False)[["revenue_c", "n"]].sum()
 
     from valere_ocr_ray.ops.combine import tree_topk
     from valere_ocr_ray.ops.exchange import grouped_sum
 
-    parts = ds.map_batches(partial, batch_format="pandas")
-    agg = grouped_sum(parts, ["l_orderkey"], ["revenue_c", "n"])
+    rows = ds.map_batches(revenue, batch_format="pandas")
+    agg = grouped_sum(rows, ["l_orderkey"], ["revenue_c", "n"])
     top = tree_topk(agg, ["revenue_c", "l_orderkey"], [False, True], 10)
     return top.to_pandas().reset_index(drop=True)
 
@@ -1584,7 +1543,7 @@ def events_user_cumsum(sf_dir: str):
     # cardinality the per-group interpreter overhead dominates)
     from valere_ocr_ray.ops.exchange import hash_exchange
 
-    ex = hash_exchange(ev, ["user_id"], 16)
+    ex = hash_exchange(ev, ["user_id"])
 
     def cum_block(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -1859,10 +1818,10 @@ def doc_corpus_checksum(sf_dir: str):
 
 def events_daily_distinct_users(sf_dir: str):
     """Distinct users per day, exactly: distinct (day, user) pairs
-    reduce per batch, ONE keyed exchange dedups globally, then a
-    vectorized count per day — COUNT(DISTINCT) without sorting the
-    event stream."""
-    from valere_ocr_ray.ops.exchange import grouped_map, grouped_sum
+    reduce per batch, ONE keyed exchange by day co-locates each day's
+    pairs, then a vectorized count per day is that day's one exact row
+    — COUNT(DISTINCT) without sorting the event stream."""
+    from valere_ocr_ray.ops.exchange import grouped_map
 
     US_PER_DAY = 86_400_000_000
     ev = rd.read_parquet(_t(sf_dir, "events"), columns=["ts", "user_id"])
@@ -1892,8 +1851,7 @@ def events_daily_distinct_users(sf_dir: str):
 
     # exchange on (day,user) would split a day across partitions; key
     # on day so each day's pairs co-locate, then dedup+count in-group
-    per_day = grouped_map(pairs, ["day"], count)
-    return grouped_sum(per_day, ["day"], ["n_users"])
+    return grouped_map(pairs, ["day"], count)
 
 
 def doc_lang_outliers(sf_dir: str):
@@ -1905,14 +1863,8 @@ def doc_lang_outliers(sf_dir: str):
     from valere_ocr_ray.ops.exchange import grouped_sum
 
     docs = rd.read_parquet(_t(sf_dir, "documents"), columns=["lang", "n_chars"])
-
-    def counts(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["lang", "n_chars"], as_index=False).size()
-        return g.rename(columns={"size": "n"})
-
-    hist = grouped_sum(
-        docs.map_batches(counts, batch_format="pandas"), ["lang", "n_chars"], ["n"]
-    ).to_pandas()
+    ones = docs.map_batches(lambda df: df.assign(n=1), batch_format="pandas")
+    hist = grouped_sum(ones, ["lang", "n_chars"], ["n"]).to_pandas()
     rows = []
     for lang, g in hist.groupby("lang"):
         rows.append(
@@ -2107,7 +2059,7 @@ def events_user_day_first(sf_dir: str):
 
     from valere_ocr_ray.ops.exchange import hash_exchange
 
-    ex = hash_exchange(ev, ["user_id"], 16)
+    ex = hash_exchange(ev, ["user_id"])
 
     # partition-level vectorized keep-first: one sort, one duplicated
     # mask over (user, day) — no Python fn per user
@@ -2175,7 +2127,7 @@ def events_retention(sf_dir: str):
 
     from valere_ocr_ray.ops.exchange import hash_exchange
 
-    ex = hash_exchange(pairs, ["user_id"], 16)
+    ex = hash_exchange(pairs, ["user_id"])
 
     # partition-level vectorized: distinct (user, day) dedup + per-user
     # min via groupby.transform — no Python fn per user
@@ -2267,7 +2219,7 @@ def events_moving_avg3(sf_dir: str):
         )[["event_id", "ts", "user_id", "value_c"]],
         batch_format="pandas",
     )
-    ex = hash_exchange(ev, ["user_id"], 16)
+    ex = hash_exchange(ev, ["user_id"])
 
     def roll_block(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -2300,7 +2252,8 @@ def events_type_markov(sf_dir: str):
     consecutive event types within each user's time-ordered stream
     (the Markov/bigram table session-model training starts from).  One
     exchange co-locates each user; the successor is ONE partition-level
-    ``groupby(user).shift``; transition counts are a keyed sum."""
+    ``groupby(user).shift``; transition counts are the keyed aggregate
+    over one row per transition."""
     from valere_ocr_ray.ops.exchange import grouped_sum
 
     ev = rd.read_parquet(
@@ -2309,10 +2262,10 @@ def events_type_markov(sf_dir: str):
 
     from valere_ocr_ray.ops.exchange import hash_exchange
 
-    ex = hash_exchange(ev, ["user_id"], 16)
+    ex = hash_exchange(ev, ["user_id"])
 
     # partition-level vectorized: sort by (user, ts), shift WITHIN user
-    # via groupby.shift, count pairs — no Python fn per user
+    # via groupby.shift — no Python fn per user
     def transitions_block(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             return pd.DataFrame(
@@ -2325,19 +2278,13 @@ def events_type_markov(sf_dir: str):
         df = df.sort_values(["user_id", "ts", "event_id"], kind="stable")
         frm = df.groupby("user_id", sort=False)["event_type"].shift(1)
         ok = frm.notna().to_numpy()
-        out = (
-            pd.DataFrame(
-                {
-                    "from_type": frm.to_numpy()[ok],
-                    "to_type": df["event_type"].to_numpy()[ok],
-                }
-            )
-            .groupby(["from_type", "to_type"], as_index=False)
-            .size()
-            .rename(columns={"size": "n"})
+        return pd.DataFrame(
+            {
+                "from_type": frm.to_numpy()[ok],
+                "to_type": df["event_type"].to_numpy()[ok],
+                "n": np.ones(int(ok.sum()), dtype=np.int64),
+            }
         )
-        out["n"] = out["n"].astype("int64")
-        return out
 
     per_user = ex.map_batches(
         transitions_block, batch_format="pandas", batch_size=None
@@ -2350,7 +2297,8 @@ def events_debounce(sf_dir: str):
     (user, type) within 3600 s of the previous occurrence — LAG against
     the prior event, exactly SQL's window semantics — counted per type.
     One exchange co-locates each user; the gap is ONE partition-level
-    ``groupby((user, type)).diff``."""
+    ``groupby((user, type)).diff``; one row per bounce feeds the keyed
+    aggregate."""
     from valere_ocr_ray.ops.exchange import grouped_sum
 
     US_HOUR = 3_600_000_000
@@ -2370,10 +2318,10 @@ def events_debounce(sf_dir: str):
 
     from valere_ocr_ray.ops.exchange import hash_exchange
 
-    ex = hash_exchange(ev, ["user_id"], 16)
+    ex = hash_exchange(ev, ["user_id"])
 
     # partition-level vectorized: one sort, one (user, type) groupby
-    # diff, one value_counts — no Python fn per user
+    # diff — no Python fn per user
     def bounces_block(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             return pd.DataFrame(
@@ -2385,11 +2333,12 @@ def events_debounce(sf_dir: str):
         df = df.sort_values(["user_id", "ts_us", "event_id"], kind="stable")
         gap = df.groupby(["user_id", "event_type"], sort=False)["ts_us"].diff()
         hit = df.loc[gap.notna() & (gap < US_HOUR), "event_type"]
-        out = hit.value_counts().rename_axis("event_type").reset_index(
-            name="n_bounced"
+        return pd.DataFrame(
+            {
+                "event_type": hit.to_numpy(),
+                "n_bounced": np.ones(len(hit), dtype=np.int64),
+            }
         )
-        out["n_bounced"] = out["n_bounced"].astype("int64")
-        return out
 
     per_user = ex.map_batches(
         bounces_block, batch_format="pandas", batch_size=None
@@ -2649,7 +2598,7 @@ def events_funnel(sf_dir: str):
     ev = rd.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "event_type", "ts"]
     )
-    ex = hash_exchange(ev, ["user_id"], 16)
+    ex = hash_exchange(ev, ["user_id"])
 
     def firsts_block(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -3353,7 +3302,7 @@ def events_user_lag(sf_dir: str):
         )[["event_id", "ts", "user_id", "value_c"]],
         batch_format="pandas",
     )
-    ex = hash_exchange(ev, ["user_id"], 16)
+    ex = hash_exchange(ev, ["user_id"])
 
     def lag_block(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -3465,9 +3414,7 @@ def doc_ngram_novelty(sf_dir: str):
         )
         return out.drop_duplicates()
 
-    ex = hash_exchange(
-        docs.map_batches(pairs, batch_format="pandas"), ["gram"], 16
-    )
+    ex = hash_exchange(docs.map_batches(pairs, batch_format="pandas"), ["gram"])
 
     def mark(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -3620,8 +3567,10 @@ def events_ranged_value_band(sf_dir: str):
 
 def supplier_by_region(sf_dir: str):
     """TPC-H Q5-ish dimension chain: nation⋈region resolved driver-side
-    (tiny tables), broadcast via ``ray.put``, map-side join + grouped
+    (tiny tables), broadcast via ``ray.put``, map-side join + the keyed
     aggregate — zero shuffle on the fact side beyond the final combine."""
+    from valere_ocr_ray.ops.exchange import grouped_sum
+
     nation = pd.read_parquet(_t(sf_dir, "nation"))
     region = pd.read_parquet(_t(sf_dir, "region"))
     nk_to_region = dict(
@@ -3635,19 +3584,19 @@ def supplier_by_region(sf_dir: str):
     ref = ray.put(nk_to_region)
     ds = rd.read_parquet(_t(sf_dir, "supplier"), columns=["s_nationkey", "s_acctbal"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        lookup = ray.get(ref)
-        df = df.assign(
-            region=df["s_nationkey"].map(lookup),
-            sum_bal_c=np.floor(df["s_acctbal"] * 100).astype("int64"),
-            n_suppliers=1,
+    def joined(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {
+                "region": df["s_nationkey"].map(ray.get(ref)),
+                "sum_bal_c": np.floor(df["s_acctbal"] * 100).astype("int64"),
+                "n_suppliers": 1,
+            }
         )
-        return df.groupby("region", as_index=False)[["sum_bal_c", "n_suppliers"]].sum()
 
-    parts = ds.map_batches(partial, batch_format="pandas")
-    return parts.groupby("region").aggregate(
-        Sum("sum_bal_c", alias_name="sum_bal_c"),
-        Sum("n_suppliers", alias_name="n_suppliers"),
+    return grouped_sum(
+        ds.map_batches(joined, batch_format="pandas"),
+        ["region"],
+        ["sum_bal_c", "n_suppliers"],
     )
 
 
@@ -3681,7 +3630,7 @@ def events_sessionize(sf_dir: str):
     ds = rd.read_parquet(_t(sf_dir, "events"), columns=["user_id", "ts", "event_id"])
     gap_us = 1_800_000_000
 
-    ex = hash_exchange(ds, ["user_id"], 8)
+    ex = hash_exchange(ds, ["user_id"])
 
     def sessions_block(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -3728,7 +3677,7 @@ def events_sessionize_salted(sf_dir: str):
     from valere_ocr_ray.ops.exchange import hash_exchange
 
     ex = hash_exchange(
-        ds.map_batches(add_day, batch_format="pandas"), ["user_id", "day"], 8
+        ds.map_batches(add_day, batch_format="pandas"), ["user_id", "day"]
     )
 
     # stage 1, vectorized per partition: in-(user,day) gap flags summed
@@ -3769,7 +3718,7 @@ def events_sessionize_salted(sf_dir: str):
 
     # stage 2, vectorized per partition: boundary merges via a per-user
     # shift of the previous day-partial's last timestamp
-    ex2 = hash_exchange(partials, ["user_id"], 8)
+    ex2 = hash_exchange(partials, ["user_id"])
 
     def merge_days_block(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -3973,26 +3922,15 @@ def doc_holdout_neardup(sf_dir: str):
 
 
 def lineitem_distinct_parts(sf_dir: str):
-    """Exact COUNT(DISTINCT): per-block unique partials → hash
-    exchange by key → per-partition nunique → tiny sum (the one
-    column crosses the wire pre-deduped; no sort-shuffle)."""
-    from valere_ocr_ray.ops.exchange import hash_exchange
+    """Exact COUNT(DISTINCT): the keyed aggregate by part key holds
+    each key in exactly one output row, so the distinct count is its
+    row count (its per-block partial ships each key once per block;
+    no sort-shuffle)."""
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     ds = rd.read_parquet(_t(sf_dir, "lineitem"), columns=["l_partkey"])
-
-    def uniq(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates()
-
-    pre = ds.map_batches(uniq, batch_format="pandas")
-    ex = hash_exchange(pre, ["l_partkey"], 8)
-
-    def count_part(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"n": pd.Series([df["l_partkey"].nunique()], dtype="int64")}
-        )
-
-    parts = ex.map_batches(count_part, batch_format="pandas", batch_size=None)
-    n = int(parts.sum("n") or 0)
+    ones = ds.map_batches(lambda df: df.assign(n=1), batch_format="pandas")
+    n = grouped_sum(ones, ["l_partkey"], ["n"]).count()
     return pa.table({"n_distinct": pa.array([n], pa.int64())})
 
 
@@ -4052,23 +3990,15 @@ def doc_distinct_tokens_kmv(sf_dir: str):
 
 def events_user_top_event(sf_dir: str):
     """Per-group argmax: each user's most frequent event_type (ties →
-    lexicographically smallest).  Keyed (user, type) counts summed over
-    the exchange, then the per-user top-1 by (count desc, type asc) via
-    ``keyed_topn`` — no per-group Python."""
-    ds = rd.read_parquet(_t(sf_dir, "events"), columns=["user_id", "event_type"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(n=1)
-        return df.groupby(["user_id", "event_type"], as_index=False)[["n"]].sum()
-
+    lexicographically smallest).  Keyed (user, type) counts from the
+    keyed aggregate, then the per-user top-1 by (count desc, type asc)
+    via ``keyed_topn`` — no per-group Python."""
     from valere_ocr_ray.ops.combine import keyed_topn
     from valere_ocr_ray.ops.exchange import grouped_sum
 
-    counts = grouped_sum(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["user_id", "event_type"],
-        ["n"],
-    )
+    ds = rd.read_parquet(_t(sf_dir, "events"), columns=["user_id", "event_type"])
+    ones = ds.map_batches(lambda df: df.assign(n=1), batch_format="pandas")
+    counts = grouped_sum(ones, ["user_id", "event_type"], ["n"])
     top = keyed_topn(counts, ["user_id"], ["n", "event_type"], [False, True], 1)
     return top.map_batches(
         lambda df: df.rename(columns={"event_type": "top_event"})[
@@ -4153,20 +4083,14 @@ def events_trailing_window(sf_dir: str):
 def events_user_topk(sf_dir: str):
     """Top-10 users by event count.  user_id cardinality grows with the
     corpus, so the count avoids ``Dataset.groupby``'s ~1 ms/key
-    sort-shuffle reduce: per-block partial counts → ``grouped_sum``
-    → partial top-k tree combine (no global sort)."""
+    sort-shuffle reduce: the keyed aggregate counts → partial top-k
+    tree combine (no global sort)."""
     from valere_ocr_ray.ops.combine import tree_topk
     from valere_ocr_ray.ops.exchange import grouped_sum
 
     ds = rd.read_parquet(_t(sf_dir, "events"), columns=["user_id"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(n=1)
-        return df.groupby("user_id", as_index=False)[["n"]].sum()
-
-    counts = grouped_sum(
-        ds.map_batches(partial, batch_format="pandas"), ["user_id"], ["n"]
-    )
+    ones = ds.map_batches(lambda df: df.assign(n=1), batch_format="pandas")
+    counts = grouped_sum(ones, ["user_id"], ["n"])
     return tree_topk(counts, ["n", "user_id"], [False, True], 10)
 
 
@@ -4201,14 +4125,19 @@ def events_user_rank(sf_dir: str):
 
 def events_hourly(sf_dir: str):
     """Stream-shaped tumbling window over the bounded events log:
-    1-hour event-time buckets (epoch-hour), keyed count+sum."""
+    1-hour event-time buckets (epoch-hour), keyed count+sum.  (hour ×
+    type) cardinality grows with the log's time span, so the combine is
+    the keyed aggregate, not ``Dataset.groupby``'s ~1 ms/key
+    sort-shuffle reduce."""
+    from valere_ocr_ray.ops.exchange import grouped_sum
+
     ds = rd.read_parquet(_t(sf_dir, "events"), columns=["ts", "event_type", "value"])
 
     def bucket(df: pd.DataFrame) -> pd.DataFrame:
         hour = (
             df["ts"].astype("datetime64[us]").astype("int64") // 3_600_000_000
         ).astype("int64")
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "hour": hour,
                 "event_type": df["event_type"],
@@ -4216,15 +4145,9 @@ def events_hourly(sf_dir: str):
                 "n": 1,
             }
         )
-        return df.groupby(["hour", "event_type"], as_index=False)[["sum_value_m", "n"]].sum()
 
-    # final combine via grouped_sum: (hour × type) cardinality grows
-    # with the log's time span, so the combine stays distributed —
-    # but without Dataset.groupby's ~1 ms/key sort-shuffle reduce
-    from valere_ocr_ray.ops.exchange import grouped_sum
-
-    parts = ds.map_batches(bucket, batch_format="pandas")
-    return grouped_sum(parts, ["hour", "event_type"], ["sum_value_m", "n"])
+    rows = ds.map_batches(bucket, batch_format="pandas")
+    return grouped_sum(rows, ["hour", "event_type"], ["sum_value_m", "n"])
 
 
 # ---------------------------------------------------------------------------
@@ -4684,25 +4607,14 @@ def pages_exact_dedup(sf_dir: str):
     projection drops the internal md5 (DuckDB 1.0 can't md5 a BLOB) so
     the oracle can reproduce the grouping by grouping the html payload
     itself — same partition assuming no md5 collision."""
-    from valere_ocr_ray.ops.exchange import hash_exchange
+    from valere_ocr_ray.ops.exchange import grouped_agg
 
     pages_dir = ensure_pages(sf_dir)
     ds = build_extraction_ds(pages_dir).select_columns(["content_hash", "url"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("content_hash", as_index=False).agg(
-            url=("url", "min"), n_copies=("url", "size")
-        )
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("content_hash", as_index=False).agg(
-            url=("url", "min"), n_copies=("n_copies", "sum")
-        )
-        return out[["url", "n_copies"]]
-
-    pre = ds.map_batches(partial, batch_format="pandas")
-    ex = hash_exchange(pre, ["content_hash"], 16)
-    return ex.map_batches(combine, batch_format="pandas", batch_size=None)
+    ones = ds.map_batches(lambda df: df.assign(n_copies=1), batch_format="pandas")
+    return grouped_agg(
+        ones, ["content_hash"], {"url": "min", "n_copies": "sum"}
+    ).select_columns(["url", "n_copies"])
 
 
 def pages_near_dup_pairs(sf_dir: str):
@@ -4748,23 +4660,20 @@ def pages_kind_counts(sf_dir: str):
     read: html column only, no extraction) — doc_kind counts.  The
     sniff is prefix-byte CASE logic (``stages/docmeta._sniff_kinds``),
     reproduced by the oracle over ``to_hex(html)`` prefixes, so the F1
-    predicate itself is driver-green.  Partial counts per block → tiny
-    4-row keyed sum."""
+    predicate itself is oracle-checked.  One row per page → tiny 4-row
+    keyed aggregate."""
     from valere_ocr_ray.ops.exchange import grouped_sum
     from valere_ocr_ray.stages.docmeta import _sniff_kinds
 
     pages_dir = ensure_pages(sf_dir)
     ds = rd.read_parquet(pages_dir, columns=["html"])
 
-    def partial(b: pa.Table) -> pd.DataFrame:
-        kinds = _sniff_kinds(b["html"].combine_chunks()).to_pandas()
-        vc = kinds.value_counts()
-        return pd.DataFrame(
-            {"doc_kind": vc.index.astype(str), "n": vc.to_numpy(dtype=np.int64)}
-        )
+    def kinds(b: pa.Table) -> pa.Table:
+        k = _sniff_kinds(b["html"].combine_chunks())
+        return pa.table({"doc_kind": k, "n": np.ones(len(k), dtype=np.int64)})
 
-    pre = ds.map_batches(partial, batch_format="pyarrow")
-    return grouped_sum(pre, ["doc_kind"], ["n"])
+    rows = ds.map_batches(kinds, batch_format="pyarrow")
+    return grouped_sum(rows, ["doc_kind"], ["n"])
 
 
 def pages_domain_stats(sf_dir: str):
@@ -4772,33 +4681,29 @@ def pages_domain_stats(sf_dir: str):
     + html only): page count and total payload bytes per host — the
     domain-level aggregation a crawl-curation pipeline gates on (host
     blocklists, per-domain caps).  Host cardinality scales with the
-    corpus, so partials ride the hash exchange like every other
-    corpus-cardinality keyed op."""
-    from valere_ocr_ray.ops.exchange import hash_exchange
+    corpus, so the per-page rows go through the keyed aggregate like
+    every other corpus-cardinality keyed op."""
+    import pyarrow.compute as pc
+
+    from valere_ocr_ray.ops.exchange import grouped_sum
 
     pages_dir = ensure_pages(sf_dir)
     ds = rd.read_parquet(pages_dir, columns=["url", "html"])
 
-    def partial(b: pa.Table) -> pd.DataFrame:
-        import pyarrow.compute as pc
-
+    def per_page(b: pa.Table) -> pd.DataFrame:
         urls = b["url"].to_pandas().astype(str)
-        host = urls.str.split("/").str[2].fillna("")
-        nbytes = pc.binary_length(b["html"].combine_chunks()).to_pandas()
-        df = pd.DataFrame({"host": host, "n_pages": 1, "sum_bytes": nbytes})
-        return df.groupby("host", as_index=False).agg(
-            n_pages=("n_pages", "sum"), sum_bytes=("sum_bytes", "sum")
+        # binary_length is int32 for ``binary``: widen before summing
+        nbytes = pc.fill_null(pc.binary_length(b["html"].combine_chunks()), 0)
+        return pd.DataFrame(
+            {
+                "host": urls.str.split("/").str[2].fillna(""),
+                "n_pages": 1,
+                "sum_bytes": nbytes.cast(pa.int64()).to_numpy(),
+            }
         )
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("host", as_index=False).agg(
-            n_pages=("n_pages", "sum"), sum_bytes=("sum_bytes", "sum")
-        )
-        return out.astype({"n_pages": "int64", "sum_bytes": "int64"})
-
-    pre = ds.map_batches(partial, batch_format="pyarrow")
-    ex = hash_exchange(pre, ["host"], 16)
-    return ex.map_batches(combine, batch_format="pandas", batch_size=None)
+    rows = ds.map_batches(per_page, batch_format="pyarrow")
+    return grouped_sum(rows, ["host"], ["n_pages", "sum_bytes"])
 
 
 def pages_url_canonical(sf_dir: str):
@@ -5005,15 +4910,16 @@ def doc_token_budget_mix(sf_dir: str):
 def doc_domain_mix_audit(sf_dir: str):
     """Governance report for the ``doc_domain_mix`` mixture: per source,
     docs/tokens total vs docs/tokens kept under the same hash-threshold
-    membership — ONE corpus pass of per-batch partials into a
-    #sources-row groupby.  The audit a mixture job ships alongside its
+    membership — ONE corpus pass of per-doc rows into the keyed
+    aggregate by source.  The audit a mixture job ships alongside its
     sample so downstream consumers can see realized (not just target)
     rates."""
+    from valere_ocr_ray.ops.exchange import grouped_sum
     from valere_ocr_ray.ops.mixing import SCALE, _hash64_str
 
     tiers = [1_000_000, 500_000, 250_000, 125_000]
 
-    def partials(df: pd.DataFrame) -> pd.DataFrame:
+    def flags(df: pd.DataFrame) -> pd.DataFrame:
         df = df.assign(
             n_tokens=df["text"].str.count(textstats.TOKEN_RE).astype("int64")
         )
@@ -5021,7 +4927,7 @@ def doc_domain_mix_audit(sf_dir: str):
         thr = df["source"].map(lambda s: tiers[int(s[3:]) % 4]).to_numpy(np.int64)
         kept = (h.astype(np.int64) < thr).astype(np.int64)
         toks = df["n_tokens"].to_numpy(np.int64)
-        g = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "source": df["source"].to_numpy(),
                 "n_docs": np.ones(len(df), dtype=np.int64),
@@ -5030,24 +4936,12 @@ def doc_domain_mix_audit(sf_dir: str):
                 "toks_kept": toks * kept,
             }
         )
-        return g.groupby("source", as_index=False).sum()
 
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "source", "text"])
-    agg = (
-        ds.map_batches(partials, batch_format="pandas")
-        .groupby("source")
-        .sum(["n_docs", "n_kept", "toks", "toks_kept"])
-    )
-    return agg.map_batches(
-        lambda df: df.rename(
-            columns={
-                "sum(n_docs)": "n_docs",
-                "sum(n_kept)": "n_kept",
-                "sum(toks)": "toks",
-                "sum(toks_kept)": "toks_kept",
-            }
-        ),
-        batch_format="pandas",
+    return grouped_sum(
+        ds.map_batches(flags, batch_format="pandas"),
+        ["source"],
+        ["n_docs", "n_kept", "toks", "toks_kept"],
     ).sort("source")
 
 
@@ -5118,22 +5012,18 @@ def doc_quality_tiers(sf_dir: str):
             qual["stop_per_ktok"].to_numpy(np.int64),
         )
         toks = df["text"].str.count(textstats.TOKEN_RE).astype("int64")
-        g = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "tier": tier,
                 "n_docs": np.ones(len(df), dtype=np.int64),
                 "toks": toks.to_numpy(np.int64),
             }
         )
-        return g.groupby("tier", as_index=False).sum()
 
     from valere_ocr_ray.ops.exchange import grouped_sum
 
     return grouped_sum(
-        ds.map_batches(tiered, batch_format="pandas"),
-        ["tier"],
-        ["n_docs", "toks"],
-        num_partitions=2,
+        ds.map_batches(tiered, batch_format="pandas"), ["tier"], ["n_docs", "toks"]
     ).sort("tier")
 
 
@@ -5171,8 +5061,8 @@ def doc_bpe_fertility(sf_dir: str):
     corpus-learned merges (a deliberately small vocab: the synthetic
     corpus's word inventory is tiny, and 256 merges fully merge every
     word, collapsing fertility to exactly 1.0 everywhere — vacuous),
-    broadcast rank table, per-doc counts folded
-    to #(source x lang) cells by the keyed sum — the driver holds
+    broadcast rank table, one row of counts per doc folded
+    to #(source x lang) cells by the keyed aggregate — the driver holds
     cells, never docs.  Rows-only (the greedy lowest-rank encode is a
     fold, not SQL); counts are pinned bit-exact vs a single-process
     local twin by pytest (tests/test_bpe.py)."""
@@ -5185,7 +5075,7 @@ def doc_bpe_fertility(sf_dir: str):
     merges = train_bpe(ds, num_merges=64)
     out = bpe_token_counts(ds, merges, concurrency=4)
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def per_doc(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
                 "source": df["source"].to_numpy(),
@@ -5198,10 +5088,10 @@ def doc_bpe_fertility(sf_dir: str):
                 .to_numpy(np.int64),
                 "n_bpe": df["n_bpe_tokens"].to_numpy(np.int64),
             }
-        ).groupby(["source", "lang"], as_index=False).sum()
+        )
 
     cells = grouped_sum(
-        out.map_batches(partial, batch_format="pandas"),
+        out.map_batches(per_doc, batch_format="pandas"),
         ["source", "lang"],
         ["n_docs", "n_words", "n_bpe"],
     )
