@@ -266,6 +266,129 @@ def test_exchange_property_random_frames(ray_session):
         assert sum(len(b) for b in ex_blocks) == n
 
 
+def test_cogroup_exchange_matches_outer_merge(ray_session):
+    """Property: ``cogroup_exchange`` with a per-partition fn that
+    counts and sums each side per key == a pandas outer merge of the
+    same per-side counts and sums, for int and string keys, an empty
+    side and a zero-block side, at 2, 7 and the size-derived number of
+    partitions (which also pins partition-invariance)."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from valere_ocr_ray.ops.exchange import cogroup_exchange
+
+    rows = st.lists(
+        st.tuples(st.integers(-20, 20), st.integers(-1000, 1000)), max_size=60
+    )
+    # None → a side with zero blocks; [] → one empty block with a schema
+    side = st.one_of(st.none(), rows)
+
+    def per_key(df, key, val, n, s, kdtype):
+        if not len(df):
+            return pd.DataFrame(
+                {
+                    "k": pd.Series([], dtype=kdtype),
+                    n: pd.Series([], dtype="int64"),
+                    s: pd.Series([], dtype="int64"),
+                }
+            )
+        g = df.groupby(key, as_index=False).agg(**{n: (val, "size"), s: (val, "sum")})
+        return g.rename(columns={key: "k"}).astype({"k": kdtype, n: "int64", s: "int64"})
+
+    def outer(l, r, kdtype):
+        m = per_key(l, "k", "v", "n_l", "s_l", kdtype).merge(
+            per_key(r, "rk", "w", "n_r", "s_r", kdtype), on="k", how="outer"
+        )
+        cols = ["n_l", "s_l", "n_r", "s_r"]
+        m[cols] = m[cols].fillna(0).astype("int64")
+        return m
+
+    def frame(pairs, key, val, kdtype):
+        df = pd.DataFrame(
+            {
+                key: pd.Series([p[0] for p in pairs or []], dtype="int64"),
+                val: pd.Series([p[1] for p in pairs or []], dtype="int64"),
+            }
+        )
+        if kdtype == "object":
+            df[key] = pd.Series([f"ключ{k}" for k in df[key]], dtype=object)
+        return df
+
+    def dataset(pairs, df, nblocks):
+        if pairs is None:
+            return rd.from_items([])
+        if not len(df):
+            return rd.from_pandas(df)
+        return rd.from_pandas(
+            [c.reset_index(drop=True) for c in np.array_split(df, min(nblocks, len(df)))]
+        )
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        left=side,
+        right=side,
+        str_keys=st.booleans(),
+        lblocks=st.integers(1, 4),
+        rblocks=st.integers(1, 4),
+    )
+    def check(left, right, str_keys, lblocks, rblocks):
+        kdtype = "object" if str_keys else "int64"
+        ldf = frame(left, "k", "v", kdtype)
+        rdf = frame(right, "rk", "w", kdtype)
+        lds, rds = dataset(left, ldf, lblocks), dataset(right, rdf, rblocks)
+        want = outer(ldf, rdf, kdtype)
+        for npart in (2, 7, None):
+            got = cogroup_exchange(
+                lds,
+                rds,
+                ["k"],
+                ["rk"],
+                lambda l, r: outer(l, r, kdtype),
+                num_partitions=npart,
+            ).to_pandas()
+            if not len(want):
+                assert len(got) == 0
+                continue
+            pd.testing.assert_frame_equal(
+                got.sort_values("k").reset_index(drop=True),
+                want.sort_values("k").reset_index(drop=True),
+                obj=f"num_partitions={npart}",
+            )
+
+    check()
+
+
+def test_exchange_reads_input_once(ray_session, tmp_path):
+    """Each exchange executes its un-materialized input plan once: an
+    upstream map over 8 blocks runs 8 times through ``hash_exchange``,
+    ``grouped_agg`` and ``cogroup_exchange`` (not once for the blocks
+    and again for the schema)."""
+    from valere_ocr_ray.ops.exchange import cogroup_exchange, grouped_agg
+
+    log = tmp_path / "calls"
+    df = pd.DataFrame({"k": np.arange(800) % 37, "v": np.arange(800)})
+    src = rd.from_pandas(np.array_split(df, 8)).materialize()
+    other = rd.from_pandas(df.rename(columns={"v": "w"}))
+
+    def counted(b: pd.DataFrame) -> pd.DataFrame:
+        with open(log, "a") as f:
+            f.write("call\n")
+        return b
+
+    def calls_through(run) -> int:
+        log.write_text("")
+        run(src.map_batches(counted, batch_format="pandas", batch_size=None)).materialize()
+        return len(log.read_text().splitlines())
+
+    assert calls_through(lambda ds: hash_exchange(ds, ["k"], 4)) == 8
+    assert calls_through(lambda ds: grouped_agg(ds, ["k"], {"v": "sum"})) == 8
+    assert calls_through(
+        lambda ds: cogroup_exchange(
+            ds, other, ["k"], ["k"], lambda l, r: l.iloc[0:0], num_partitions=4
+        )
+    ) == 8
+
+
 def test_auto_partitions_size_derived(ray_session):
     """Default (num_partitions=None) width derives from input bytes:
     tiny inputs stay narrow, big inputs get ceil(bytes/128MiB), capped

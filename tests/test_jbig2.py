@@ -327,6 +327,47 @@ def test_symbol_dict_no_progress_streams_end(monkeypatch):
         jbig2.decode_symbol_dict(payload(0), [np.ones((2, 2), bool)])
 
 
+def test_text_region_uses_only_its_referred_dictionaries():
+    """A text region's symbols are the exports of the dictionaries it
+    refers to, in order — not of every dictionary in the stream.  Two
+    dictionaries, a region that refers only to the second: the page
+    decodes pixel-identical to the glyph raster; a reference to a
+    segment that is not a symbol dictionary raises."""
+    import struct
+
+    from valere_ocr_ray.extract.glyph_font import _GLYPHS
+    from valere_ocr_ray.extract.jbig2 import (
+        _encode_symbol_dict,
+        _encode_text_region,
+        _segment_header,
+    )
+
+    lines = ["HELLO", "WORLD"]
+    ink = render_text_image(lines)[:, :, 0] < 128
+    h, w = ink.shape
+    canon = canonical_text(lines).split("\n")
+    chars = sorted({ch for line in canon for ch in line if ch != " "})
+    decoy = _encode_symbol_dict([_GLYPHS[ch] for ch in "XYZ0123"])
+    sd = _encode_symbol_dict([_GLYPHS[ch] for ch in chars])
+    tr = _encode_text_region(canon, {ch: i for i, ch in enumerate(chars)}, w, h)
+    page_info = struct.pack(">IIIIBH", w, h, 0, 0, 0x01, 0)
+
+    def stream(refs):
+        return (
+            _segment_header(0, 48, 1, len(page_info)) + page_info
+            + _segment_header(1, 0, 1, len(decoy)) + decoy
+            + _segment_header(2, 0, 1, len(sd)) + sd
+            + _segment_header(3, 6, 1, len(tr), refs=refs) + tr
+            + _segment_header(4, 49, 1, 0)
+        )
+
+    assert np.array_equal(decode_jbig2_embedded(stream((2,)), w, h), ink)
+    with pytest.raises(ImageFormatError):
+        decode_jbig2_embedded(stream((0,)), w, h)  # page info, not a dict
+    with pytest.raises(ImageFormatError):
+        decode_jbig2_embedded(stream((9,)), w, h)  # no such segment
+
+
 def test_scanned_pdf_symbol_jbig2_ocr():
     """A symbol-coded /JBIG2Decode XObject OCRs byte-exact — the
     jbig2enc-shape PDF reads like its generic-coded and BMP twins."""

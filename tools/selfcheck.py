@@ -15,7 +15,9 @@ Usage (owns its own Ray session — run standalone, never from tests):
 ``--against=<record.json>`` compares this run with a saved record (e.g.
 the parent commit's): every query whose ``value_hash`` or ``rows``
 differs is printed to stderr, and the exit status is non-zero if any
-does.
+does.  Each compared query also prints ``WALL <query> <saved_s>
+<this_s>`` on stderr — the two runs' wall times, for a same-window
+timing table (``grep ^WALL``).
 """
 
 from __future__ import annotations
@@ -196,10 +198,13 @@ def _diff_records(saved: dict, got: dict) -> list[str]:
     """Names of this run's queries whose ``value_hash`` or ``rows``
     differ from the saved record (a query the record lacks differs;
     queries this run skipped, e.g. under ``--only``, are not compared).
-    Each is printed to stderr with both values."""
+    Each is printed to stderr with both values; every compared query
+    also prints ``WALL <query> <saved_s> <this_s>`` (``-`` when the
+    record lacks it)."""
     diff = []
     for name in sorted(got):
         a, b = saved.get(name, {}), got[name]
+        print(f"WALL {name} {a.get('wall_s', '-')} {b.get('wall_s', '-')}", file=sys.stderr)
         pair = [(e.get("rows"), e.get("value_hash")) for e in (a, b)]
         if pair[0] != pair[1]:
             diff.append(name)

@@ -486,11 +486,16 @@ def _encode_generic_bitmap(
 
 
 def _segment_header(
-    num: int, seg_type: int, page: int, data_len: int
+    num: int, seg_type: int, page: int, data_len: int, refs: tuple = ()
 ) -> bytes:
-    """Embedded-organization segment header: no referred-to segments,
-    1-byte page association."""
-    return struct.pack(">IBBBI", num, seg_type & 0x3F, 0x00, page, data_len)
+    """Embedded-organization segment header: short-form referred-to
+    segments (at most 4, none retained), 1-byte page association."""
+    ref_fmt = "B" if num <= 256 else ("H" if num <= 65536 else "I")
+    return (
+        struct.pack(">IBB", num, seg_type & 0x3F, len(refs) << 5)
+        + struct.pack(f">{len(refs)}{ref_fmt}", *refs)
+        + struct.pack(">BI", page, data_len)
+    )
 
 
 def encode_jbig2_embedded(ink: np.ndarray) -> bytes:
@@ -512,8 +517,9 @@ def encode_jbig2_embedded(ink: np.ndarray) -> bytes:
 
 
 def _parse_segment_headers(data: bytes):
-    """Yield ``(seg_type, payload)`` for each segment of an embedded
-    stream (T.88 §7.2, no file header)."""
+    """Yield ``(number, seg_type, referred_to, payload)`` for each
+    segment of an embedded stream (T.88 §7.2, no file header);
+    ``referred_to`` lists the referred-to segment numbers in order."""
     pos = 0
     n = len(data)
     while pos + 11 <= n:
@@ -529,8 +535,9 @@ def _parse_segment_headers(data: bytes):
             pos += 4 + (count + 8) // 8  # long form + retain bits
         else:
             pos += 1
-        ref_size = 1 if num <= 256 else (2 if num <= 65536 else 4)
-        pos += count * ref_size
+        ref_fmt = "B" if num <= 256 else ("H" if num <= 65536 else "I")
+        refs = struct.unpack_from(f">{count}{ref_fmt}", data, pos)
+        pos += count * struct.calcsize(ref_fmt)
         pos += 4 if page_assoc_4 else 1
         if pos + 4 > n:
             raise ImageFormatError("truncated JBIG2 segment header")
@@ -540,7 +547,7 @@ def _parse_segment_headers(data: bytes):
             raise ImageFormatError("JBIG2 unknown-length segment unsupported")
         if pos + dlen > n:
             raise ImageFormatError("truncated JBIG2 segment data")
-        yield seg_type, data[pos : pos + dlen]
+        yield num, seg_type, refs, data[pos : pos + dlen]
         pos += dlen
 
 
@@ -556,21 +563,35 @@ def decode_jbig2_embedded(data: bytes, width: int, height: int) -> np.ndarray:
     so the caller routes found-but-undecodable, never blank."""
     page = np.zeros((height, width), dtype=bool)
     saw_region = False
-    symbols: list = []  # exported symbols from every dict seen, in order
+    dicts: dict[int, list] = {}  # symbol dict segment number → exports
+
+    def referred_symbols(num: int, refs: tuple) -> list:
+        # a dictionary's input symbols and a text region's SBSYMS are
+        # the exports of its referred-to dictionaries, in reference order
+        for r in refs:
+            if r not in dicts:
+                raise ImageFormatError(
+                    f"JBIG2 segment {num} refers to segment {r}, "
+                    "not a decoded symbol dictionary"
+                )
+        return [sym for r in refs for sym in dicts[r]]
+
     try:
         segs = list(_parse_segment_headers(data))
     except struct.error as exc:
         raise ImageFormatError(f"malformed JBIG2 segment header: {exc}") from exc
-    for seg_type, payload in segs:
+    for num, seg_type, refs, payload in segs:
         if seg_type in (48, 49, 50, 51, 62):  # page info / EOP / EOS / EOF / ext
             continue
         if seg_type == 0:  # symbol dictionary
+            inputs = referred_symbols(num, refs)
             try:
-                symbols.extend(decode_symbol_dict(payload))
+                dicts[num] = decode_symbol_dict(payload, inputs)
             except (struct.error, IndexError) as exc:
                 raise ImageFormatError(f"malformed symbol dict: {exc}") from exc
             continue
         if seg_type in (4, 6, 7):  # (intermediate/immediate) text region
+            symbols = referred_symbols(num, refs)
             try:
                 ink, rx, ry = decode_text_region(payload, symbols)
             except (struct.error, IndexError) as exc:
@@ -910,57 +931,40 @@ def decode_text_region(payload: bytes, symbols: list):
     return region, rx, ry
 
 
-def encode_jbig2_symbol_page(lines: list) -> bytes:
-    """Glyph-rendered ``lines`` → PDF-embedded SYMBOL-CODED JBIG2
-    stream (page info + symbol dictionary + immediate text region +
-    EOP) whose decode is pixel-identical to
-    ``glyph_font.render_text_image(lines)`` — the software-encoder
-    (jbig2enc-class) twin of :func:`encode_jbig2_embedded`."""
-    from valere_ocr_ray.extract.glyph_font import (
-        _GLYPHS,
-        GLYPH_H,
-        GLYPH_W,
-        MARGIN,
-        PITCH_X,
-        PITCH_Y,
-        canonical_text,
-    )
-
-    canon = canonical_text(list(lines)).split("\n")
-    n_cols = max((len(l) for l in canon), default=0) or 1
-    h = max(2 * MARGIN + len(canon) * PITCH_Y - 3, 1)
-    w = max(2 * MARGIN + n_cols * PITCH_X - 1, 1)
-    chars = sorted({ch for line in canon for ch in line if ch != " "})
-    if not chars:
-        raise ImageFormatError("symbol page needs at least one glyph")
-    sym_of = {ch: i for i, ch in enumerate(chars)}
-
-    # ---- symbol dictionary: one height class (all glyphs 5x7)
+def _encode_symbol_dict(glyphs: list) -> bytes:
+    """Symbol-dictionary segment data exporting ``glyphs`` (boolean
+    bitmaps of one shared height) in order: one height class, arith
+    template 0, every symbol exported."""
     enc = MQEncoder()
     iadh, iadw, iaex = _new_int_ctx(), _new_int_ctx(), _new_int_ctx()
     gb_icx = [0] * (1 << 16)
     gb_mps = [0] * (1 << 16)
-    _encode_int(enc, iadh, GLYPH_H)  # HCHEIGHT 0 -> 7
+    _encode_int(enc, iadh, glyphs[0].shape[0])  # HCHEIGHT 0 -> glyph height
     width_prev = 0
-    for ch in chars:
-        _encode_int(enc, iadw, GLYPH_W - width_prev)
-        width_prev = GLYPH_W
-        _encode_generic_bitmap(enc, gb_icx, gb_mps, _GLYPHS[ch])
+    for g in glyphs:
+        _encode_int(enc, iadw, g.shape[1] - width_prev)
+        width_prev = g.shape[1]
+        _encode_generic_bitmap(enc, gb_icx, gb_mps, g)
     _encode_int(enc, iadw, None)  # OOB ends the height class
     _encode_int(enc, iaex, 0)  # run of 0 not-exported
-    _encode_int(enc, iaex, len(chars))  # run exporting every symbol
-    sd_body = enc.flush()
-    sd = (
+    _encode_int(enc, iaex, len(glyphs))  # run exporting every symbol
+    return (
         struct.pack(">H", 0x0000)  # arith, template 0, no refagg
         + _SD_AT_NOMINAL
-        + struct.pack(">II", len(chars), len(chars))
-        + sd_body
+        + struct.pack(">II", len(glyphs), len(glyphs))
+        + enc.flush()
     )
 
-    # ---- text region: one strip per text line, TOPLEFT corners
+
+def _encode_text_region(canon: list, sym_of: dict, w: int, h: int) -> bytes:
+    """Text-region segment data placing glyph ``sym_of[ch]`` of the
+    region's symbol list at every non-space char of ``canon``: one
+    strip per text line, TOPLEFT corners."""
+    from valere_ocr_ray.extract.glyph_font import GLYPH_W, MARGIN, PITCH_X, PITCH_Y
+
     enc = MQEncoder()
     iadt, iafs, iads = _new_int_ctx(), _new_int_ctx(), _new_int_ctx()
-    symcodelen = _symcodelen(len(chars))
+    symcodelen = _symcodelen(len(sym_of))
     iaid = ([0] * (1 << (symcodelen + 1)), [0] * (1 << (symcodelen + 1)))
     _encode_int(enc, iadt, 0)  # STRIPT starts at 0
     stript = 0
@@ -992,18 +996,41 @@ def encode_jbig2_symbol_page(lines: list) -> bytes:
             curs += GLYPH_W - 1
             n_inst += 1
         _encode_int(enc, iads, None)  # OOB ends the strip
-    tr_body = enc.flush()
-    tr = (
+    return (
         struct.pack(">IIIIB", w, h, 0, 0, 0)
         + struct.pack(">H", (1 << 4))  # arith, SBSTRIPS=1, TOPLEFT
         + struct.pack(">I", n_inst)
-        + tr_body
+        + enc.flush()
     )
 
+
+def encode_jbig2_symbol_page(lines: list) -> bytes:
+    """Glyph-rendered ``lines`` → PDF-embedded SYMBOL-CODED JBIG2
+    stream (page info + symbol dictionary + immediate text region
+    referring to it + EOP) whose decode is pixel-identical to
+    ``glyph_font.render_text_image(lines)`` — the software-encoder
+    (jbig2enc-class) twin of :func:`encode_jbig2_embedded`."""
+    from valere_ocr_ray.extract.glyph_font import (
+        _GLYPHS,
+        MARGIN,
+        PITCH_X,
+        PITCH_Y,
+        canonical_text,
+    )
+
+    canon = canonical_text(list(lines)).split("\n")
+    n_cols = max((len(l) for l in canon), default=0) or 1
+    h = max(2 * MARGIN + len(canon) * PITCH_Y - 3, 1)
+    w = max(2 * MARGIN + n_cols * PITCH_X - 1, 1)
+    chars = sorted({ch for line in canon for ch in line if ch != " "})
+    if not chars:
+        raise ImageFormatError("symbol page needs at least one glyph")
+    sd = _encode_symbol_dict([_GLYPHS[ch] for ch in chars])
+    tr = _encode_text_region(canon, {ch: i for i, ch in enumerate(chars)}, w, h)
     page_info = struct.pack(">IIIIBH", w, h, 0, 0, 0x01, 0)
     out = bytearray()
     out += _segment_header(0, 48, 1, len(page_info)) + page_info
     out += _segment_header(1, 0, 1, len(sd)) + sd  # symbol dictionary
-    out += _segment_header(2, 6, 1, len(tr)) + tr  # immediate text region
+    out += _segment_header(2, 6, 1, len(tr), refs=(1,)) + tr  # text region
     out += _segment_header(3, 49, 1, 0)
     return bytes(out)

@@ -91,9 +91,10 @@ def build_bloom(
     ``map_batches`` closures; ``ray.get`` inside a task is a local
     shared-memory read)."""
     keys = list(keys)
+    # materialize() first, so the plan runs once (see ops/exchange._exchange)
     refs = [
         _block_bloom.remote(r, keys, num_bits, num_hashes)
-        for r in ds.select_columns(keys).to_arrow_refs()
+        for r in ds.select_columns(keys).materialize().to_arrow_refs()
     ]
     if not refs:
         return ray.put(_empty_bloom(num_bits))

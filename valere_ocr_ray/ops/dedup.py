@@ -478,18 +478,20 @@ def verify_pairs_exact_exchange(
 
     Two hash exchanges:
 
-    1. keyed by ``doc_id``: pair-endpoint rows (two per pair, one per
-       side) co-locate with the corpus text rows; a vectorized in-block
-       merge attaches each endpoint's text (the semi-join happens ON
-       the exchange — untouched corpus texts simply find no endpoint);
+    1. ``cogroup_exchange`` keyed by ``doc_id``: pair-endpoint rows
+       (two per pair, ``doc_id`` = ``id_a`` and ``id_b``) co-group with the
+       corpus ``(doc_id, text)`` rows; a vectorized per-partition map
+       attaches each endpoint's text (the semi-join happens ON the
+       exchange — untouched corpus texts simply find no endpoint);
     2. keyed by ``(id_a, id_b)``: the two endpoint rows regroup and a
        per-pair n-gram Jaccard emits verified pairs.
 
     Output: ``(id_a, id_b, jaccard)``, jaccard >= threshold.
     """
-    from valere_ocr_ray.ops.exchange import grouped_map, hash_exchange
+    from valere_ocr_ray.ops.exchange import cogroup_exchange, grouped_map
 
-    # unified step-1 schema: (doc_id, id_a, id_b, side, text)
+    # step-1 left side: two endpoint rows per pair (doc_id = id_a, then
+    # doc_id = id_b), keyed by doc_id
     def endpoint_rows(df: pd.DataFrame) -> pd.DataFrame:
         a = df["id_a"].to_numpy(dtype=np.int64)
         b = df["id_b"].to_numpy(dtype=np.int64)
@@ -498,55 +500,42 @@ def verify_pairs_exact_exchange(
                 "doc_id": np.concatenate([a, b]),
                 "id_a": np.concatenate([a, a]),
                 "id_b": np.concatenate([b, b]),
-                "side": np.concatenate(
-                    [np.zeros(len(df), np.int64), np.ones(len(df), np.int64)]
-                ),
-                "text": [""] * (2 * len(df)),
             }
         )
 
-    def text_rows(df: pd.DataFrame) -> pd.DataFrame:
+    def attach_text(ends: pd.DataFrame, docs: pd.DataFrame) -> pd.DataFrame:
+        # a side whose every block was empty arrives without columns
+        ends = ends.reindex(columns=["doc_id", "id_a", "id_b"])
+        txt = (
+            docs.drop_duplicates("doc_id").set_index("doc_id")["text"].astype(str)
+            if len(docs)
+            else pd.Series([], dtype=object)
+        )
         return pd.DataFrame(
             {
-                "doc_id": df["doc_id"].to_numpy(dtype=np.int64),
-                "id_a": np.zeros(len(df), dtype=np.int64),
-                "id_b": np.zeros(len(df), dtype=np.int64),
-                "side": np.full(len(df), -1, dtype=np.int64),
-                "text": df["text"].astype(str).tolist(),
-            }
-        )
-
-    mixed = pairs.select_columns(["id_a", "id_b"]).map_batches(
-        endpoint_rows, batch_format="pandas"
-    ).union(
-        ds.select_columns(["doc_id", "text"]).map_batches(
-            text_rows, batch_format="pandas"
-        )
-    )
-    ex1 = hash_exchange(mixed, ["doc_id"], num_partitions)
-
-    def attach_text(df: pd.DataFrame) -> pd.DataFrame:
-        txt = df[df["side"] == -1].drop_duplicates("doc_id").set_index("doc_id")[
-            "text"
-        ]
-        ends = df[df["side"] >= 0]
-        out = pd.DataFrame(
-            {
+                "doc_id": ends["doc_id"].to_numpy(dtype=np.int64),
                 "id_a": ends["id_a"].to_numpy(dtype=np.int64),
                 "id_b": ends["id_b"].to_numpy(dtype=np.int64),
-                "side": ends["side"].to_numpy(dtype=np.int64),
                 "text": ends["doc_id"].map(txt).fillna("").tolist(),
             }
         )
-        return out
 
-    attached = ex1.map_batches(attach_text, batch_format="pandas", batch_size=None)
+    attached = cogroup_exchange(
+        pairs.select_columns(["id_a", "id_b"]).map_batches(
+            endpoint_rows, batch_format="pandas"
+        ),
+        ds.select_columns(["doc_id", "text"]),
+        ["doc_id"],
+        ["doc_id"],
+        attach_text,
+        num_partitions=num_partitions,
+    )
 
     def pair_jaccard(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
             return _empty_pairs("jaccard", "float64")
-        ta = g[g["side"] == 0]["text"]
-        tb = g[g["side"] == 1]["text"]
+        ta = g.loc[g["doc_id"] == g["id_a"], "text"]
+        tb = g.loc[g["doc_id"] == g["id_b"], "text"]
         j = ngram_jaccard(
             ta.iloc[0] if len(ta) else "", tb.iloc[0] if len(tb) else "", n
         )
@@ -1016,19 +1005,16 @@ def cluster_labels(
     edges_ds = pairs.select_columns(["id_a", "id_b"]).map_batches(
         both_ways, batch_format="pandas"
     )
-    if num_partitions is None:
-        # label tables stay ALIGNED with edge partitions for the whole
-        # run, so the width must be fixed up front: probe the edge set
-        # once (reusing the blocks, no re-execution) and size-derive
-        from valere_ocr_ray.ops.exchange import _auto_partitions, _probe
-
-        refs = list(edges_ds.to_arrow_refs())
-        metas = ray.get([_probe.remote(r) for r in refs])
-        num_partitions = _auto_partitions(sum(b for _, b, _ in metas))
-        edges_ds = ray.data.from_arrow_refs(refs)
-    p = max(2, num_partitions)  # the multi-return send path needs p >= 2
-    edge_refs = hash_exchange(edges_ds, ["node"], p).to_arrow_refs()
-    if len(edge_refs) < p:
+    # label tables stay ALIGNED with the edge partitions for the whole
+    # run, so the width is fixed once: the exchange's own (size-derived
+    # by default) block count; the multi-return send path needs p >= 2
+    edge_refs = hash_exchange(
+        edges_ds,
+        ["node"],
+        None if num_partitions is None else max(2, num_partitions),
+    ).to_arrow_refs()
+    p = len(edge_refs)
+    if p < 2:
         # degenerate input (hash_exchange collapses empty inputs to one
         # block): no pairs → no clustered nodes
         empty = pa.table(

@@ -5,26 +5,38 @@ path (c) — used ONLY where the Dataset API is the bottleneck).
 reduce costs ~1 ms per distinct key (measured: 16 s for a 15k-key
 aggregate of 60k rows), which makes high-cardinality grouped ops —
 LSH bucket pairing, big keyed aggregates — shuffle-bound.  This module
-implements the keyed exchange directly:
+implements the keyed exchange directly, as ONE core (``_exchange``)
+and two per-partition tasks:
 
-    split: one task per input block → P sub-tables by key hash
-    gather: one task per partition  → concat its P_i sub-tables
+    core:    read each input's blocks ONCE, probe (rows, bytes,
+             schema), drop empty blocks, derive the width, then one
+             split task per block → P sub-tables by key hash
+    _gather: one task per partition → concat its sub-tables
+             (``hash_exchange``, and through it ``grouped_map`` /
+             ``grouped_agg``)
+    _cofold: one task per partition → concat each side's sub-tables
+             and run ``fn(left_df, right_df)`` (``cogroup_exchange``,
+             the one co-group: each side keeps its own schema)
 
-After the exchange every key lives in exactly ONE output block, so any
-grouped computation becomes a whole-block pandas/Arrow kernel (C-speed
-``df.groupby``), no per-group framework overhead.
+After the exchange every key lives in exactly ONE output block (or
+partition pair), so any grouped computation becomes a whole-block
+pandas/Arrow kernel (C-speed ``df.groupby``), no per-group framework
+overhead.
 
 Hashing is deterministic across processes (splitmix64 for integer
 keys, crc32 for strings — same primitives as ops/dedup), so results
-are reproducible and partition-count-invariant.  Memory: the exchange
+are reproducible and partition-count-invariant; an integer key hashes
+by its int64 value whatever its width, so the two sides of a co-group
+may key on differently typed integer columns.  Memory: the exchange
 materializes the input (it IS a barrier); each gather holds one
 partition — ``num_partitions`` must be large enough that the largest
 partition fits a worker (same contract as any hash shuffle; salt hot
 keys upstream).  The DEFAULT (``num_partitions=None``) derives the
-width from the probed input bytes, ``ceil(total_bytes /
-TARGET_PARTITION_BYTES)`` with a CPU-count parallelism floor, so the
-same caller code is scale-safe unmodified from sf0.01 to 100 TB
-(VERDICT r4: a fixed 16-way gather holds corpus/16 per task at 100×).
+width from the probed input bytes (of both sides for a co-group),
+``ceil(total_bytes / TARGET_PARTITION_BYTES)`` with a CPU-count
+parallelism floor, so the same caller code is scale-safe unmodified
+from sf0.01 to 100 TB (VERDICT r4: a fixed 16-way gather holds
+corpus/16 per task at 100×).
 
 Contract: key columns must be NON-NULL (a null integer key turns the
 column float on the numpy path, and pandas ``groupby`` silently drops
@@ -35,6 +47,7 @@ from __future__ import annotations
 
 import zlib
 from collections.abc import Callable, Mapping, Sequence
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -144,6 +157,45 @@ def _gather(schema: pa.Schema, *parts: pa.Table) -> pa.Table:
     return _concat_casted(schema, parts)
 
 
+class _Side(NamedTuple):
+    refs: list  # every block of the side, read once
+    schema: pa.Schema  # canonical: first non-empty block's
+    splits: list  # per non-empty block, its p sub-table refs
+
+
+def _exchange(
+    sides: Sequence[tuple[ray.data.Dataset, Sequence[str]]],
+    num_partitions: int | None,
+) -> tuple[int, list[_Side]]:
+    """The one exchange core: read every side's blocks, probe them,
+    drop the empty ones, pick each side's canonical schema, derive the
+    width from the probed bytes of all sides, and fan out one split
+    task per non-empty block.  Returns ``(p, sides)``; ``p >= 2``
+    because a split task returns ``p`` refs."""
+    # materialize() first: Dataset.to_arrow_refs() alone runs the plan
+    # and then fetches the schema by running it AGAIN (Ray 2.49), so an
+    # upstream map or actor pool would execute twice
+    reads = [list(ds.materialize().to_arrow_refs()) for ds, _ in sides]
+    metas = ray.get([_probe.remote(r) for refs in reads for r in refs])
+    if num_partitions is None:
+        num_partitions = _auto_partitions(sum(b for _, b, _ in metas))
+    p = max(2, num_partitions)
+    out = []
+    it = iter(metas)
+    for (_, keys), refs in zip(sides, reads):
+        m = [next(it) for _ in refs]
+        live = [r for r, (n, _, _) in zip(refs, m) if n > 0]
+        # Ray emits schema-less EMPTY blocks for empty inputs: the
+        # canonical schema is the first non-empty block's
+        schema = next(
+            (s for n, _, s in m if n > 0), m[0][2] if m else pa.schema([])
+        )
+        keys = list(keys)
+        splits = [_split.options(num_returns=p).remote(r, keys, p) for r in live]
+        out.append(_Side(refs, schema, splits))
+    return p, out
+
+
 def hash_exchange(
     ds: ray.data.Dataset,
     keys: Sequence[str],
@@ -153,28 +205,16 @@ def hash_exchange(
     one output block (block i = hash(key) % num_partitions == i).
     ``num_partitions=None`` (the default) derives the width from the
     probed input bytes — see ``_auto_partitions``."""
-    keys = list(keys)
     if num_partitions is not None and num_partitions < 2:
         return ds.repartition(1)  # one block == one partition, trivially keyed
-    block_refs = list(ds.to_arrow_refs())
-    # normalize: Ray emits schema-less EMPTY blocks for empty inputs —
-    # probe (rows, bytes, schema) remotely (tiny), split only the
-    # non-empty blocks, and stamp every gathered partition with the
-    # canonical schema so empty partitions stay consistent
-    metas = ray.get([_probe.remote(r) for r in block_refs])
-    nonempty = [r for r, (n, _, _) in zip(block_refs, metas) if n > 0]
-    if not nonempty:
-        return ds.repartition(1)
-    schema = next(s for n, _, s in metas if n > 0)
-    if num_partitions is None:
-        num_partitions = _auto_partitions(sum(b for _, b, _ in metas))
-    splits = [
-        _split.options(num_returns=num_partitions).remote(ref, keys, num_partitions)
-        for ref in nonempty
-    ]
+    p, [side] = _exchange([(ds, keys)], num_partitions)
+    if not side.splits:
+        return ray.data.from_arrow_refs(side.refs).repartition(1)
+    # every gathered partition is stamped with the canonical schema so
+    # empty partitions stay consistent
     gathered = [
-        _gather.remote(schema, *[s[i] for s in splits])
-        for i in range(num_partitions)
+        _gather.remote(side.schema, *[s[i] for s in side.splits])
+        for i in range(p)
     ]
     return ray.data.from_arrow_refs(gathered)
 
@@ -202,50 +242,28 @@ def cogroup_exchange(
     *,
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
-    """Two-sided keyed exchange — the generic distributed-join
-    primitive: BOTH datasets are hash-partitioned with the same hash
-    and modulus (equal key values land in the same partition index on
-    both sides), then ``fn(left_df, right_df)`` runs once per partition
-    pair and the outputs form the result Dataset.
+    """Two-sided keyed exchange — the generic co-group: BOTH datasets
+    are hash-partitioned with the same hash and modulus (equal key
+    values land in the same partition index on both sides), each side
+    keeping its own schema, then ``fn(left_df, right_df)`` runs once
+    per partition pair and the outputs form the result Dataset.
 
-    Semi/anti/inner equi-joins, co-grouped aggregates and set ops all
-    fall out of this shape; data movement is one pass of each side, no
-    all-to-all sort.  Contract (as ``grouped_map``): ``fn`` of an empty
-    left partition must return an empty frame with fn's OUTPUT columns,
-    so empty partitions keep a consistent schema."""
-    lkeys, rkeys = list(left_keys), list(right_keys)
-    lrefs = list(left.to_arrow_refs())
-    rrefs = list(right.to_arrow_refs())
-    lmetas = ray.get([_probe.remote(r) for r in lrefs])
-    rmetas = ray.get([_probe.remote(r) for r in rrefs])
-    lnon = [r for r, (n, _, _) in zip(lrefs, lmetas) if n > 0]
-    rnon = [r for r, (n, _, _) in zip(rrefs, rmetas) if n > 0]
-    # canonical schemas: first non-empty block, else any block's schema
-    lschema = next((s for n, _, s in lmetas if n > 0), lmetas[0][2] if lmetas else None)
-    rschema = next((s for n, _, s in rmetas if n > 0), rmetas[0][2] if rmetas else None)
-    if lschema is None or rschema is None:  # a side with zero blocks
-        empty_l = (lschema or pa.schema([])).empty_table().to_pandas()
-        empty_r = (rschema or pa.schema([])).empty_table().to_pandas()
-        return ray.data.from_pandas(fn(empty_l, empty_r))
-    if num_partitions is None:
-        num_partitions = _auto_partitions(
-            sum(b for _, b, _ in lmetas) + sum(b for _, b, _ in rmetas)
-        )
-    p = max(2, num_partitions)
-    lsplits = [
-        _split.options(num_returns=p).remote(r, lkeys, p) for r in lnon
-    ]
-    rsplits = [
-        _split.options(num_returns=p).remote(r, rkeys, p) for r in rnon
-    ]
+    Semi/anti/inner/outer equi-joins, co-grouped aggregates and set ops
+    all fall out of this shape; data movement is one pass of each side,
+    no all-to-all sort.  A side that is empty (or has zero blocks)
+    reaches ``fn`` as an empty frame with its canonical columns (none
+    for a zero-block side).  Contract (as ``grouped_map``): ``fn`` of
+    an empty left partition must return an empty frame with fn's
+    OUTPUT columns, so empty partitions keep a consistent schema."""
+    p, (ls, rs) = _exchange([(left, left_keys), (right, right_keys)], num_partitions)
     outs = [
         _cofold.remote(
             fn,
-            lschema,
-            rschema,
-            len(lsplits),
-            *[s[i] for s in lsplits],
-            *[s[i] for s in rsplits],
+            ls.schema,
+            rs.schema,
+            len(ls.splits),
+            *[s[i] for s in ls.splits],
+            *[s[i] for s in rs.splits],
         )
         for i in range(p)
     ]

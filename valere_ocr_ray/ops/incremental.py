@@ -302,10 +302,9 @@ def lsh_dedup_against_state(
        reads ONLY its committed band file and emits per-(doc, bucket)
        match verdicts — vectorized signature-agreement, ``max_bucket``
        skew cap;
-    2. one ``doc_id`` exchange folds verdicts across buckets (a doc is
-       novel iff NO bucket matched) and attaches the payload rows —
-       kept in pyarrow end-to-end so int64 hash columns never hit a
-       pandas null-promotion to float64;
+    2. one ``doc_id`` co-group (``cogroup_exchange``) of the payload
+       rows with the verdicts folds verdicts across buckets (a doc is
+       novel iff NO bucket matched) and keeps the novel payload rows;
     3. the novel docs' band rows (recomputed on the novel subset —
        cheaper than a third band-row exchange) append to each bucket's
        ``v<N+1>`` file via tmp+rename; meta commits last (same crash
@@ -316,10 +315,8 @@ def lsh_dedup_against_state(
     price of estimating Jaccard against history without its text.
     Returns ``(novel_rows, {version, n_novel, n_buckets_updated})``.
     """
-    import pyarrow.compute as pc
-
     from valere_ocr_ray.ops.dedup import _explode_bands, _minhash_batch
-    from valere_ocr_ray.ops.exchange import grouped_map, hash_exchange
+    from valere_ocr_ray.ops.exchange import cogroup_exchange
 
     params = {
         "num_perm": num_perm,
@@ -432,39 +429,17 @@ def lsh_dedup_against_state(
         band_rows, ["__bucket"], bucket_match, num_partitions=num_buckets
     )
 
-    payload_cols = [c for c in base.columns() if c != "matched"]
+    # co-group the payload with its per-bucket verdicts by doc id: a
+    # doc is novel iff it has verdicts and none of them matched
+    def attach(payload: pd.DataFrame, verdicts: pd.DataFrame) -> pd.DataFrame:
+        payload = payload.drop(columns=["matched"], errors="ignore")
+        if not len(verdicts):
+            return payload.iloc[0:0]
+        dup = verdicts.groupby("doc_id")["matched"].max()
+        return payload[payload["doc_id"].isin(dup.index[dup == 0])]
 
-    def mark_payload(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["matched"] = np.full(len(df), -1, dtype=np.int64)
-        return df
-
-    def mark_verdict(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({c: [None] * len(df) for c in payload_cols})
-        out["doc_id"] = df["doc_id"].to_numpy(dtype=np.int64)
-        out["matched"] = df["matched"].to_numpy(dtype=np.int64)
-        return out
-
-    mixed = base.map_batches(mark_payload, batch_format="pandas").union(
-        verdicts.map_batches(mark_verdict, batch_format="pandas")
-    )
-    ex = hash_exchange(mixed, ["doc_id"], num_buckets)
-
-    def attach(t: pa.Table) -> pa.Table:
-        m = t["matched"]
-        v = (
-            t.filter(pc.greater_equal(m, 0))
-            .select(["doc_id", "matched"])
-            .to_pandas()
-        )
-        dup = v.groupby("doc_id")["matched"].max()
-        keep_ids = dup[dup == 0].index.to_numpy(dtype=np.int64)
-        p = t.filter(pc.less(m, 0))
-        keep = pc.is_in(p["doc_id"], value_set=pa.array(keep_ids, pa.int64()))
-        return p.filter(keep).drop_columns(["matched"])
-
-    novel = ex.map_batches(
-        attach, batch_format="pyarrow", batch_size=None
+    novel = cogroup_exchange(
+        base, verdicts, ["doc_id"], ["doc_id"], attach, num_partitions=num_buckets
     ).materialize()
     n_novel = novel.count()
 

@@ -21,9 +21,8 @@ dedup).  Scale shape:
         state.  Pass 1 additionally emits (doc_id, line_idx) for every
         line occurrence whose hash is frequent (drop markers — ints,
         sized by the BOILERPLATE OCCURRENCES, not the corpus); markers
-        are exchanged by doc_id against the text rows (mixed-union
-        cogroup, the ``ops/dedup.verify_pairs_exact_exchange`` shape)
-        and each group rebuilds its document.
+        co-group with the text rows by doc_id (``cogroup_exchange``)
+        and each partition rebuilds its documents in one pass.
 
 Lines are compared exactly (no normalization); lines that are empty
 after ``strip()`` are never counted nor dropped (they are document
@@ -41,7 +40,7 @@ import ray
 import ray.data
 
 from valere_ocr_ray.ops.dedup import _token_hashes64
-from valere_ocr_ray.ops.exchange import grouped_map, hash_exchange
+from valere_ocr_ray.ops.exchange import cogroup_exchange, hash_exchange
 
 
 def _line_frame(df: pd.DataFrame, id_col: str, text_col: str) -> pd.DataFrame:
@@ -130,9 +129,10 @@ def strip_repeated_lines(
         id_col=id_col,
         num_partitions=num_partitions,
     )
+    # materialize() first, so the plan runs once (see ops/exchange._exchange)
     parts = [
         t["line_hash"].to_numpy(zero_copy_only=False)
-        for t in ray.get(list(freq.to_arrow_refs()))
+        for t in ray.get(list(freq.materialize().to_arrow_refs()))
         if "line_hash" in t.schema.names  # empty partitions are schema-less
     ]
     hashes = np.sort(
@@ -177,9 +177,10 @@ def strip_repeated_lines_exchange(
     id_col: str = "doc_id",
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
-    """Exchange variant, zero driver state: drop markers (ints) flow
-    through a doc_id exchange alongside the text rows; each cogroup
-    rebuilds its document.  Use when the boilerplate vocabulary itself
+    """Exchange variant, zero driver state: the drop markers (ints)
+    co-group with the ``(id, text)`` rows by doc id on
+    ``cogroup_exchange``, and each partition rebuilds its documents in
+    one pass.  Use when the boilerplate vocabulary itself
     scales with the corpus (the broadcast variant's documented limit)."""
     lf = ds.map_batches(
         lambda df: _line_frame(df, id_col, text_col), batch_format="pandas"
@@ -206,52 +207,37 @@ def strip_repeated_lines_exchange(
 
     drops = ex1.map_batches(markers, batch_format="pandas", batch_size=None)
 
-    # mixed union: marker rows (side=0) + text rows (side=1), keyed by doc_id
-    def text_rows(df: pd.DataFrame) -> pd.DataFrame:
+    # co-group by doc id: one pass per partition — a dict of drop sets
+    # from the markers, then one loop over the text rows (a repeated id
+    # keeps its first text row; a doc without markers keeps every line)
+    def rebuild(docs: pd.DataFrame, marks: pd.DataFrame) -> pd.DataFrame:
+        drop_sets: dict = {}
+        if len(marks):
+            for d, j in zip(marks["doc_id"].tolist(), marks["line_idx"].tolist()):
+                drop_sets.setdefault(d, set()).add(j)
+        # a side whose every block was empty arrives without columns
+        docs = docs.reindex(columns=[id_col, text_col]).drop_duplicates(id_col)
+        texts: list[str] = []
+        dropped: list[int] = []
+        for d, text in zip(docs[id_col].tolist(), docs[text_col].astype(str)):
+            lines = text.split("\n")
+            drop = drop_sets.get(d, ())
+            kept = [ln for j, ln in enumerate(lines) if j not in drop]
+            texts.append("\n".join(kept))
+            dropped.append(len(lines) - len(kept))
         return pd.DataFrame(
             {
-                "doc_id": df[id_col].to_numpy(),
-                "line_idx": np.full(len(df), -1, dtype=np.int64),
-                "side": np.ones(len(df), dtype=np.int64),
-                "text": df[text_col].astype(str).tolist(),
+                id_col: docs[id_col].to_numpy(),
+                text_col: pd.Series(texts, dtype="object"),
+                "n_dropped": np.asarray(dropped, dtype="int64"),
             }
         )
 
-    def marker_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].to_numpy(),
-                "line_idx": df["line_idx"].to_numpy(dtype=np.int64),
-                "side": np.zeros(len(df), dtype=np.int64),
-                "text": [""] * len(df),
-            }
-        )
-
-    mixed = drops.map_batches(marker_rows, batch_format="pandas").union(
-        ds.select_columns([id_col, text_col]).map_batches(
-            text_rows, batch_format="pandas"
-        )
+    return cogroup_exchange(
+        ds.select_columns([id_col, text_col]),
+        drops,
+        [id_col],
+        ["doc_id"],
+        rebuild,
+        num_partitions=num_partitions,
     )
-
-    def rebuild(g: pd.DataFrame) -> pd.DataFrame:
-        txt = g[g["side"] == 1]
-        if not len(txt):
-            return pd.DataFrame(
-                {
-                    id_col: pd.Series(dtype=g["doc_id"].dtype),
-                    text_col: pd.Series(dtype="object"),
-                    "n_dropped": pd.Series(dtype="int64"),
-                }
-            )
-        lines = str(txt["text"].iloc[0]).split("\n")
-        drop_idx = set(g.loc[g["side"] == 0, "line_idx"].tolist())
-        kept = [ln for j, ln in enumerate(lines) if j not in drop_idx]
-        return pd.DataFrame(
-            {
-                id_col: [txt["doc_id"].iloc[0]],
-                text_col: ["\n".join(kept)],
-                "n_dropped": np.asarray([len(lines) - len(kept)], dtype="int64"),
-            }
-        )
-
-    return grouped_map(mixed, ["doc_id"], rebuild, num_partitions=num_partitions)

@@ -28,9 +28,9 @@ corpus crosses the exchange keyed by content hash (the same movement
 any hash-partitioned dedup performs; no broadcast, no driver
 materialization).  Step 3's pair list is linear in duplicate docs
 (star mode) and its clustering state lives in exchanged blocks.  The
-final cluster-label annotate is ALSO an exchange: label rows and
-corpus rows co-locate on a second hash exchange keyed by ``url_hash``
-and merge in-block — zero driver state anywhere in the pipeline (web
+final cluster-label annotate is ALSO an exchange: corpus rows and
+label rows co-group by ``url_hash`` (``ops/exchange.cogroup_exchange``)
+and merge per partition — zero driver state anywhere in the pipeline (web
 corpora are 30–50% duplicates, so the label set scales with the
 corpus and must never be a driver dict or broadcast).
 """
@@ -56,7 +56,7 @@ def build_dedup_corpus_ds(
     """Lazy Dataset of the deduplicated corpus rows (see module doc)."""
     import numpy as np
 
-    from valere_ocr_ray.ops.exchange import hash_exchange
+    from valere_ocr_ray.ops.exchange import cogroup_exchange, hash_exchange
 
     extracted = build_extraction_ds(pages_dir)
     ok = extracted.filter(expr="status == 'ok'").select_columns(
@@ -101,60 +101,38 @@ def build_dedup_corpus_ds(
     )
     labels = dedup.cluster_labels(pairs, num_partitions=num_label_partitions)
 
-    # --- exchange-annotate (VERDICT r2 item 6): the label rows and the
-    # corpus rows co-locate on ONE hash exchange keyed by url_hash and
-    # merge in-block — zero driver state.  Web corpora are 30–50%
+    # --- exchange-annotate (VERDICT r2 item 6): the corpus rows and the
+    # label rows co-group by url_hash on ONE exchange and merge
+    # per partition — zero driver state.  Web corpora are 30–50%
     # duplicates, so |labels| scales WITH the corpus; the former
     # labels.take_all() driver dict was the one remaining
     # corpus-proportional driver structure in this pipeline.
     corpus_cols = ["url", "url_hash", "content_hash", "doc_type",
                    "extracted_text"]
 
-    def corpus_side(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[corpus_cols].copy()
-        out["cluster"] = np.int64(-1)
-        out["is_label"] = False
-        return out
-
-    def label_side(df: pd.DataFrame) -> pd.DataFrame:
-        n = len(df)
-        return pd.DataFrame(
-            {
-                "url": [""] * n,
-                "url_hash": df["doc_id"].to_numpy(dtype=np.int64),
-                "content_hash": [""] * n,
-                "doc_type": [""] * n,
-                "extracted_text": [""] * n,
-                "cluster": df["cluster"].to_numpy(dtype=np.int64),
-                "is_label": np.ones(n, dtype=bool),
-            }
-        )
-
-    mixed = uniq.map_batches(corpus_side, batch_format="pandas").union(
-        labels.map_batches(label_side, batch_format="pandas")
-    )
-    ex2 = hash_exchange(mixed, ["url_hash"], num_label_partitions)
-
-    def annotate(df: pd.DataFrame) -> pd.DataFrame:
+    def annotate(rows: pd.DataFrame, labs: pd.DataFrame) -> pd.DataFrame:
         lab = (
-            df[df["is_label"]]
-            .drop_duplicates("url_hash")
-            .set_index("url_hash")["cluster"]
+            labs.drop_duplicates("doc_id").set_index("doc_id")["cluster"]
+            if len(labs)
+            else pd.Series([], dtype="int64")
         )
-        rows = df[~df["is_label"]]
-        rep = (
-            rows["url_hash"].map(lab)
-            .fillna(rows["url_hash"])
-            .astype("int64")
-        )
-        out = rows[corpus_cols].copy()
+        # a side whose every block was empty arrives without columns
+        out = rows.reindex(columns=corpus_cols)
+        rep = out["url_hash"].map(lab).fillna(out["url_hash"]).astype("int64")
         out["cluster_rep"] = rep.to_numpy(dtype=np.int64)
         out["is_canonical"] = out["cluster_rep"].to_numpy() == out[
             "url_hash"
         ].to_numpy(dtype=np.int64)
         return out
 
-    return ex2.map_batches(annotate, batch_format="pandas", batch_size=None)
+    return cogroup_exchange(
+        uniq,
+        labels,
+        ["url_hash"],
+        ["doc_id"],
+        annotate,
+        num_partitions=num_label_partitions,
+    )
 
 
 def run_dedup_corpus(pages_dir: str, out_dir: str, **kwargs) -> dict:

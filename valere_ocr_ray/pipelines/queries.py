@@ -1063,12 +1063,13 @@ def orders_by_nation(sf_dir: str):
     """orders ⋈ customer ⋈ nation.  ``customer`` SCALES WITH THE FACT
     SIDE (150k × SF in TPC-H), so it is NOT broadcast (round 1 shipped
     a corpus-scaling python dict — driver OOM at 100×): the
-    orders→customer hop is resolved **on the hash exchange** — orders
-    pre-aggregated per custkey (one row per custkey per block), customer
-    rows exchanged by the same key, vectorized in-block map → one
-    (nation, sums) row per custkey.  Only the 25-row nation table is
-    broadcast.  Final combine: the keyed aggregate by nation."""
-    from valere_ocr_ray.ops.exchange import grouped_sum, hash_exchange
+    orders→customer hop is resolved **on the co-group exchange** —
+    orders pre-aggregated per custkey (one row per custkey per block)
+    co-group with the customer rows by custkey (``cogroup_exchange``),
+    vectorized per-partition map → (nation, sums) rows.  Only the
+    25-row nation table is broadcast.  Final combine: the keyed
+    aggregate by nation."""
+    from valere_ocr_ray.ops.exchange import cogroup_exchange, grouped_sum
 
     nation = pd.read_parquet(_t(sf_dir, "nation"), columns=["n_nationkey", "n_name"])
     nmap_ref = ray.put(
@@ -1078,55 +1079,41 @@ def orders_by_nation(sf_dir: str):
     orders = rd.read_parquet(_t(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"])
     cust = rd.read_parquet(_t(sf_dir, "customer"), columns=["c_custkey", "c_nationkey"])
 
-    # unified exchange schema: (custkey, nationkey, sum_total_c,
-    # n_orders, is_dim) — dim rows carry the nationkey, fact rows the
-    # per-custkey partial sums
+    # fact side pre-folded to one (custkey, sums) row per custkey per block
     def fact_rows(df: pd.DataFrame) -> pd.DataFrame:
         df = df.assign(
             sum_total_c=np.floor(df["o_totalprice"] * 100).astype("int64"),
             n_orders=1,
         )
-        g = df.groupby("o_custkey", as_index=False)[["sum_total_c", "n_orders"]].sum()
-        return pd.DataFrame(
-            {
-                "custkey": g["o_custkey"].to_numpy(dtype=np.int64),
-                "nationkey": np.zeros(len(g), dtype=np.int64),
-                "sum_total_c": g["sum_total_c"].to_numpy(dtype=np.int64),
-                "n_orders": g["n_orders"].to_numpy(dtype=np.int64),
-                "is_dim": np.zeros(len(g), dtype=np.int64),
-            }
-        )
+        return df.groupby("o_custkey", as_index=False)[
+            ["sum_total_c", "n_orders"]
+        ].sum()
 
-    def dim_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "custkey": df["c_custkey"].to_numpy(dtype=np.int64),
-                "nationkey": df["c_nationkey"].to_numpy(dtype=np.int64),
-                "sum_total_c": np.zeros(len(df), dtype=np.int64),
-                "n_orders": np.zeros(len(df), dtype=np.int64),
-                "is_dim": np.ones(len(df), dtype=np.int64),
-            }
-        )
-
-    mixed = orders.map_batches(fact_rows, batch_format="pandas").union(
-        cust.map_batches(dim_rows, batch_format="pandas")
-    )
-    ex = hash_exchange(mixed, ["custkey"])
-
-    def resolve(df: pd.DataFrame) -> pd.DataFrame:
+    def resolve(fact: pd.DataFrame, cust: pd.DataFrame) -> pd.DataFrame:
         nmap = ray.get(nmap_ref)
-        dim = df[df["is_dim"] == 1].set_index("custkey")["nationkey"]
-        fact = df[df["is_dim"] == 0]
+        # a side whose every block was empty arrives without columns
+        fact = fact.reindex(columns=["o_custkey", "sum_total_c", "n_orders"])
+        dim = (
+            cust.set_index("c_custkey")["c_nationkey"]
+            if len(cust)
+            else pd.Series([], dtype="int64")
+        )
         out = pd.DataFrame(
             {
-                "nation": fact["custkey"].map(dim).map(nmap),
-                "sum_total_c": fact["sum_total_c"].to_numpy(),
-                "n_orders": fact["n_orders"].to_numpy(),
+                "nation": fact["o_custkey"].map(dim).map(nmap),
+                "sum_total_c": fact["sum_total_c"].to_numpy(dtype=np.int64),
+                "n_orders": fact["n_orders"].to_numpy(dtype=np.int64),
             }
         )
         return out[out["nation"].notna()]
 
-    per_cust = ex.map_batches(resolve, batch_format="pandas", batch_size=None)
+    per_cust = cogroup_exchange(
+        orders.map_batches(fact_rows, batch_format="pandas"),
+        cust,
+        ["o_custkey"],
+        ["c_custkey"],
+        resolve,
+    )
     return grouped_sum(per_cust, ["nation"], ["sum_total_c", "n_orders"])
 
 
@@ -1206,9 +1193,7 @@ def lineitem_part_join_shuffle(sf_dir: str):
             }
         )
 
-    # materialized first: the exchange's to_arrow_refs() read of the
-    # join's actor-pool output costs ~3 s more at sf0.01 than this
-    rows = joined.map_batches(scaled, batch_format="pandas").materialize()
+    rows = joined.map_batches(scaled, batch_format="pandas")
     return grouped_sum(rows, ["p_brand"], ["sum_qty_c", "n"])
 
 
