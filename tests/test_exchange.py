@@ -265,6 +265,47 @@ def test_exchange_property_random_frames(ray_session):
                 assert seen.setdefault(int(key), bi) == bi
         assert sum(len(b) for b in ex_blocks) == n
 
+    # dtype-strict: int32, bool, float32 and null-bearing int value
+    # columns under each fold equal the pandas fold's Arrow output
+    # (Arrow widens int32/float32 sums, sums bools to uint64 and sums an
+    # all-null group to null; pandas keeps int32/float32, gives int64
+    # and 0.0)
+    import pyarrow as pa
+    import ray
+
+    n = 1500
+    nulls = rng.random(n) < 0.6
+    typed = pa.table(
+        {
+            "k": pa.array(rng.integers(0, 300, n), pa.int64()),
+            "i32": pa.array(rng.integers(-1000, 1000, n), pa.int32()),
+            "b": pa.array(rng.random(n) < 0.5),
+            "f32": pa.array(rng.integers(-400, 400, n) / 8, pa.float32()),
+            "ni": pa.array(rng.integers(-1000, 1000, n), pa.int64(), mask=nulls),
+        }
+    )
+    ds = rd.from_arrow([typed.slice(i, 250) for i in range(0, n, 250)])
+    for how in ("sum", "min", "max"):
+        aggs = {c: how for c in ("i32", "b", "f32", "ni")}
+        want = pa.Table.from_pandas(
+            typed.to_pandas().groupby(["k"], as_index=False).agg(aggs),
+            preserve_index=False,
+        )
+        refs = grouped_agg(ds, ["k"], aggs, num_partitions=5).to_arrow_refs()
+        got = pa.concat_tables(ray.get(refs))
+        assert got.schema.remove_metadata() == want.schema.remove_metadata(), how
+        pd.testing.assert_frame_equal(
+            got.to_pandas().sort_values("k").reset_index(drop=True),
+            want.to_pandas(),
+            obj=f"typed {how}",
+        )
+
+    # a filter that drops every row leaves column-less empty blocks: the
+    # folds pass such empty partitions through, as map_batches does
+    dropped = rd.from_arrow(typed).filter(lambda r: False)
+    assert grouped_agg(dropped, ["k"], {"i32": "sum"}).count() == 0
+    assert grouped_map(dropped, ["k"], lambda g: g.head(1)).count() == 0
+
 
 def test_cogroup_exchange_matches_outer_merge(ray_session):
     """Property: ``cogroup_exchange`` with a per-partition fn that
@@ -387,6 +428,38 @@ def test_exchange_reads_input_once(ray_session, tmp_path):
             ds, other, ["k"], ["k"], lambda l, r: l.iloc[0:0], num_partitions=4
         )
     ) == 8
+
+
+def test_ref_bundle_metadata_pinned(ray_session):
+    """The exchange sizes its width and drops empty blocks from
+    ``Dataset.iter_internal_ref_bundles()`` (a Ray DeveloperAPI): after
+    ``materialize()`` it must yield one ``(ref, meta)`` per block whose
+    ``meta.num_rows`` is the block's row count, for Arrow blocks, pandas
+    blocks and schema-less empty blocks alike."""
+    import pyarrow as pa
+    import ray
+    from ray.data.block import BlockAccessor
+
+    t = pa.table({"k": np.arange(90), "v": np.arange(90) * 2})
+    arrow = rd.from_arrow([t.slice(0, 30), t.slice(30, 60)])
+    pandas = arrow.map_batches(lambda b: b, batch_format="pandas")
+    empty = rd.range(30, override_num_blocks=3).filter(lambda r: False)
+    for name, ds, kind, rows in (
+        ("arrow", arrow, "Table", 90),
+        ("pandas", pandas, "DataFrame", 90),
+        ("empty", empty, "Table", 0),
+    ):
+        blocks = [
+            b for bundle in ds.materialize().iter_internal_ref_bundles()
+            for b in bundle.blocks
+        ]
+        assert blocks, name
+        for ref, meta in blocks:
+            block = ray.get(ref)
+            assert type(block).__name__ == kind, name
+            assert meta.num_rows == BlockAccessor.for_block(block).num_rows(), name
+            assert meta.size_bytes is not None, name
+        assert sum(m.num_rows for _, m in blocks) == rows, name
 
 
 def test_auto_partitions_size_derived(ray_session):

@@ -392,3 +392,47 @@ def test_huffman_and_refinement_still_route():
     hdr = struct.pack(">IBBBI", 0, 40, 0, 1, 4) + b"\x00" * 4
     with pytest.raises(ImageFormatError):
         decode_jbig2_embedded(hdr, 10, 10)
+
+
+def test_hostile_region_geometry_bounded_work(monkeypatch):
+    """A region header that claims far more rows than the page (or more
+    pixels than its payload can code) costs work bounded by the page,
+    not by the claim: the region decodes only its on-page rows, a region
+    wider than the page or placed off it raises, and the arithmetic
+    decoder raises once it runs a fixed slack past its data."""
+    import struct
+
+    w, h = 64, 40
+    ink = np.random.RandomState(5).rand(h, w) < 0.3
+    data = encode_jbig2_embedded(ink)
+    geometry = struct.pack(">II", w, h)
+    assert data.count(geometry) == 2  # page info, then the region info
+    at = data.rindex(geometry)
+
+    calls = [0]
+    real = MQDecoder.decode
+
+    def counted(self, icx, mpscx, cx):
+        calls[0] += 1
+        return real(self, icx, mpscx, cx)
+
+    monkeypatch.setattr(MQDecoder, "decode", counted)
+
+    tall = data[:at] + struct.pack(">II", w, 40_000) + data[at + 8 :]
+    assert np.array_equal(decode_jbig2_embedded(tall, w, h), ink)
+    assert calls[0] <= 2 * w * h
+
+    for rw, rh, rx, ry in ((w + 1, h, 0, 0), (w, h, w, 0), (w, h, 0, h)):
+        region = struct.pack(">IIII", rw, rh, rx, ry)
+        with pytest.raises(ImageFormatError):
+            decode_jbig2_embedded(data[:at] + region + data[at + 16 :], w, h)
+
+    # a region that fits the page but claims more pixels than its
+    # payload holds: the decoder stops at the slack, not after the claim
+    calls[0] = 0
+    body = encode_jbig2_embedded(np.zeros((1, 8), bool))
+    g = body.rindex(struct.pack(">II", 8, 1))
+    big = body[:g] + struct.pack(">II", 1000, 1000) + body[g + 8 :]
+    with pytest.raises(ImageFormatError):
+        decode_jbig2_embedded(big, 1000, 1000)
+    assert calls[0] <= 2 * w * h

@@ -216,6 +216,11 @@ def test_cluster_labels_empty(ray_session):
         )
     )
     assert cluster_labels(pairs, num_partitions=2).count() == 0
+    # no schema-carrying block: a filter that drops every pair leaves
+    # column-less empty blocks, and a zero-block input has none at all
+    dropped = rd.from_items([{"id_a": 1, "id_b": 2}]).filter(lambda r: False)
+    assert cluster_labels(dropped).count() == 0
+    assert cluster_labels(rd.from_items([])).count() == 0
 
 
 # -- embeddings ---------------------------------------------------------

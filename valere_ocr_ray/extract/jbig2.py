@@ -79,12 +79,17 @@ class MQDecoder:
     caller-owned arrays ``icx``/``mpscx`` so one decoder can serve any
     number of context labels."""
 
-    __slots__ = ("data", "bp", "c", "a", "ct", "n")
+    __slots__ = ("data", "bp", "c", "a", "ct", "n", "past")
+
+    # 1-bit fills past the data's end (or a marker) before it counts as
+    # exhausted: a flushed stream needs a few, a corrupt one would spin
+    SLACK = 16
 
     def __init__(self, data: bytes) -> None:
         self.data = data
         self.n = len(data)
         self.bp = 0
+        self.past = 0
         b0 = data[0] if self.n else 0xFF
         self.c = b0 << 16
         self._bytein()
@@ -98,6 +103,9 @@ class MQDecoder:
     def _bytein(self) -> None:
         if self._byte(self.bp) == 0xFF:
             if self._byte(self.bp + 1) > 0x8F:
+                self.past += 1
+                if self.past > self.SLACK:
+                    raise ImageFormatError("JBIG2 arithmetic data exhausted")
                 self.c += 0xFF00
                 self.ct = 8
             else:
@@ -606,6 +614,9 @@ def decode_jbig2_embedded(data: bytes, width: int, height: int) -> np.ndarray:
             if len(payload) < 18:
                 raise ImageFormatError("short JBIG2 generic region")
             rw, rh, rx, ry, _op = struct.unpack_from(">IIIIB", payload, 0)
+            if rw > width or rx >= width or ry >= height:
+                raise ImageFormatError("JBIG2 region wider than or off the page")
+            rh = min(rh, height - ry)  # rows below the page are never composed
             gflags = payload[17]
             mmr = gflags & 1
             template = (gflags >> 1) & 3

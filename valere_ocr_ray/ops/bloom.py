@@ -91,7 +91,7 @@ def build_bloom(
     ``map_batches`` closures; ``ray.get`` inside a task is a local
     shared-memory read)."""
     keys = list(keys)
-    # materialize() first, so the plan runs once (see ops/exchange._exchange)
+    # materialize() first: to_arrow_refs() alone runs the plan twice (Ray 2.49)
     refs = [
         _block_bloom.remote(r, keys, num_bits, num_hashes)
         for r in ds.select_columns(keys).materialize().to_arrow_refs()

@@ -823,11 +823,17 @@ def embedding_semdedup(
 # ---------------------------------------------------------------------------
 
 
+def _cl_edge_col(edges: pa.Table, name: str) -> np.ndarray:
+    """An edge column as int64 — an empty partition may carry no columns."""
+    col = edges[name] if edges.num_rows else pa.array([], pa.int64())
+    return col.to_numpy(zero_copy_only=False)
+
+
 @ray.remote
 def _cl_init(edges: pa.Table) -> pa.Table:
     """Partition-local label init: one (node, lab=node) row per
     distinct node in this partition's edge block."""
-    nodes = np.unique(edges["node"].to_numpy(zero_copy_only=False))
+    nodes = np.unique(_cl_edge_col(edges, "node"))
     return pa.table(
         {"node": pa.array(nodes, pa.int64()), "lab": pa.array(nodes, pa.int64())}
     )
@@ -843,8 +849,8 @@ def _cl_send(labels: pa.Table, edges: pa.Table, p: int) -> list[pa.Table]:
     labs = labels["lab"].to_numpy(zero_copy_only=False)
     order = np.argsort(nodes)
     nodes_s, labs_s = nodes[order], labs[order]
-    src = edges["node"].to_numpy(zero_copy_only=False)
-    dst = edges["other"].to_numpy(zero_copy_only=False)
+    src = _cl_edge_col(edges, "node")
+    dst = _cl_edge_col(edges, "other")
     pos = np.searchsorted(nodes_s, src)
     src_lab = labs_s[np.minimum(pos, len(nodes_s) - 1)] if len(nodes_s) else src
     out = pa.table(
@@ -1007,20 +1013,9 @@ def cluster_labels(
     )
     # label tables stay ALIGNED with the edge partitions for the whole
     # run, so the width is fixed once: the exchange's own (size-derived
-    # by default) block count; the multi-return send path needs p >= 2
-    edge_refs = hash_exchange(
-        edges_ds,
-        ["node"],
-        None if num_partitions is None else max(2, num_partitions),
-    ).to_arrow_refs()
+    # by default, always >= 2) block count
+    edge_refs = hash_exchange(edges_ds, ["node"], num_partitions).to_arrow_refs()
     p = len(edge_refs)
-    if p < 2:
-        # degenerate input (hash_exchange collapses empty inputs to one
-        # block): no pairs → no clustered nodes
-        empty = pa.table(
-            {"doc_id": pa.array([], pa.int64()), "cluster": pa.array([], pa.int64())}
-        )
-        return ray.data.from_arrow(empty)
     label_refs = [_cl_init.remote(r) for r in edge_refs]
 
     for _ in range(max_rounds):

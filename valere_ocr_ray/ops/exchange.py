@@ -5,38 +5,32 @@ path (c) — used ONLY where the Dataset API is the bottleneck).
 reduce costs ~1 ms per distinct key (measured: 16 s for a 15k-key
 aggregate of 60k rows), which makes high-cardinality grouped ops —
 LSH bucket pairing, big keyed aggregates — shuffle-bound.  This module
-implements the keyed exchange directly, as ONE core (``_exchange``)
-and two per-partition tasks:
+implements the keyed exchange directly, as ONE core (``_exchange``):
 
-    core:    read each input's blocks ONCE, probe (rows, bytes,
-             schema), drop empty blocks, derive the width, then one
-             split task per block → P sub-tables by key hash
-    _gather: one task per partition → concat its sub-tables
-             (``hash_exchange``, and through it ``grouped_map`` /
-             ``grouped_agg``)
-    _cofold: one task per partition → concat each side's sub-tables
-             and run ``fn(left_df, right_df)`` (``cogroup_exchange``,
-             the one co-group: each side keeps its own schema)
+    width:     materialize each input once; the width comes from the
+               block metadata that holds (rows, bytes) — no probe task,
+               no driver barrier; empty blocks drop out
+    per block: ``_split`` — split the block (as Arrow) into P
+               sub-tables by key hash
+    per part:  ``_fold`` — concat each side's sub-tables and run the
+               caller's fold ``fn(*tables)``: the identity
+               (``hash_exchange``) or a pandas fn converted both ways
+               (``grouped_map``, ``grouped_agg``; ``cogroup_exchange``,
+               each side keeping its own schema)
 
-After the exchange every key lives in exactly ONE output block (or
-partition pair), so any grouped computation becomes a whole-block
-pandas/Arrow kernel (C-speed ``df.groupby``), no per-group framework
-overhead.
+Every output block is an Arrow table, so a pandas fn must return a
+frame Arrow can hold (no mixed-type object columns).
 
 Hashing is deterministic across processes (splitmix64 for integer
 keys, crc32 for strings — same primitives as ops/dedup), so results
 are reproducible and partition-count-invariant; an integer key hashes
 by its int64 value whatever its width, so the two sides of a co-group
 may key on differently typed integer columns.  Memory: the exchange
-materializes the input (it IS a barrier); each gather holds one
-partition — ``num_partitions`` must be large enough that the largest
-partition fits a worker (same contract as any hash shuffle; salt hot
-keys upstream).  The DEFAULT (``num_partitions=None``) derives the
-width from the probed input bytes (of both sides for a co-group),
-``ceil(total_bytes / TARGET_PARTITION_BYTES)`` with a CPU-count
-parallelism floor, so the same caller code is scale-safe unmodified
-from sf0.01 to 100 TB (VERDICT r4: a fixed 16-way gather holds
-corpus/16 per task at 100×).
+materializes the input (it IS a barrier); each fold holds one
+partition, which must fit a worker (salt hot keys upstream).  The DEFAULT
+(``num_partitions=None``) derives the width from the input's block
+bytes (of both sides for a co-group) with a CPU-count parallelism
+floor, so the same caller code is scale-safe from sf0.01 to 100 TB.
 
 Contract: key columns must be NON-NULL (a null integer key turns the
 column float on the numpy path, and pandas ``groupby`` silently drops
@@ -45,20 +39,21 @@ null keys — filter or fill nulls upstream, as every caller here does).
 
 from __future__ import annotations
 
+import functools
 import zlib
 from collections.abc import Callable, Mapping, Sequence
-from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data
+from ray.data.block import BlockAccessor
 
 
-# a gather task materializes ONE partition in worker heap (plus the
-# pandas kernel that runs on it) — 128 MiB of Arrow per partition keeps
-# gather + kernel well under a 1–2 GiB worker budget at any corpus size
+# a fold task materializes ONE partition in worker heap (plus the
+# kernel that runs on it) — 128 MiB of Arrow per partition keeps it
+# well under a 1–2 GiB worker budget at any corpus size
 TARGET_PARTITION_BYTES = 128 * 2**20
 # backstop against pathological task fan-out (num_returns per split
 # task == num_partitions); beyond this, shard the exchange itself
@@ -66,17 +61,15 @@ MAX_PARTITIONS = 65536
 
 
 def _auto_partitions(total_bytes: int) -> int:
-    """Size-derived exchange width: enough partitions that each gather
+    """Size-derived exchange width: enough partitions that each fold
     holds ≤ TARGET_PARTITION_BYTES; medium inputs widen toward the CPU
     count (but never below ~2 MiB per partition, so toy inputs don't
-    fan out into near-empty gather tasks)."""
+    fan out into near-empty fold tasks)."""
     total_bytes = int(total_bytes)
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    # ≥ ~2 MiB per partition: the per-partition combine is CPU-bound
-    # pandas work, so a small exchange should still fan out to the
-    # cluster (measured: an 8 MiB grain capped a 40 MB exchange at 5
-    # gathers and held 8→32 efficiency to 0.48); 2 MiB keeps toy
-    # inputs narrow while mid-size exchanges reach the CPU count
+    # ≥ ~2 MiB per partition: the fold is CPU-bound, so a small exchange
+    # should still fan out (measured: an 8 MiB grain capped a 40 MB
+    # exchange at 5 folds and held 8→32 efficiency to 0.48)
     fine = -(-total_bytes // (2 * 2**20))
     floor = max(2, min(cpus, 64, fine))
     by_bytes = -(-total_bytes // TARGET_PARTITION_BYTES)
@@ -109,9 +102,10 @@ def _key_hash(table: pa.Table, keys: Sequence[str]) -> np.ndarray:
     return acc
 
 
-def hash_split(table: pa.Table, keys: Sequence[str], p: int) -> list[pa.Table]:
-    """The exchange's split kernel: ``p`` sub-tables, sub-table i
-    holding the rows with ``hash(keys) % p == i`` in input order."""
+def hash_split(block, keys: Sequence[str], p: int) -> list[pa.Table]:
+    """The exchange's split kernel: ``p`` Arrow sub-tables of a block,
+    sub-table i holding the rows with ``hash(keys) % p == i`` in order."""
+    table = BlockAccessor.for_block(block).to_arrow()
     part = (_key_hash(table, keys) % np.uint64(p)).astype(np.int64)
     order = np.argsort(part, kind="stable")
     sorted_tbl = table.take(pa.array(order))
@@ -122,20 +116,15 @@ def hash_split(table: pa.Table, keys: Sequence[str], p: int) -> list[pa.Table]:
 _split = ray.remote(hash_split)
 
 
-@ray.remote
-def _probe(table: pa.Table) -> tuple[int, int, pa.Schema]:
-    return table.num_rows, table.nbytes, table.schema
-
-
-def _concat_casted(schema: pa.Schema, parts: Sequence[pa.Table]) -> pa.Table:
+def _concat_casted(parts: Sequence[pa.Table]) -> pa.Table:
+    # canonical schema: the first part's (the side's first live block's)
+    schema = parts[0].schema if parts else pa.schema([])
     live = [t for t in parts if t.num_rows]
     if not live:
         return schema.empty_table()
-    # schema-drift tolerance: a pandas stage can infer a divergent
-    # dtype in one rare block (all-null string column → null type, int
-    # column gone float) — cast each part to the probed canonical
-    # schema, falling back to a permissive promote, so one odd block
-    # degrades gracefully instead of failing the partition (ADVICE r1)
+    # schema-drift tolerance: a pandas stage can infer a divergent dtype
+    # in one rare block (all-null column → null type, int gone float):
+    # cast to the canonical schema, else promote permissively (ADVICE r1)
     casted = []
     for t in live:
         if t.schema != schema:
@@ -147,53 +136,48 @@ def _concat_casted(schema: pa.Schema, parts: Sequence[pa.Table]) -> pa.Table:
     try:
         return pa.concat_tables(casted).combine_chunks()
     except pa.ArrowInvalid:
-        return pa.concat_tables(
-            casted, promote_options="permissive"
-        ).combine_chunks()
+        return pa.concat_tables(casted, promote_options="permissive").combine_chunks()
 
 
 @ray.remote
-def _gather(schema: pa.Schema, *parts: pa.Table) -> pa.Table:
-    return _concat_casted(schema, parts)
-
-
-class _Side(NamedTuple):
-    refs: list  # every block of the side, read once
-    schema: pa.Schema  # canonical: first non-empty block's
-    splits: list  # per non-empty block, its p sub-table refs
+def _fold(fn: Callable[..., pa.Table], counts: Sequence[int], *parts) -> pa.Table:
+    """The one per-partition task: concat each side's ``counts`` parts, run ``fn``."""
+    parts = [BlockAccessor.for_block(b).to_arrow() for b in parts]
+    bounds = np.cumsum([0, *counts])
+    return fn(*[_concat_casted(parts[a:b]) for a, b in zip(bounds, bounds[1:])])
 
 
 def _exchange(
     sides: Sequence[tuple[ray.data.Dataset, Sequence[str]]],
+    fn: Callable[..., pa.Table],
     num_partitions: int | None,
-) -> tuple[int, list[_Side]]:
-    """The one exchange core: read every side's blocks, probe them,
-    drop the empty ones, pick each side's canonical schema, derive the
-    width from the probed bytes of all sides, and fan out one split
-    task per non-empty block.  Returns ``(p, sides)``; ``p >= 2``
-    because a split task returns ``p`` refs."""
-    # materialize() first: Dataset.to_arrow_refs() alone runs the plan
-    # and then fetches the schema by running it AGAIN (Ray 2.49), so an
-    # upstream map or actor pool would execute twice
-    reads = [list(ds.materialize().to_arrow_refs()) for ds, _ in sides]
-    metas = ray.get([_probe.remote(r) for refs in reads for r in refs])
-    if num_partitions is None:
-        num_partitions = _auto_partitions(sum(b for _, b, _ in metas))
-    p = max(2, num_partitions)
-    out = []
-    it = iter(metas)
-    for (_, keys), refs in zip(sides, reads):
-        m = [next(it) for _ in refs]
-        live = [r for r, (n, _, _) in zip(refs, m) if n > 0]
-        # Ray emits schema-less EMPTY blocks for empty inputs: the
-        # canonical schema is the first non-empty block's
-        schema = next(
-            (s for n, _, s in m if n > 0), m[0][2] if m else pa.schema([])
-        )
-        keys = list(keys)
-        splits = [_split.options(num_returns=p).remote(r, keys, p) for r in live]
-        out.append(_Side(refs, schema, splits))
-    return p, out
+) -> ray.data.Dataset:
+    """The one exchange core: size the width from every side's block
+    metadata, split each non-empty block by key hash (one task per
+    block), run ``fn(*side_tables)`` once per partition (one task per
+    partition).  ``p >= 2`` because a split task returns ``p`` refs."""
+    # materialize() first: the plan runs once, and its bundles carry
+    # every block's rows and bytes without a task
+    blocks = [
+        [b for bb in ds.materialize().iter_internal_ref_bundles() for b in bb.blocks]
+        for ds, _ in sides
+    ]
+    nbytes = sum(m.size_bytes for bl in blocks for _, m in bl)
+    p = max(2, _auto_partitions(nbytes) if num_partitions is None else num_partitions)
+    parts = []  # per side, per partition: the refs of fn's table
+    for (_, keys), bl in zip(sides, blocks):
+        splits = [
+            _split.options(num_returns=p).remote(r, list(keys), p)
+            for r, m in bl if m.num_rows != 0
+        ]
+        # an all-empty side hands fn its columns through its first block
+        empty = [r for r, _ in bl[:1]]
+        parts.append([[s[i] for s in splits] or empty for i in range(p)])
+    fn = ray.put(fn)
+    return ray.data.from_arrow_refs([
+        _fold.remote(fn, [len(s[i]) for s in parts], *[r for s in parts for r in s[i]])
+        for i in range(p)
+    ])
 
 
 def hash_exchange(
@@ -204,33 +188,15 @@ def hash_exchange(
     """Key-partitioned Dataset: every value of ``keys`` lands in exactly
     one output block (block i = hash(key) % num_partitions == i).
     ``num_partitions=None`` (the default) derives the width from the
-    probed input bytes — see ``_auto_partitions``."""
-    if num_partitions is not None and num_partitions < 2:
-        return ds.repartition(1)  # one block == one partition, trivially keyed
-    p, [side] = _exchange([(ds, keys)], num_partitions)
-    if not side.splits:
-        return ray.data.from_arrow_refs(side.refs).repartition(1)
-    # every gathered partition is stamped with the canonical schema so
-    # empty partitions stay consistent
-    gathered = [
-        _gather.remote(side.schema, *[s[i] for s in side.splits])
-        for i in range(p)
-    ]
-    return ray.data.from_arrow_refs(gathered)
+    input's block bytes — see ``_auto_partitions``."""
+    return _exchange([(ds, keys)], lambda t: t, num_partitions)
 
 
-@ray.remote
-def _cofold(
-    fn: Callable[[pd.DataFrame, pd.DataFrame], pd.DataFrame],
-    lschema: pa.Schema,
-    rschema: pa.Schema,
-    n_left: int,
-    *parts: pa.Table,
-) -> pa.Table:
-    lt = _concat_casted(lschema, parts[:n_left])
-    rt = _concat_casted(rschema, parts[n_left:])
-    out = fn(lt.to_pandas(), rt.to_pandas())
-    return pa.Table.from_pandas(out, preserve_index=False)
+def _pandas_fold(fn: Callable[..., pd.DataFrame], *tables: pa.Table) -> pa.Table:
+    """``fn`` over pandas frames; unlike ``map_batches``, which keeps a
+    pandas output block, the output frame is converted to Arrow."""
+    out = fn(*[BlockAccessor.for_block(t).to_pandas() for t in tables])
+    return BlockAccessor.for_block(out).to_arrow()
 
 
 def cogroup_exchange(
@@ -249,25 +215,13 @@ def cogroup_exchange(
     per partition pair and the outputs form the result Dataset.
 
     Semi/anti/inner/outer equi-joins, co-grouped aggregates and set ops
-    all fall out of this shape; data movement is one pass of each side,
-    no all-to-all sort.  A side that is empty (or has zero blocks)
-    reaches ``fn`` as an empty frame with its canonical columns (none
-    for a zero-block side).  Contract (as ``grouped_map``): ``fn`` of
-    an empty left partition must return an empty frame with fn's
-    OUTPUT columns, so empty partitions keep a consistent schema."""
-    p, (ls, rs) = _exchange([(left, left_keys), (right, right_keys)], num_partitions)
-    outs = [
-        _cofold.remote(
-            fn,
-            ls.schema,
-            rs.schema,
-            len(ls.splits),
-            *[s[i] for s in ls.splits],
-            *[s[i] for s in rs.splits],
-        )
-        for i in range(p)
-    ]
-    return ray.data.from_arrow_refs(outs)
+    all fall out of this shape, with one pass of each side and no sort.
+    An empty side reaches ``fn`` as an empty frame with its columns
+    (none for a zero-block side).  Contract (as ``grouped_map``): ``fn``
+    of an empty left partition returns an empty frame with fn's OUTPUT
+    columns, so empty partitions keep a consistent schema."""
+    sides = [(left, left_keys), (right, right_keys)]
+    return _exchange(sides, functools.partial(_pandas_fold, fn), num_partitions)
 
 
 def grouped_map(
@@ -279,9 +233,9 @@ def grouped_map(
     min_group_size: int = 1,
 ) -> ray.data.Dataset:
     """``groupby(keys).map_groups(fn)`` semantics at hash-exchange speed:
-    after the exchange, each block holds complete key groups, so ``fn``
-    runs under a single in-block ``pandas.groupby`` (deterministic
-    group order = sorted keys).
+    each partition holds complete key groups, so ``fn`` runs under one
+    in-partition ``pandas.groupby`` (group order = sorted keys).  The
+    output blocks are Arrow tables, so ``fn``'s frames must convert.
 
     ``min_group_size``: vectorized pre-filter dropping smaller groups
     BEFORE the per-group loop — pass 2 for pairing-style fns where
@@ -289,12 +243,13 @@ def grouped_map(
     singletons, so this turns a 30k-group loop into a hundreds-group
     loop).  Only valid when fn(group) is empty for dropped sizes."""
     keys = list(keys)
-    ex = hash_exchange(ds, keys, num_partitions)
 
     # contract: fn(empty frame) must return an empty frame with fn's
     # OUTPUT columns (so empty partitions keep a consistent schema)
-    def per_block(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) and min_group_size > 1:
+    def per_partition(df: pd.DataFrame) -> pd.DataFrame:
+        if not len(df):
+            return df  # as under map_batches: it may have no columns
+        if min_group_size > 1:
             sizes = df.groupby(keys)[keys[0]].transform("size")
             df = df[sizes >= min_group_size]
         if not len(df):
@@ -305,7 +260,8 @@ def grouped_map(
             return fn(df.iloc[0:0])
         return pd.concat(outs, ignore_index=True)
 
-    return ex.map_batches(per_block, batch_format="pandas", batch_size=None)
+    fold = functools.partial(_pandas_fold, per_partition)
+    return _exchange([(ds, keys)], fold, num_partitions)
 
 
 def grouped_agg(
@@ -319,22 +275,24 @@ def grouped_agg(
     (``{"col": "sum"|"min"|"max"}``) — the one keyed-aggregate
     primitive, and the high-cardinality alternative to
     ``Dataset.groupby()`` (measured 145 s → 1.2 s on a 147k-key sum of
-    600k rows).  Partial per input block, exchange, the same fold again
-    per partition: every fold here is idempotent over re-grouping, so
-    input rows may already be partials (mean/nunique are NOT — decompose
-    those into sums).  Output: every key in exactly one block, no
-    global order."""
+    600k rows).  The same pandas fold per input block (a Dataset stage
+    that fuses with the caller's), then per partition after the
+    exchange; every fold is idempotent over re-grouping, so input rows
+    may be partials (decompose mean/nunique into sums).
+    Output: every key in exactly one block, no global order."""
     for how in aggs.values():
         if how not in ("sum", "min", "max"):
             raise ValueError(f"unsupported agg {how!r}")
     keys = list(keys)
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
+        if not len(df):
+            return df  # as under map_batches: it may have no columns
         return df.groupby(keys, as_index=False).agg(aggs)
 
     pre = ds.map_batches(fold, batch_format="pandas")
-    ex = hash_exchange(pre, keys, num_partitions)
-    return ex.map_batches(fold, batch_format="pandas", batch_size=None)
+    part_fold = functools.partial(_pandas_fold, fold)
+    return _exchange([(pre, keys)], part_fold, num_partitions)
 
 
 def grouped_sum(
@@ -344,6 +302,5 @@ def grouped_sum(
     *,
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
-    return grouped_agg(
-        ds, keys, {c: "sum" for c in sums}, num_partitions=num_partitions
-    )
+    aggs = dict.fromkeys(sums, "sum")
+    return grouped_agg(ds, keys, aggs, num_partitions=num_partitions)

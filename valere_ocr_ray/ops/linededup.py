@@ -129,7 +129,7 @@ def strip_repeated_lines(
         id_col=id_col,
         num_partitions=num_partitions,
     )
-    # materialize() first, so the plan runs once (see ops/exchange._exchange)
+    # materialize() first: to_arrow_refs() alone runs the plan twice (Ray 2.49)
     parts = [
         t["line_hash"].to_numpy(zero_copy_only=False)
         for t in ray.get(list(freq.materialize().to_arrow_refs()))
