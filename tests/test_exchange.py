@@ -110,10 +110,13 @@ def test_single_partition_path(ray_session, keyed_df):
 def test_grouped_sum_fuzz_matches_pandas(ray_session):
     """Property fuzz: grouped_sum == pandas groupby-sum for arbitrary
     int/string keys (negatives, unicode, empty) and partition counts."""
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 
     @settings(max_examples=20, deadline=None)
+    # pandas ends a string key at its first NUL, so '' and '\x00' are
+    # one group: the split must send them to one partition
+    @example(keys=["", "\x00"], nparts=2, nblocks=2)
     @given(
         keys=st.lists(
             st.one_of(
@@ -175,13 +178,23 @@ def test_exchange_property_random_frames(ray_session):
     """Property check: for randomized frames (skewed keys, negatives,
     empty groups, many partitions), grouped_sum / grouped_agg (min, and
     a mixed sum/min/max mapping) over the exchange equal a plain pandas
-    groupby, and hash_exchange partitions every key into exactly one
-    block."""
+    groupby, hash_exchange partitions every key into exactly one
+    block, and partition_map equals hash_exchange + map_batches."""
     import numpy as np
     import pandas as pd
     import ray.data as rd
 
-    from valere_ocr_ray.ops.exchange import grouped_agg, grouped_sum, hash_exchange
+    from valere_ocr_ray.ops.exchange import (
+        grouped_agg,
+        grouped_sum,
+        hash_exchange,
+        partition_map,
+    )
+
+    def fold(b: pd.DataFrame) -> pd.DataFrame:
+        if not len(b):
+            raise AssertionError("fold called on an empty partition")
+        return b.groupby("k", as_index=False).agg(v=("v", "max"), n=("w", "size"))
 
     rng = np.random.default_rng(1234)
     for trial in range(5):
@@ -265,6 +278,19 @@ def test_exchange_property_random_frames(ray_session):
                 assert seen.setdefault(int(key), bi) == bi
         assert sum(len(b) for b in ex_blocks) == n
 
+        # the fused fold equals the exchange followed by a whole-block map
+        def by_key(out):
+            return out.to_pandas().sort_values("k").reset_index(drop=True)
+
+        old = hash_exchange(ds, ["k"], npart).map_batches(
+            fold, batch_format="pandas", batch_size=None
+        )
+        pd.testing.assert_frame_equal(
+            by_key(partition_map(ds, ["k"], fold, num_partitions=npart)),
+            by_key(old),
+            obj=f"partition_map t{trial}",
+        )
+
     # dtype-strict: int32, bool, float32 and null-bearing int value
     # columns under each fold equal the pandas fold's Arrow output
     # (Arrow widens int32/float32 sums, sums bools to uint64 and sums an
@@ -305,6 +331,7 @@ def test_exchange_property_random_frames(ray_session):
     dropped = rd.from_arrow(typed).filter(lambda r: False)
     assert grouped_agg(dropped, ["k"], {"i32": "sum"}).count() == 0
     assert grouped_map(dropped, ["k"], lambda g: g.head(1)).count() == 0
+    assert partition_map(dropped, ["k"], fold).count() == 0
 
 
 def test_cogroup_exchange_matches_outer_merge(ray_session):
@@ -460,6 +487,41 @@ def test_ref_bundle_metadata_pinned(ray_session):
             assert meta.num_rows == BlockAccessor.for_block(block).num_rows(), name
             assert meta.size_bytes is not None, name
         assert sum(m.num_rows for _, m in blocks) == rows, name
+
+
+def test_map_batches_skips_empty_blocks_pinned(ray_session):
+    """A pandas ``map_batches(fn, batch_size=None)`` passes an empty
+    block through without calling ``fn`` (Ray 2.49), for empty blocks
+    with a schema and for the column-less ones a filter leaves.  Folds
+    run after ``hash_exchange`` rely on this instead of guarding
+    against an empty frame, and ``partition_map`` keeps the same rule."""
+    import pyarrow as pa
+    import ray
+
+    def fn(df: pd.DataFrame) -> pd.DataFrame:
+        if not len(df):
+            raise AssertionError("fn called on an empty frame")
+        return df.assign(w=df[df.columns[0]] + 1)
+
+    t = pa.table({"k": np.arange(60), "v": np.arange(60) * 2})
+    with_schema = rd.from_arrow([t.slice(0, 30), t.slice(30, 0), t.slice(30, 30)])
+    columnless = rd.range(30, override_num_blocks=3).filter(lambda r: r["id"] < 10)
+    for name, ds, rows, empty_cols in (
+        ("schema", with_schema, 60, ["k", "v"]),
+        ("columnless", columnless, 10, []),
+    ):
+        ds = ds.materialize()
+        empty = [
+            r for b in ds.iter_internal_ref_bundles() for r, m in b.blocks
+            if m.num_rows == 0
+        ]
+        assert empty, name
+        assert all(ray.get(r).column_names == empty_cols for r in empty), name
+        got = ds.map_batches(fn, batch_format="pandas", batch_size=None).to_pandas()
+        first = got.columns[0]
+        assert len(got) == rows, name
+        assert (got["w"] == got[first] + 1).all(), name
+        assert sorted(got[first]) == list(range(rows)), name
 
 
 def test_auto_partitions_size_derived(ray_session):

@@ -2828,11 +2828,42 @@ def test_pq_persisted_and_ivfpq(ray_session, tmp_path):
         )
 
 
+def test_pq_fit_sample_capped(ray_session, monkeypatch):
+    """pq_fit brings at most PQ_FIT_MAX_ROWS rows to the driver, even at
+    sample_stride=1, and trains on the smallest ids of its sample: the
+    codebooks equal pq_fit over exactly those rows."""
+    import ray.data as rd
+
+    from valere_ocr_ray.ops import similarity
+
+    ds = rd.read_parquet(f"{SF}/embeddings.parquet")
+    full = similarity.pq_fit(ds, m=8, n_centroids=16)
+    cap = 100
+    ids = sorted(ds.select_columns(["vec_id"]).to_pandas()["vec_id"])
+    assert len(ids) > cap
+    sizes = []
+    real_to_pandas = rd.Dataset.to_pandas
+
+    def to_pandas(self, *args, **kwargs):
+        df = real_to_pandas(self, *args, **kwargs)
+        sizes.append(len(df))
+        return df
+
+    monkeypatch.setattr(similarity, "PQ_FIT_MAX_ROWS", cap)
+    monkeypatch.setattr(rd.Dataset, "to_pandas", to_pandas)
+    got = similarity.pq_fit(ds, m=8, n_centroids=16)
+    assert sizes and max(sizes) <= cap
+    capped = ds.filter(expr=f"vec_id <= {ids[cap - 1]}")
+    want = similarity.pq_fit(capped, m=8, n_centroids=16)
+    assert np.array_equal(got, want)
+    assert not np.array_equal(got, full)
+
+
 def test_ivfpq_coarse_sample_bounded_on_driver(ray_session, tmp_path, monkeypatch):
     """ivfpq_build's coarse-quantizer sample brings at most sample_size
     rows to the driver, not the whole (id, vector) corpus, even at
-    sample_stride=1.  pq_fit's own training sample is bounded by its
-    stride, not by sample_size, so its driver reads are not counted."""
+    sample_stride=1.  pq_fit's own training sample has its own cap
+    (PQ_FIT_MAX_ROWS), so its driver reads are not counted."""
     import ray.data as rd
 
     from valere_ocr_ray.ops import similarity

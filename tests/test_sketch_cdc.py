@@ -154,3 +154,7 @@ def test_cdc_dedup_stats_exact_vs_local_and_partition_invariant(ray_session):
         assert int(out["dup_chunks"][0]) == exp_total - exp_unique
         assert int(out["dup_bytes"][0]) == exp_dup_bytes
         assert int(out["dup_chunks"][0]) > 0  # the plant fired
+
+    # no value yields a chunk: every partition is empty, every total 0
+    none = cdc_dedup_stats(rd.from_pandas(pd.DataFrame({"text": ["", ""]})), "text")
+    assert none.to_dict("records") == [dict.fromkeys(none.columns, 0)]

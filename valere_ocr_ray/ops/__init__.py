@@ -8,8 +8,9 @@ deterministic domain-mixture sampling (``mixing``),
 leakage-safe train/holdout splitting (``split``),
 multimodal plumbing (``multimodal``), as-of/range joins (``asof``),
 and the keyed data-movement layer: ``exchange`` — the one keyed
-exchange (one split task per block → one fold task per partition) and
-the one keyed-aggregate primitive on it (``grouped_agg``: pandas fold);
+exchange (one split task per block → one fold task per partition, which
+runs a pandas fold through ``partition_map``) and the one keyed-aggregate
+primitive on it (``grouped_agg``: pandas fold);
 ``combine`` — mergeable top-k (``tree_topk``, ``keyed_topn``);
 ``bucketed`` — durable key-bucketed layout: pay the shuffle once at
 write, grouped reads are shuffle-free forever after.

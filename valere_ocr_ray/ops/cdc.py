@@ -139,8 +139,8 @@ def cdc_dedup_stats(
 
     Per block: chunk every value, pre-aggregate (hash → n, size);
     ONE int-only hash exchange co-locates each chunk hash; each
-    partition folds to a single stats row; the driver sums
-    ``num_partitions`` rows."""
+    non-empty partition folds to a single stats row in its own task;
+    the driver sums those rows."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         hs_all, sz_all = [], []
@@ -168,21 +168,11 @@ def cdc_dedup_stats(
         g["n"] = g["n"].astype("int64")
         return g
 
-    from valere_ocr_ray.ops.exchange import hash_exchange
+    from valere_ocr_ray.ops.exchange import partition_map
 
     pre = ds.map_batches(partial, batch_format="pandas")
-    ex = hash_exchange(pre, ["h"], num_partitions)
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    "total_chunks": [np.int64(0)],
-                    "unique_chunks": [np.int64(0)],
-                    "total_bytes": [np.int64(0)],
-                    "dup_bytes": [np.int64(0)],
-                }
-            )
         g = df.groupby("h").agg(size=("size", "first"), n=("n", "sum"))
         return pd.DataFrame(
             {
@@ -193,8 +183,10 @@ def cdc_dedup_stats(
             }
         )
 
-    stats = ex.map_batches(fold, batch_format="pandas", batch_size=None).to_pandas()
-    out = stats.sum()
+    stats = partition_map(pre, ["h"], fold, num_partitions=num_partitions).to_pandas()
+    # a corpus without chunks folds no partition: every total is 0
+    cols = ["total_chunks", "unique_chunks", "total_bytes", "dup_bytes"]
+    out = stats.reindex(columns=cols, fill_value=0).sum()
     return pd.DataFrame(
         {
             "total_chunks": [np.int64(out["total_chunks"])],

@@ -74,11 +74,7 @@ def keyed_topn(
         df = df.sort_values(sort_cols, ascending=ascending, kind="stable")
         return df.groupby(keys, sort=False).head(n)
 
-    from valere_ocr_ray.ops.exchange import hash_exchange
-
-    ex = hash_exchange(
-        ds.map_batches(partial, batch_format="pandas"), keys, num_partitions
-    )
+    from valere_ocr_ray.ops.exchange import partition_map
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(sort_cols, ascending=ascending, kind="stable")
@@ -87,4 +83,5 @@ def keyed_topn(
             out[rank_col] = (out.groupby(keys).cumcount() + 1).astype("int64")
         return out
 
-    return ex.map_batches(final, batch_format="pandas", batch_size=None)
+    pre = ds.map_batches(partial, batch_format="pandas")
+    return partition_map(pre, keys, final, num_partitions=num_partitions)

@@ -15,22 +15,29 @@ implements the keyed exchange directly, as ONE core (``_exchange``):
     per part:  ``_fold`` — concat each side's sub-tables and run the
                caller's fold ``fn(*tables)``: the identity
                (``hash_exchange``) or a pandas fn converted both ways
-               (``grouped_map``, ``grouped_agg``; ``cogroup_exchange``,
+               (``partition_map`` and the ``grouped_map`` /
+               ``grouped_agg`` built on it; ``cogroup_exchange``,
                each side keeping its own schema)
 
 Every output block is an Arrow table, so a pandas fn must return a
-frame Arrow can hold (no mixed-type object columns).
+frame Arrow can hold (no mixed-type object columns).  An empty
+partition: ``partition_map``, ``grouped_map`` and ``grouped_agg`` pass
+it through unchanged without calling ``fn`` (the rule ``map_batches``
+applies to an empty block), while ``cogroup_exchange`` hands it to
+``fn``.
 
 Hashing is deterministic across processes (splitmix64 for integer
-keys, crc32 for strings — same primitives as ops/dedup), so results
-are reproducible and partition-count-invariant; an integer key hashes
-by its int64 value whatever its width, so the two sides of a co-group
-may key on differently typed integer columns.  Memory: the exchange
-materializes the input (it IS a barrier); each fold holds one
-partition, which must fit a worker (salt hot keys upstream).  The DEFAULT
-(``num_partitions=None``) derives the width from the input's block
-bytes (of both sides for a co-group) with a CPU-count parallelism
-floor, so the same caller code is scale-safe from sf0.01 to 100 TB.
+keys, crc32 for strings — same primitives as ops/dedup; the split
+hashes a string key only up to its first NUL, where pandas' groupby
+ends it), so results are reproducible and partition-count-invariant;
+an integer key hashes by its int64 value whatever its width, so the
+two sides of a co-group may key on differently typed integer columns.
+Memory: the exchange materializes the input (it IS a barrier); each
+fold holds one partition, which must fit a worker (salt hot keys
+upstream).  The DEFAULT (``num_partitions=None``) derives the width
+from the input's block bytes (of both sides for a co-group) with a
+CPU-count parallelism floor, so the same caller code is scale-safe
+from sf0.01 to 100 TB.
 
 Contract: key columns must be NON-NULL (a null integer key turns the
 column float on the numpy path, and pandas ``groupby`` silently drops
@@ -46,6 +53,7 @@ from collections.abc import Callable, Mapping, Sequence
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data.block import BlockAccessor
@@ -102,11 +110,27 @@ def _key_hash(table: pa.Table, keys: Sequence[str]) -> np.ndarray:
     return acc
 
 
+def _nul_prefix(table: pa.Table, keys: Sequence[str]) -> pa.Table:
+    """``table`` with each string key cut at its first NUL: pandas'
+    groupby ends a string there (``''`` and ``'\\x00'`` are one group),
+    so the split must send both to one partition.  NUL-free keys are
+    unchanged, and so is their placement."""
+    for k in keys:
+        col = table[k]
+        if (
+            pa.types.is_string(col.type) or pa.types.is_large_string(col.type)
+        ) and pc.any(pc.match_substring(col, "\x00")).as_py():
+            cut = pc.replace_substring_regex(col, "(?s)\\x00.*", "")
+            table = table.set_column(table.schema.get_field_index(k), k, cut)
+    return table
+
+
 def hash_split(block, keys: Sequence[str], p: int) -> list[pa.Table]:
     """The exchange's split kernel: ``p`` Arrow sub-tables of a block,
-    sub-table i holding the rows with ``hash(keys) % p == i`` in order."""
+    sub-table i holding the rows with ``hash(keys) % p == i`` in order
+    (string keys hash up to their first NUL, as pandas groups them)."""
     table = BlockAccessor.for_block(block).to_arrow()
-    part = (_key_hash(table, keys) % np.uint64(p)).astype(np.int64)
+    part = (_key_hash(_nul_prefix(table, keys), keys) % np.uint64(p)).astype(np.int64)
     order = np.argsort(part, kind="stable")
     sorted_tbl = table.take(pa.array(order))
     bounds = np.searchsorted(part[order], np.arange(p + 1))
@@ -199,6 +223,26 @@ def _pandas_fold(fn: Callable[..., pd.DataFrame], *tables: pa.Table) -> pa.Table
     return BlockAccessor.for_block(out).to_arrow()
 
 
+def partition_map(
+    ds: ray.data.Dataset,
+    keys: Sequence[str],
+    fn: Callable[[pd.DataFrame], pd.DataFrame],
+    *,
+    num_partitions: int | None = None,
+) -> ray.data.Dataset:
+    """One-sided fused fold: hash-partition ``ds`` by ``keys`` and run
+    ``fn`` once per partition, inside the partition's own task — what
+    ``hash_exchange(ds, keys).map_batches(fn, batch_format="pandas",
+    batch_size=None)`` computes, without the second stage.  As under
+    ``map_batches``, an empty partition passes through unchanged and
+    ``fn`` never sees it; ``fn`` must return a frame Arrow can hold."""
+
+    def g(df: pd.DataFrame) -> pd.DataFrame:
+        return fn(df) if len(df) else df
+
+    return _exchange([(ds, keys)], functools.partial(_pandas_fold, g), num_partitions)
+
+
 def cogroup_exchange(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -247,21 +291,16 @@ def grouped_map(
     # contract: fn(empty frame) must return an empty frame with fn's
     # OUTPUT columns (so empty partitions keep a consistent schema)
     def per_partition(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df  # as under map_batches: it may have no columns
         if min_group_size > 1:
             sizes = df.groupby(keys)[keys[0]].transform("size")
             df = df[sizes >= min_group_size]
-        if not len(df):
-            return fn(df)
         outs = [fn(g) for _, g in df.groupby(keys, sort=True)]
         outs = [o for o in outs if len(o)]
         if not outs:
             return fn(df.iloc[0:0])
         return pd.concat(outs, ignore_index=True)
 
-    fold = functools.partial(_pandas_fold, per_partition)
-    return _exchange([(ds, keys)], fold, num_partitions)
+    return partition_map(ds, keys, per_partition, num_partitions=num_partitions)
 
 
 def grouped_agg(
@@ -286,13 +325,10 @@ def grouped_agg(
     keys = list(keys)
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df  # as under map_batches: it may have no columns
         return df.groupby(keys, as_index=False).agg(aggs)
 
     pre = ds.map_batches(fold, batch_format="pandas")
-    part_fold = functools.partial(_pandas_fold, fold)
-    return _exchange([(pre, keys)], part_fold, num_partitions)
+    return partition_map(pre, keys, fold, num_partitions=num_partitions)
 
 
 def grouped_sum(

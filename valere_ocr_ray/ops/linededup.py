@@ -100,10 +100,6 @@ def repeated_lines(
     ex = hash_exchange(partials, ["line_hash"], num_partitions)
 
     def total(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {"line_hash": pd.Series(dtype="int64"), "n_docs": pd.Series(dtype="int64")}
-            )
         t = df.groupby("line_hash", sort=False)["n_docs"].sum().reset_index()
         return t[t["n_docs"] >= min_docs]
 
@@ -188,16 +184,6 @@ def strip_repeated_lines_exchange(
     ex1 = hash_exchange(lf, ["line_hash"], num_partitions)
 
     def markers(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            id_dtype = df["doc_id"].dtype if "doc_id" in df.columns else "int64"
-            if id_dtype == object:
-                id_dtype = "string"
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series(dtype=id_dtype),
-                    "line_idx": pd.Series(dtype="int64"),
-                }
-            )
         nd = df.drop_duplicates(["line_hash", "doc_id"]).groupby("line_hash").size()
         hot = nd[nd >= min_docs].index
         out = df[df["line_hash"].isin(hot)]

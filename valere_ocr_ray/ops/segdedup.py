@@ -179,8 +179,6 @@ def segment_dedup_flags(
     ex = hash_exchange(segs, [key], num_partitions)
 
     def mark(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df.assign(keep=pd.Series([], dtype=bool))
         # factorize → int codes so the keep-first ordering sort never
         # compares strings (exact mode would otherwise lexicographic-
         # sort millions of segment texts)
@@ -336,14 +334,6 @@ def segment_dedup_rebuild(
     # partition-level vectorized rebuild: one sort + one groupby-join
     # per PARTITION, not a Python fn per doc group
     def rebuild_block(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    id_col: pd.Series([], dtype="int64"),
-                    "clean_text": pd.Series([], dtype="object"),
-                    "n_kept": pd.Series([], dtype="int64"),
-                }
-            )
         df = df.sort_values([id_col, "seg_idx"], kind="mergesort")
         kept = df[df["keep"]]
         g = kept.groupby(id_col, sort=True)["seg"]

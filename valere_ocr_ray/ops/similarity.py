@@ -14,6 +14,11 @@ import pandas as pd
 import ray
 import ray.data
 
+# pq_fit trains on at most this many rows of its stride sample (the
+# smallest ids): the driver pull stays bounded at any corpus size and
+# stride, and k-means at 256 centroids wants only ~10k rows
+PQ_FIT_MAX_ROWS = 32_768
+
 
 def _normalize(m: np.ndarray) -> np.ndarray:
     return m / (np.linalg.norm(m, axis=1, keepdims=True) + 1e-12)
@@ -356,8 +361,12 @@ def pq_fit(
     0`` — an Arrow predicate pushdown, deterministic and
     partition-invariant (unlike ``random_sample``, whose draw depends
     on block structure), so a single-process twin reproduces the
-    codebook bit-exactly.  At 100 TB you'd pass a stride that bounds
-    the sample to ~1M rows; codebook quality needs only a sample."""
+    codebook bit-exactly.  Only the ``PQ_FIT_MAX_ROWS`` smallest ids
+    of that slice reach the driver (a mergeable top-k, as in
+    ``ivfpq_build``), so even ``sample_stride=1`` is bounded; codebook
+    quality needs only a sample."""
+    from valere_ocr_ray.ops.combine import tree_topk
+
     sample_ds = ds.select_columns([id_col, vec_col])
     if sample_stride > 1:
         stride = int(sample_stride)
@@ -368,7 +377,11 @@ def pq_fit(
             return df[df[id_col].to_numpy() % stride == 0]
 
         sample_ds = sample_ds.map_batches(keep, batch_format="pandas")
-    sample_df = sample_ds.to_pandas().sort_values(id_col)
+    sample_df = (
+        tree_topk(sample_ds, [id_col], [True], PQ_FIT_MAX_ROWS)
+        .to_pandas()
+        .sort_values(id_col)
+    )
     mat = _normalize(np.stack(sample_df[vec_col].to_numpy()).astype(np.float64))
     d = mat.shape[1]
     if d % m:

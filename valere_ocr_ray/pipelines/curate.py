@@ -36,7 +36,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
 
-from valere_ocr_ray.ops.exchange import grouped_map, hash_exchange
+from valere_ocr_ray.ops.exchange import grouped_map, partition_map
 from valere_ocr_ray.ops.segdedup import segment_dedup_rebuild
 from valere_ocr_ray.ops.textstats import quality_batch, repetition_batch
 from valere_ocr_ray.pipelines.extract import build_extraction_ds
@@ -277,8 +277,6 @@ def build_training_shards(
         return df.assign(content_h=pd.Series(h, dtype="int64").to_numpy())
 
     def keep_canonical(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df[["url_hash", "extracted_text"]]
         is_min = (
             df.groupby("content_h")["url_hash"].transform("min")
             == df["url_hash"]
@@ -356,9 +354,9 @@ def build_training_shards(
                 .select_columns(["url_hash", "extracted_text"])
                 .map_batches(add_hash, batch_format="pandas")
             )
-            h_uniq = hash_exchange(
-                hold, ["content_h"], num_partitions
-            ).map_batches(keep_canonical, batch_format="pandas", batch_size=None)
+            h_uniq = partition_map(
+                hold, ["content_h"], keep_canonical, num_partitions=num_partitions
+            )
             h_sharded = h_uniq.map_batches(
                 lambda df: df.assign(
                     shard=(df["url_hash"].astype("int64") % n_shards).astype(
@@ -384,9 +382,8 @@ def build_training_shards(
         )
 
     hashed = clean.map_batches(add_hash, batch_format="pandas")
-    ex = hash_exchange(hashed, ["content_h"], num_partitions)
-    uniq = ex.map_batches(
-        keep_canonical, batch_format="pandas", batch_size=None
+    uniq = partition_map(
+        hashed, ["content_h"], keep_canonical, num_partitions=num_partitions
     )
 
     # 3. segment-level rewrite (exact mode; fully-duplicated docs drop)

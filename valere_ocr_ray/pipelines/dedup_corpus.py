@@ -56,7 +56,7 @@ def build_dedup_corpus_ds(
     """Lazy Dataset of the deduplicated corpus rows (see module doc)."""
     import numpy as np
 
-    from valere_ocr_ray.ops.exchange import cogroup_exchange, hash_exchange
+    from valere_ocr_ray.ops.exchange import cogroup_exchange, partition_map
 
     extracted = build_extraction_ds(pages_dir)
     ok = extracted.filter(expr="status == 'ok'").select_columns(
@@ -66,22 +66,16 @@ def build_dedup_corpus_ds(
     # --- exact dedup on the exchange: co-locate each content_hash
     # group, keep the min-url_hash row per group.  The exchange is the
     # pipeline's one barrier (it materializes the extracted rows into
-    # the object store); downstream consumers re-read those refs, so
-    # extraction runs exactly once.
-    ex = hash_exchange(ok, ["content_hash"])
-
+    # the object store); downstream consumers re-read the folded
+    # partitions' refs, so extraction and the fold run exactly once.
     def keep_exact_canonical(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df
         is_min = (
             df.groupby("content_hash")["url_hash"].transform("min")
             == df["url_hash"]
         )
         return df[is_min]
 
-    uniq = ex.map_batches(
-        keep_exact_canonical, batch_format="pandas", batch_size=None
-    )
+    uniq = partition_map(ok, ["content_hash"], keep_exact_canonical)
 
     # --- near dedup: star pairs over surviving texts → distributed
     # min-label propagation → cluster-label map (O(duplicate docs))

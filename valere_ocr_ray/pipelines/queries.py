@@ -635,7 +635,7 @@ def doc_cross_source_dupes(sf_dir: str):
     hash exchange → distinct-source count per hash; only (hash, source,
     ints) move on the wire, never text.  Returns one row per duplicated
     text with its source count and a representative doc_id."""
-    from valere_ocr_ray.ops.exchange import hash_exchange
+    from valere_ocr_ray.ops.exchange import partition_map
 
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "source", "text"])
 
@@ -662,8 +662,7 @@ def doc_cross_source_dupes(sf_dir: str):
         )
 
     pre = ds.map_batches(partial, batch_format="pandas")
-    ex = hash_exchange(pre, ["text_hash"])
-    return ex.map_batches(combine, batch_format="pandas", batch_size=None)
+    return partition_map(pre, ["text_hash"], combine)
 
 
 def doc_incremental_dedup(sf_dir: str):
@@ -1526,19 +1525,9 @@ def events_user_cumsum(sf_dir: str):
     # partition-level vectorized window: ONE sort + ONE groupby-cumsum
     # per partition (never a Python fn per user — at web-scale user
     # cardinality the per-group interpreter overhead dominates)
-    from valere_ocr_ray.ops.exchange import hash_exchange
-
-    ex = hash_exchange(ev, ["user_id"])
+    from valere_ocr_ray.ops.exchange import partition_map
 
     def cum_block(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    "event_id": pd.Series([], dtype="int64"),
-                    "user_id": pd.Series([], dtype="int64"),
-                    "cum_c": pd.Series([], dtype="int64"),
-                }
-            )
         df = df.sort_values(["user_id", "ts", "event_id"], kind="stable")
         return pd.DataFrame(
             {
@@ -1550,7 +1539,7 @@ def events_user_cumsum(sf_dir: str):
             }
         )
 
-    return ex.map_batches(cum_block, batch_format="pandas", batch_size=None)
+    return partition_map(ev, ["user_id"], cum_block)
 
 
 def part_lineitem_left_count(sf_dir: str):
@@ -2042,20 +2031,11 @@ def events_user_day_first(sf_dir: str):
         batch_format="pandas",
     )
 
-    from valere_ocr_ray.ops.exchange import hash_exchange
-
-    ex = hash_exchange(ev, ["user_id"])
+    from valere_ocr_ray.ops.exchange import partition_map
 
     # partition-level vectorized keep-first: one sort, one duplicated
     # mask over (user, day) — no Python fn per user
     def first_per_day_block(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    "day": pd.Series([], dtype="int64"),
-                    "n_first": pd.Series([], dtype="int64"),
-                }
-            )
         df = df.sort_values(["user_id", "ts_us", "event_id"], kind="stable")
         day = (df["ts_us"].to_numpy() // US_PER_DAY).astype("int64")
         keep = ~pd.DataFrame(
@@ -2065,9 +2045,7 @@ def events_user_day_first(sf_dir: str):
             {"day": day[keep], "n_first": np.ones(int(keep.sum()), dtype="int64")}
         )
 
-    per_user = ex.map_batches(
-        first_per_day_block, batch_format="pandas", batch_size=None
-    )
+    per_user = partition_map(ev, ["user_id"], first_per_day_block)
     return grouped_sum(per_user, ["day"], ["n_first"])
 
 
@@ -2110,21 +2088,11 @@ def events_retention(sf_dir: str):
         batch_format="pandas",
     )
 
-    from valere_ocr_ray.ops.exchange import hash_exchange
-
-    ex = hash_exchange(pairs, ["user_id"])
+    from valere_ocr_ray.ops.exchange import partition_map
 
     # partition-level vectorized: distinct (user, day) dedup + per-user
     # min via groupby.transform — no Python fn per user
     def offsets_block(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    "cohort": pd.Series([], dtype="int64"),
-                    "day_offset": pd.Series([], dtype="int64"),
-                    "n_users": pd.Series([], dtype="int64"),
-                }
-            )
         df = df.drop_duplicates()
         cohort = df.groupby("user_id", sort=False)["day"].transform("min")
         return pd.DataFrame(
@@ -2137,9 +2105,7 @@ def events_retention(sf_dir: str):
             }
         )
 
-    per_user = ex.map_batches(
-        offsets_block, batch_format="pandas", batch_size=None
-    )
+    per_user = partition_map(pairs, ["user_id"], offsets_block)
     return grouped_sum(per_user, ["cohort", "day_offset"], ["n_users"])
 
 
@@ -2194,7 +2160,7 @@ def events_moving_avg3(sf_dir: str):
     window (pandas ``groupby.rolling``, no Python fn per user).
     Emitted as the exact integer SUM of the frame's cents plus the
     frame size, so the hash is float-free."""
-    from valere_ocr_ray.ops.exchange import hash_exchange
+    from valere_ocr_ray.ops.exchange import partition_map
 
     ev = rd.read_parquet(
         _t(sf_dir, "events"), columns=["event_id", "ts", "user_id", "value"]
@@ -2204,18 +2170,8 @@ def events_moving_avg3(sf_dir: str):
         )[["event_id", "ts", "user_id", "value_c"]],
         batch_format="pandas",
     )
-    ex = hash_exchange(ev, ["user_id"])
 
     def roll_block(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    "event_id": pd.Series([], dtype="int64"),
-                    "user_id": pd.Series([], dtype="int64"),
-                    "frame_sum_c": pd.Series([], dtype="int64"),
-                    "frame_n": pd.Series([], dtype="int64"),
-                }
-            )
         df = df.sort_values(["user_id", "ts", "event_id"], kind="stable")
         g = df.groupby("user_id", sort=False)["value_c"]
         s = g.rolling(3, min_periods=1).sum().to_numpy().astype("int64")
@@ -2229,7 +2185,7 @@ def events_moving_avg3(sf_dir: str):
             }
         )
 
-    return ex.map_batches(roll_block, batch_format="pandas", batch_size=None)
+    return partition_map(ev, ["user_id"], roll_block)
 
 
 def events_type_markov(sf_dir: str):
@@ -2245,21 +2201,11 @@ def events_type_markov(sf_dir: str):
         _t(sf_dir, "events"), columns=["event_id", "ts", "user_id", "event_type"]
     )
 
-    from valere_ocr_ray.ops.exchange import hash_exchange
-
-    ex = hash_exchange(ev, ["user_id"])
+    from valere_ocr_ray.ops.exchange import partition_map
 
     # partition-level vectorized: sort by (user, ts), shift WITHIN user
     # via groupby.shift — no Python fn per user
     def transitions_block(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    "from_type": pd.Series([], dtype="object"),
-                    "to_type": pd.Series([], dtype="object"),
-                    "n": pd.Series([], dtype="int64"),
-                }
-            )
         df = df.sort_values(["user_id", "ts", "event_id"], kind="stable")
         frm = df.groupby("user_id", sort=False)["event_type"].shift(1)
         ok = frm.notna().to_numpy()
@@ -2271,9 +2217,7 @@ def events_type_markov(sf_dir: str):
             }
         )
 
-    per_user = ex.map_batches(
-        transitions_block, batch_format="pandas", batch_size=None
-    )
+    per_user = partition_map(ev, ["user_id"], transitions_block)
     return grouped_sum(per_user, ["from_type", "to_type"], ["n"])
 
 
@@ -2301,20 +2245,11 @@ def events_debounce(sf_dir: str):
         batch_format="pandas",
     )
 
-    from valere_ocr_ray.ops.exchange import hash_exchange
-
-    ex = hash_exchange(ev, ["user_id"])
+    from valere_ocr_ray.ops.exchange import partition_map
 
     # partition-level vectorized: one sort, one (user, type) groupby
     # diff — no Python fn per user
     def bounces_block(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    "event_type": pd.Series([], dtype="object"),
-                    "n_bounced": pd.Series([], dtype="int64"),
-                }
-            )
         df = df.sort_values(["user_id", "ts_us", "event_id"], kind="stable")
         gap = df.groupby(["user_id", "event_type"], sort=False)["ts_us"].diff()
         hit = df.loc[gap.notna() & (gap < US_HOUR), "event_type"]
@@ -2325,9 +2260,7 @@ def events_debounce(sf_dir: str):
             }
         )
 
-    per_user = ex.map_batches(
-        bounces_block, batch_format="pandas", batch_size=None
-    )
+    per_user = partition_map(ev, ["user_id"], bounces_block)
     return grouped_sum(per_user, ["event_type"], ["n_bounced"])
 
 
@@ -2578,22 +2511,13 @@ def events_funnel(sf_dir: str):
     the stage chain with three groupby-transform passes (first signup →
     first later click → any later purchase) — no Python fn per user —
     and a 1-row tree fold counts users completing each prefix."""
-    from valere_ocr_ray.ops.exchange import hash_exchange
+    from valere_ocr_ray.ops.exchange import partition_map
 
     ev = rd.read_parquet(
         _t(sf_dir, "events"), columns=["user_id", "event_type", "ts"]
     )
-    ex = hash_exchange(ev, ["user_id"])
 
     def firsts_block(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    "n_signup": pd.Series([], dtype="int64"),
-                    "n_click_after": pd.Series([], dtype="int64"),
-                    "n_purchase_after": pd.Series([], dtype="int64"),
-                }
-            )
         t = df["ts"].astype("datetime64[us]").astype("int64")
         df = df.assign(t=t)
         # stage 1: first signup per user, broadcast down the partition
@@ -2626,9 +2550,7 @@ def events_funnel(sf_dir: str):
             }
         )
 
-    per_user = ex.map_batches(
-        firsts_block, batch_format="pandas", batch_size=None
-    )
+    per_user = partition_map(ev, ["user_id"], firsts_block)
     totals = per_user.sum(["n_signup", "n_click_after", "n_purchase_after"])
     return pd.DataFrame(
         {
@@ -3277,7 +3199,7 @@ def events_user_lag(sf_dir: str):
     sort + groupby-diff (no Python fn per user); first event per user
     has no predecessor and is excluded (SQL LAG yields NULL there).
     Cent-integer deltas keep the hash stable."""
-    from valere_ocr_ray.ops.exchange import hash_exchange
+    from valere_ocr_ray.ops.exchange import partition_map
 
     ev = rd.read_parquet(
         _t(sf_dir, "events"), columns=["event_id", "ts", "user_id", "value"]
@@ -3287,17 +3209,8 @@ def events_user_lag(sf_dir: str):
         )[["event_id", "ts", "user_id", "value_c"]],
         batch_format="pandas",
     )
-    ex = hash_exchange(ev, ["user_id"])
 
     def lag_block(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    "event_id": pd.Series([], dtype="int64"),
-                    "user_id": pd.Series([], dtype="int64"),
-                    "delta_c": pd.Series([], dtype="int64"),
-                }
-            )
         df = df.sort_values(["user_id", "ts", "event_id"], kind="stable")
         d = df.groupby("user_id", sort=False)["value_c"].diff()
         ok = d.notna().to_numpy()
@@ -3309,7 +3222,7 @@ def events_user_lag(sf_dir: str):
             }
         )
 
-    return ex.map_batches(lag_block, batch_format="pandas", batch_size=None)
+    return partition_map(ev, ["user_id"], lag_block)
 
 
 def doc_zscore_by_lang(sf_dir: str):
@@ -3369,7 +3282,7 @@ def doc_ngram_novelty(sf_dir: str):
     per batch (md5-derived 64 bits — gram text never crosses the
     wire; collision contract ≈ n²/2^65), ONE exchange by hash,
     partition-level transform marks df==1 grams, keyed sum per doc."""
-    from valere_ocr_ray.ops.exchange import grouped_sum, hash_exchange
+    from valere_ocr_ray.ops.exchange import grouped_sum, partition_map
     from valere_ocr_ray.ops.segdedup import _seg_hash64
 
     docs = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
@@ -3399,17 +3312,7 @@ def doc_ngram_novelty(sf_dir: str):
         )
         return out.drop_duplicates()
 
-    ex = hash_exchange(docs.map_batches(pairs, batch_format="pandas"), ["gram"])
-
     def mark(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "n_grams": pd.Series([], dtype="int64"),
-                    "n_unique": pd.Series([], dtype="int64"),
-                }
-            )
         sizes = df.groupby("gram")["doc_id"].transform("size")
         return pd.DataFrame(
             {
@@ -3419,7 +3322,8 @@ def doc_ngram_novelty(sf_dir: str):
             }
         )
 
-    marked = ex.map_batches(mark, batch_format="pandas", batch_size=None)
+    grams = docs.map_batches(pairs, batch_format="pandas")
+    marked = partition_map(grams, ["gram"], mark)
     return grouped_sum(marked, ["doc_id"], ["n_grams", "n_unique"])
 
 
@@ -3610,22 +3514,12 @@ def events_sessionize(sf_dir: str):
     Dataset.groupby pays ~1 ms/key) with ONE partition-level groupby
     kernel — session starts are ``gap > threshold`` flags summed per
     user, no Python fn per user."""
-    from valere_ocr_ray.ops.exchange import hash_exchange
+    from valere_ocr_ray.ops.exchange import partition_map
 
     ds = rd.read_parquet(_t(sf_dir, "events"), columns=["user_id", "ts", "event_id"])
     gap_us = 1_800_000_000
 
-    ex = hash_exchange(ds, ["user_id"])
-
     def sessions_block(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype="int64"),
-                    "n_events": pd.Series([], dtype="int64"),
-                    "n_sessions": pd.Series([], dtype="int64"),
-                }
-            )
         df = df.sort_values(["user_id", "ts", "event_id"], kind="stable")
         t = df["ts"].astype("datetime64[us]").astype("int64")
         gap = df.assign(t=t).groupby("user_id", sort=False)["t"].diff()
@@ -3638,7 +3532,7 @@ def events_sessionize(sf_dir: str):
         out["n_sessions"] = out["n_sessions"].astype("int64")
         return out
 
-    return ex.map_batches(sessions_block, batch_format="pandas", batch_size=None)
+    return partition_map(ds, ["user_id"], sessions_block)
 
 
 def events_sessionize_salted(sf_dir: str):
@@ -3659,25 +3553,10 @@ def events_sessionize_salted(sf_dir: str):
         ts_us = df["ts"].astype("datetime64[us]").astype("int64")
         return df.assign(day=(ts_us // day_us).astype("int64"))
 
-    from valere_ocr_ray.ops.exchange import hash_exchange
-
-    ex = hash_exchange(
-        ds.map_batches(add_day, batch_format="pandas"), ["user_id", "day"]
-    )
+    from valere_ocr_ray.ops.exchange import partition_map
 
     # stage 1, vectorized per partition: in-(user,day) gap flags summed
     def day_partials_block(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype="int64"),
-                    "day": pd.Series([], dtype="int64"),
-                    "n_events": pd.Series([], dtype="int64"),
-                    "n_sessions": pd.Series([], dtype="int64"),
-                    "first_us": pd.Series([], dtype="int64"),
-                    "last_us": pd.Series([], dtype="int64"),
-                }
-            )
         df = df.sort_values(["user_id", "day", "ts", "event_id"], kind="stable")
         t = df["ts"].astype("datetime64[us]").astype("int64")
         df = df.assign(t=t)
@@ -3697,23 +3576,12 @@ def events_sessionize_salted(sf_dir: str):
             out[c] = out[c].astype("int64")
         return out
 
-    partials = ex.map_batches(
-        day_partials_block, batch_format="pandas", batch_size=None
-    )
+    days = ds.map_batches(add_day, batch_format="pandas")
+    partials = partition_map(days, ["user_id", "day"], day_partials_block)
 
     # stage 2, vectorized per partition: boundary merges via a per-user
     # shift of the previous day-partial's last timestamp
-    ex2 = hash_exchange(partials, ["user_id"])
-
     def merge_days_block(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype="int64"),
-                    "n_events": pd.Series([], dtype="int64"),
-                    "n_sessions": pd.Series([], dtype="int64"),
-                }
-            )
         df = df.sort_values(["user_id", "day"], kind="stable")
         prev_last = df.groupby("user_id", sort=False)["last_us"].shift(1)
         merge_flag = (
@@ -3733,9 +3601,7 @@ def events_sessionize_salted(sf_dir: str):
         out["n_events"] = out["n_events"].astype("int64")
         return out[["user_id", "n_events", "n_sessions"]]
 
-    return ex2.map_batches(
-        merge_days_block, batch_format="pandas", batch_size=None
-    )
+    return partition_map(partials, ["user_id"], merge_days_block)
 
 
 def events_sliding(sf_dir: str):
