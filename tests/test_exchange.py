@@ -179,12 +179,14 @@ def test_exchange_property_random_frames(ray_session):
     empty groups, many partitions), grouped_sum / grouped_agg (min, and
     a mixed sum/min/max mapping) over the exchange equal a plain pandas
     groupby, hash_exchange partitions every key into exactly one
-    block, and partition_map equals hash_exchange + map_batches."""
+    block, partition_map equals hash_exchange + map_batches, and a
+    co-group over a pre-partitioned side equals the re-split one."""
     import numpy as np
     import pandas as pd
     import ray.data as rd
 
     from valere_ocr_ray.ops.exchange import (
+        cogroup_exchange,
         grouped_agg,
         grouped_sum,
         hash_exchange,
@@ -289,6 +291,20 @@ def test_exchange_property_random_frames(ray_session):
             by_key(partition_map(ds, ["k"], fold, num_partitions=npart)),
             by_key(old),
             obj=f"partition_map t{trial}",
+        )
+
+        # a pre-partitioned side: hash_exchange's output refs, passed as
+        # (refs, None), co-group exactly as the side they were split from
+        def join(a: pd.DataFrame, b: pd.DataFrame) -> pd.DataFrame:
+            return a.merge(b.rename(columns={"v": "v2", "w": "w2"}), on="k")
+
+        refs = hash_exchange(ds, ["k"], npart).to_arrow_refs()
+        pd.testing.assert_frame_equal(
+            cogroup_exchange(ds, refs, ["k"], None, join).to_pandas()
+            .sort_values(["k", "v", "v2"]).reset_index(drop=True),
+            cogroup_exchange(ds, ds, ["k"], ["k"], join, num_partitions=npart)
+            .to_pandas().sort_values(["k", "v", "v2"]).reset_index(drop=True),
+            obj=f"pre-partitioned co-group t{trial}",
         )
 
     # dtype-strict: int32, bool, float32 and null-bearing int value

@@ -183,7 +183,8 @@ def test_connected_components():
 
 def test_cluster_labels_matches_union_find(ray_session):
     """Distributed min-label propagation == driver union-find, including
-    a chain (multi-round propagation) and a star component."""
+    a chain (multi-round propagation), a star component and random
+    graphs with duplicate pairs and self-loops."""
     import ray.data as rd
 
     from valere_ocr_ray.ops.dedup import cluster_labels, connected_components
@@ -200,6 +201,20 @@ def test_cluster_labels_matches_union_find(ray_session):
     assert dict(zip(got["doc_id"], got["cluster"])) == want
     # chain 1-2-3-4 collapses to min label 1 (needs >1 round)
     assert set(got[got["cluster"] == 1]["doc_id"]) == {1, 2, 3, 4}
+
+    # seeded random graphs, with duplicate pairs and self-loops, at
+    # several exchange widths (None: the size-derived default)
+    rng = np.random.default_rng(8)
+    for nparts in (2, 3, 4, None):
+        n = int(rng.integers(20, 400))
+        a = rng.integers(0, n, n).tolist()
+        b = rng.integers(0, n, n).tolist()
+        plist = list(zip(a, b)) + list(zip(a[:5], b[:5])) + [(a[0], a[0])]
+        pairs = rd.from_items([{"id_a": x, "id_b": y} for x, y in plist])
+        got = cluster_labels(pairs, num_partitions=nparts).to_pandas()
+        assert len(got) == got["doc_id"].nunique(), nparts
+        want = connected_components(plist)
+        assert dict(zip(got["doc_id"], got["cluster"])) == want, nparts
 
 
 def test_cluster_labels_empty(ray_session):
@@ -740,6 +755,21 @@ def test_bucketed_layout_grouped_map_no_shuffle(ray_session, tmp_path):
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(got, want)
+
+    # small read blocks split a bucket into several: key groups must
+    # still meet in one fold
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    saved = ctx.target_max_block_size
+    ctx.target_max_block_size = 1024
+    try:
+        small = grouped_map_bucketed(out, sessions, ["user_id"]).to_pandas()
+    finally:
+        ctx.target_max_block_size = saved
+    pd.testing.assert_frame_equal(
+        small.sort_values("user_id").reset_index(drop=True), want
+    )
 
 
 def test_repetition_signals_hand_computed():
@@ -2058,24 +2088,32 @@ def test_knn_brute_force_tie_across_batch_boundary(ray_session):
 
 
 def test_cluster_labels_long_chain_pointer_jumping(ray_session):
-    """A chain graph's diameter exceeds any reasonable round cap —
-    pointer jumping (lab[v] = min(lab[v], lab[lab[v]])) must fold it in
-    O(log n) rounds.  Before the jump phase, a 300-node chain capped at
-    64 rounds silently returned 236 bogus clusters."""
+    """Chains whose diameter exceeds the round cap converge within the
+    default ``max_rounds``, in any id order.  Pointer jumping alone
+    folds a chain fast only when ids rise along it: on permuted ids it
+    needed hundreds of rounds and hit the cap.  The same holds for a
+    chain of near-dup cliques, the shape near-dup clustering makes."""
     import ray.data as rd
 
-    from valere_ocr_ray.ops.dedup import cluster_labels
+    from valere_ocr_ray.ops.dedup import cluster_labels, connected_components
+
+    def check(a, b, **kw):
+        pairs = pd.DataFrame({"id_a": a, "id_b": b}).astype("int64")
+        got = cluster_labels(rd.from_pandas(pairs), **kw).to_pandas()
+        want = connected_components(list(zip(a.tolist(), b.tolist())))
+        assert len(got) == len(want)
+        assert dict(zip(got["doc_id"], got["cluster"])) == want
 
     n = 1000
-    pairs = pd.DataFrame(
-        {
-            "id_a": np.arange(n - 1, dtype=np.int64),
-            "id_b": np.arange(1, n, dtype=np.int64),
-        }
-    )
-    labels = cluster_labels(rd.from_pandas(pairs), num_partitions=4).to_pandas()
-    assert len(labels) == n
-    assert (labels["cluster"] == 0).all()
+    check(np.arange(n - 1), np.arange(1, n), num_partitions=4)
+    ids = np.random.default_rng(3).permutation(n)
+    check(ids[:-1], ids[1:])
+    # 300 five-doc cliques, each linked to the next by one pair
+    ids = np.random.default_rng(4).permutation(1500).reshape(300, 5)
+    i, j = np.triu_indices(5, 1)
+    a = np.concatenate([ids[:, i].ravel(), ids[:-1, 4]])
+    b = np.concatenate([ids[:, j].ravel(), ids[1:, 0]])
+    check(a, b)
 
 
 def test_embedding_semdedup_survivors(ray_session):

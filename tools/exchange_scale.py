@@ -49,7 +49,7 @@ def main() -> None:
 
     ray.init(
         address="local",
-        num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+        num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count() or 1)),
         include_dashboard=False,
         logging_level="ERROR",
     )
@@ -179,7 +179,7 @@ def ops_scaling(n_docs: int) -> None:
     if not os.path.exists(os.path.join(corpus_dir, "_DONE")):
         ray.init(
             address="local",
-            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count() or 1)),
             include_dashboard=False, logging_level="ERROR",
         )
         rd.DataContext.get_current().enable_progress_bars = False

@@ -16,6 +16,7 @@ out one task per bucket.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -56,37 +57,23 @@ def grouped_map_bucketed(
 ) -> ray.data.Dataset:
     """``groupby(keys).map_groups(fn)`` over a bucketed layout with
     ZERO shuffle: every key's rows already live in exactly one bucket
-    directory, so each bucket is one whole-block pandas groupby (same
-    contract as ``exchange.grouped_map`` — fn(empty frame) must return
-    an empty frame with fn's output columns)."""
+    directory, so each bucket is one partition of the exchange's
+    pre-partitioned side — its blocks, however many the read makes,
+    meet in one fold that runs ``grouped_map``'s per-partition body
+    (same contract as ``exchange.grouped_map`` — fn(empty frame) must
+    return an empty frame with fn's output columns)."""
     import glob
     import os
 
-    keys = list(keys)
+    from valere_ocr_ray.ops.exchange import _map_groups, partition_map
+
     bucket_dirs = sorted(glob.glob(os.path.join(bucketed_dir, "__bucket=*")))
     if not bucket_dirs:
         raise FileNotFoundError(f"no __bucket=* dirs under {bucketed_dir}")
-    # one single-block dataset PER bucket, then union: block boundaries
-    # are exactly bucket boundaries, so the per-block groupby below is
-    # guaranteed to see complete key groups (override_num_blocks over a
-    # flat file list would not preserve that alignment)
-    per_bucket = [
-        ray.data.read_parquet(d, override_num_blocks=1) for d in bucket_dirs
+    # materialize() first: to_arrow_refs() alone runs the plan twice (Ray 2.49)
+    buckets = [
+        list(ray.data.read_parquet(d).materialize().to_arrow_refs())
+        for d in bucket_dirs
     ]
-    ds = per_bucket[0]
-    if len(per_bucket) > 1:
-        ds = ds.union(*per_bucket[1:])
-
-    def per_block(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) and min_group_size > 1:
-            sizes = df.groupby(keys)[keys[0]].transform("size")
-            df = df[sizes >= min_group_size]
-        if not len(df):
-            return fn(df)
-        outs = [fn(g) for _, g in df.groupby(keys, sort=True)]
-        outs = [o for o in outs if len(o)]
-        if not outs:
-            return fn(df.iloc[0:0])
-        return pd.concat(outs, ignore_index=True)
-
-    return ds.map_batches(per_block, batch_format="pandas", batch_size=None)
+    per_bucket = functools.partial(_map_groups, list(keys), fn, min_group_size)
+    return partition_map(buckets, None, per_bucket)

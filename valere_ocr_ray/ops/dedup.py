@@ -26,6 +26,7 @@ Pair outputs use ``id_a < id_b`` and are distinct.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import zlib
 
@@ -33,8 +34,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
-
-from valere_ocr_ray.ops.exchange import hash_split
 
 
 def _empty_pairs(value_col: str, dtype: str) -> "pd.DataFrame":
@@ -823,141 +822,65 @@ def embedding_semdedup(
 # ---------------------------------------------------------------------------
 
 
-def _cl_edge_col(edges: pa.Table, name: str) -> np.ndarray:
-    """An edge column as int64 — an empty partition may carry no columns."""
-    col = edges[name] if edges.num_rows else pa.array([], pa.int64())
-    return col.to_numpy(zero_copy_only=False)
+def _cl_col(t: pa.Table, name: str) -> np.ndarray:
+    """A column as int64 — an empty partition may carry no columns."""
+    col = t[name] if t.num_rows else pa.array([], pa.int64())
+    return col.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
 
 
-@ray.remote
-def _cl_init(edges: pa.Table) -> pa.Table:
-    """Partition-local label init: one (node, lab=node) row per
-    distinct node in this partition's edge block."""
-    nodes = np.unique(_cl_edge_col(edges, "node"))
+def _cl_state(node, val, n_labels: int) -> pa.Table:
+    """State rows: the first ``n_labels`` are label rows (kind 0), the
+    rest candidate rows (kind 1)."""
+    kind = (np.arange(len(node)) >= n_labels).astype(np.int8)
     return pa.table(
-        {"node": pa.array(nodes, pa.int64()), "lab": pa.array(nodes, pa.int64())}
-    )
-
-
-@ray.remote
-def _cl_send(labels: pa.Table, edges: pa.Table, p: int) -> list[pa.Table]:
-    """One propagation send for one partition: join the partition's
-    labels onto its outgoing edges (vectorized searchsorted — labels
-    are the partition's distinct nodes), emit (dst ← label_of_src)
-    messages plus the flagged self-rows, split by destination hash."""
-    nodes = labels["node"].to_numpy(zero_copy_only=False)
-    labs = labels["lab"].to_numpy(zero_copy_only=False)
-    order = np.argsort(nodes)
-    nodes_s, labs_s = nodes[order], labs[order]
-    src = _cl_edge_col(edges, "node")
-    dst = _cl_edge_col(edges, "other")
-    pos = np.searchsorted(nodes_s, src)
-    src_lab = labs_s[np.minimum(pos, len(nodes_s) - 1)] if len(nodes_s) else src
-    out = pa.table(
         {
-            "node": pa.array(np.concatenate([nodes, dst]), pa.int64()),
-            "cand": pa.array(np.concatenate([labs, src_lab]), pa.int64()),
-            "is_self": pa.array(
-                np.concatenate(
-                    [np.ones(len(nodes), np.int64), np.zeros(len(dst), np.int64)]
-                ),
-                pa.int64(),
-            ),
+            "node": pa.array(node, pa.int64()),
+            "val": pa.array(val, pa.int64()),
+            "kind": pa.array(kind, pa.int8()),
         }
     )
-    return hash_split(out, ["node"], p)
 
 
-@ray.remote(num_returns=2)
-def _cl_fold(*msg_parts: pa.Table):
-    """One fold for one partition: new label = min candidate per node;
-    returns (labels table, n_changed)."""
-    live = [t for t in msg_parts if t.num_rows]
-    if not live:
-        empty = pa.table(
-            {"node": pa.array([], pa.int64()), "lab": pa.array([], pa.int64())}
-        )
-        return empty, 0
-    df = pa.concat_tables(live).to_pandas()
-    new = df.groupby("node", as_index=False)["cand"].min()
-    old = df[df["is_self"] == 1].set_index("node")["cand"]
-    changed = int(
-        (new["cand"].to_numpy() < new["node"].map(old).to_numpy(dtype=np.int64)).sum()
-    )
-    out = pa.table(
-        {
-            "node": pa.array(new["node"].to_numpy(dtype=np.int64), pa.int64()),
-            "lab": pa.array(new["cand"].to_numpy(dtype=np.int64), pa.int64()),
-        }
-    )
-    return out, changed
+def _cl_init(edges: pa.Table) -> pa.Table:
+    """A partition's first state: the label row (v, v) of each node it owns."""
+    nodes = np.unique(_cl_col(edges, "node"))
+    return _cl_state(nodes, nodes, len(nodes))
 
 
-@ray.remote
-def _cl_jump_req(labels: pa.Table, p: int) -> list[pa.Table]:
-    """Pointer-jump request send: each non-root node v asks the OWNER
-    partition of its label l = lab[v] for lab[l] — keyed by hash(l),
-    which is exactly the partition whose label table holds node l."""
-    nodes = labels["node"].to_numpy(zero_copy_only=False)
-    labs = labels["lab"].to_numpy(zero_copy_only=False)
-    m = labs != nodes  # roots already point at themselves
-    out = pa.table(
-        {
-            "node": pa.array(labs[m], pa.int64()),  # key: the label to look up
-            "asker": pa.array(nodes[m], pa.int64()),
-        }
-    )
-    return hash_split(out, ["node"], p)
-
-
-@ray.remote
-def _cl_jump_reply(labels: pa.Table, p: int, *req_parts: pa.Table) -> list[pa.Table]:
-    """Serve lab[l] for each request (l, asker); replies keyed by
-    hash(asker) back to the asker's partition."""
-    empty = pa.table(
-        {"node": pa.array([], pa.int64()), "cand": pa.array([], pa.int64())}
-    )
-    live = [t for t in req_parts if t.num_rows]
-    nodes = labels["node"].to_numpy(zero_copy_only=False)
-    if not live or len(nodes) == 0:
-        return [empty] * p
-    req = pa.concat_tables(live)
-    lkeys = req["node"].to_numpy(zero_copy_only=False)
-    askers = req["asker"].to_numpy(zero_copy_only=False)
-    labs = labels["lab"].to_numpy(zero_copy_only=False)
-    order = np.argsort(nodes)
-    ns, ls = nodes[order], labs[order]
-    pos = np.minimum(np.searchsorted(ns, lkeys), len(ns) - 1)
-    found = ns[pos] == lkeys  # label values are node ids → always found
-    out = pa.table(
-        {
-            "node": pa.array(askers[found], pa.int64()),
-            "cand": pa.array(ls[pos][found], pa.int64()),
-        }
-    )
-    return hash_split(out, ["node"], p)
-
-
-@ray.remote(num_returns=2)
-def _cl_jump_fold(labels: pa.Table, *reply_parts: pa.Table):
-    """lab[v] = min(lab[v], lab[lab[v]]) — returns (labels, n_changed)."""
-    live = [t for t in reply_parts if t.num_rows]
-    if not live or labels.num_rows == 0:
-        return labels, 0
-    rep = pa.concat_tables(live).to_pandas()
-    best = rep.groupby("node")["cand"].min()
-    nodes = labels["node"].to_numpy(zero_copy_only=False)
-    labs = labels["lab"].to_numpy(zero_copy_only=False)
-    cand = best.reindex(nodes).to_numpy(dtype=np.float64)
-    have = ~np.isnan(cand)
-    newl = np.where(have & (cand < labs), cand, labs).astype(np.int64)
-    changed = int((newl < labs).sum())
-    return (
-        pa.table(
-            {"node": pa.array(nodes, pa.int64()), "lab": pa.array(newl, pa.int64())}
-        ),
-        changed,
-    )
+def _cl_round(first: bool, state: pa.Table, asks: pa.Table, edges: pa.Table):
+    """One labelling round for one partition.  ``state`` holds the label
+    rows (kind 0) of the nodes this partition owns plus the candidate
+    rows (kind 1) ``lab[v] = min(lab[v], c)`` sent to them; ``asks`` is
+    every label row ``(v, l)`` whose label ``l`` this partition owns;
+    ``edges`` are the directed edges leaving its nodes.  Returns the
+    next state: the lowered label rows plus the candidates they send
+    (the ask replies, the edge sends and the hooks)."""
+    node, val = _cl_col(state, "node"), _cl_col(state, "val")
+    is_lab = _cl_col(state, "kind") == 0
+    order = np.argsort(node[is_lab])
+    nodes, old = node[is_lab][order], val[is_lab][order]
+    new = old.copy()
+    np.minimum.at(new, np.searchsorted(nodes, node[~is_lab]), val[~is_lab])
+    # pointer jump: answer the ask (v, l) with lab[l] when that is lower
+    a_node, a_val = _cl_col(asks, "node"), _cl_col(asks, "val")
+    ask = (_cl_col(asks, "kind") == 0) & (a_node != a_val)
+    jump = new[np.searchsorted(nodes, a_val[ask])]
+    lower = jump < a_val[ask]
+    # a label that fell goes along every edge and, as a hook, to its
+    # old parent; in the first round every label goes along every edge
+    fell = new < old
+    src, dst = _cl_col(edges, "node"), _cl_col(edges, "other")
+    src_pos = np.searchsorted(nodes, src)
+    send = np.ones(len(src), bool) if first else fell[src_pos]
+    hook = fell & (old != nodes)
+    tgt = np.concatenate([a_node[ask][lower], dst[send], old[hook]])
+    cand = np.concatenate([jump[lower], new[src_pos][send], new[hook]])
+    # only the lowest candidate per target matters
+    order = np.lexsort((cand, tgt))
+    tgt, first = np.unique(tgt[order], return_index=True)
+    cand = cand[order][first]
+    node, val = np.concatenate([nodes, tgt]), np.concatenate([new, cand])
+    return _cl_state(node, val, len(nodes))
 
 
 def cluster_labels(
@@ -969,34 +892,34 @@ def cluster_labels(
     """Distributed connected components over a pair Dataset
     ``(id_a, id_b)`` → Dataset ``(doc_id, cluster)`` where ``cluster``
     is the minimum node id of the component — same output as
-    union-find, with NO driver-side pair list (the scale path the
-    round-1 driver fold could not be).
+    union-find, with NO driver-side pair list.
 
-    Algorithm: iterative **min-label propagation** with the edge set
-    exchanged ONCE (custom-operator path (c) — raw Ray tasks):
+    Algorithm: min-label propagation with pointer jumping and hooks,
+    one keyed exchange (``exchange._exchange``) per round:
 
-    - directed edges are hash-partitioned by source node a single
-      time and stay put for the whole computation;
-    - label state lives in per-partition tables ALIGNED with the edge
-      partitions (same key hash), so each round is: one send task per
-      partition (vectorized searchsorted label join → messages, split
-      by destination hash) + one fold task per partition (min
-      candidate per node + changed count).  Only the MESSAGES move —
-      one exchange per round, and the (larger) edge set never moves
-      again.
+    - the directed edges are hash-partitioned by source node ONCE and
+      enter every round as a pre-partitioned side, so they never move
+      again;
+    - the state is one table ``(node, val, kind)``: a label row
+      ``(v, lab[v])`` per node and candidate rows ``(v, c)`` meaning
+      ``lab[v] = min(lab[v], c)``.  A round exchanges it twice: split
+      by ``node`` (each node's label meets its candidates) and split by
+      ``val`` (each label row reaches its label's owner, as an ask);
+    - each partition lowers its labels, answers every ask ``(v, l)``
+      with ``lab[l]`` when that is lower (pointer jumping, asked by
+      every non-root node every round), sends each fallen label along
+      the node's edges and hooks it onto the node's old parent
+      (Shiloach-Vishkin).
 
-    Each round runs TWO phases: neighbor min-propagation (edges) and
-    POINTER JUMPING (``lab[v] = min(lab[v], lab[lab[v]])`` via a
-    request/reply exchange keyed by label value — the label's row lives
-    in the partition that hashes its node id).  Jumping folds chains in
-    O(log diameter) rounds, so ``max_rounds=64`` covers any graph this
-    engine can hold; a non-converged exit raises instead of silently
-    returning partial labels (a 300-node chain previously needed 300
-    rounds and returned 236 bogus clusters at the 64-round cap).  Per
-    round the driver holds ``num_partitions`` changed-count ints;
-    everything else stays in the object store.
+    The run stops when a round's state holds only label rows (counted
+    from block metadata).  No bound is proven: measured on chains of up
+    to 20,000 nodes in any id order and on chains of near-dup cliques,
+    the rounds stay in the tens, so ``max_rounds=64`` leaves headroom;
+    a run that does not converge raises instead of returning partial
+    labels.  The driver holds one row count per round; everything else
+    stays in the object store.
     """
-    from valere_ocr_ray.ops.exchange import hash_exchange
+    from valere_ocr_ray.ops.exchange import _exchange
 
     def both_ways(df: pd.DataFrame) -> pd.DataFrame:
         a = df["id_a"].to_numpy(dtype=np.int64)
@@ -1011,56 +934,25 @@ def cluster_labels(
     edges_ds = pairs.select_columns(["id_a", "id_b"]).map_batches(
         both_ways, batch_format="pandas"
     )
-    # label tables stay ALIGNED with the edge partitions for the whole
-    # run, so the width is fixed once: the exchange's own (size-derived
-    # by default, always >= 2) block count
-    edge_refs = hash_exchange(edges_ds, ["node"], num_partitions).to_arrow_refs()
-    p = len(edge_refs)
-    label_refs = [_cl_init.remote(r) for r in edge_refs]
-
-    for _ in range(max_rounds):
-        sends = [
-            _cl_send.options(num_returns=p).remote(label_refs[i], edge_refs[i], p)
-            for i in range(p)
-        ]
-        folded = [
-            _cl_fold.remote(*[sends[j][i] for j in range(p)]) for i in range(p)
-        ]
-        label_refs = [f[0] for f in folded]
-        changed = sum(ray.get([f[1] for f in folded]))
-        # pointer-jump phase: lab[v] = min(lab[v], lab[lab[v]])
-        reqs = [
-            _cl_jump_req.options(num_returns=p).remote(label_refs[i], p)
-            for i in range(p)
-        ]
-        replies = [
-            _cl_jump_reply.options(num_returns=p).remote(
-                label_refs[j], p, *[reqs[i][j] for i in range(p)]
-            )
-            for j in range(p)
-        ]
-        folded_j = [
-            _cl_jump_fold.remote(label_refs[i], *[replies[j][i] for j in range(p)])
-            for i in range(p)
-        ]
-        label_refs = [f[0] for f in folded_j]
-        changed += sum(ray.get([f[1] for f in folded_j]))
-        if changed == 0:
+    edges = _exchange([(edges_ds, ["node"])], lambda t: t, num_partitions)
+    state = _exchange([(edges, None)], _cl_init, None)
+    n_nodes = ray.data.from_arrow_refs(state).count()
+    for r in range(max_rounds):
+        sides = [(state, ["node"]), (state, ["val"]), (edges, None)]
+        state = _exchange(sides, functools.partial(_cl_round, r == 0), None)
+        labels = ray.data.from_arrow_refs(state)
+        if labels.count() == n_nodes:
             break
     else:
         raise RuntimeError(
-            f"cluster_labels did not converge within {max_rounds} rounds "
-            "(pointer jumping bounds convergence at O(log diameter) — "
-            "this indicates a bug, not a data shape)"
+            f"cluster_labels did not converge within {max_rounds} rounds"
         )
-
-    labels = ray.data.from_arrow_refs(label_refs)
 
     def project(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
                 "doc_id": df["node"].to_numpy(dtype=np.int64),
-                "cluster": df["lab"].to_numpy(dtype=np.int64),
+                "cluster": df["val"].to_numpy(dtype=np.int64),
             }
         )
 

@@ -7,9 +7,14 @@ aggregate of 60k rows), which makes high-cardinality grouped ops —
 LSH bucket pairing, big keyed aggregates — shuffle-bound.  This module
 implements the keyed exchange directly, as ONE core (``_exchange``):
 
-    width:     materialize each input once; the width comes from the
-               block metadata that holds (rows, bytes) — no probe task,
-               no driver barrier; empty blocks drop out
+    sides:     each side is ``(src, keys)``.  ``src`` is a Dataset
+               (materialized once; empty blocks drop out) or a list of
+               table refs (split ref by ref, no Dataset round trip);
+               ``keys=None`` marks ``src`` as already partitioned —
+               entry i is partition i's ref(s), never split
+    width:     fixed by a pre-partitioned side, else the caller's, else
+               derived from the Datasets' block metadata that holds
+               (rows, bytes) — no probe task, no driver barrier
     per block: ``_split`` — split the block (as Arrow) into P
                sub-tables by key hash
     per part:  ``_fold`` — concat each side's sub-tables and run the
@@ -18,6 +23,9 @@ implements the keyed exchange directly, as ONE core (``_exchange``):
                (``partition_map`` and the ``grouped_map`` /
                ``grouped_agg`` built on it; ``cogroup_exchange``,
                each side keeping its own schema)
+    result:    the P fold refs; the public entry points wrap them in
+               ``from_arrow_refs``, and a round loop
+               (``dedup.cluster_labels``) feeds them straight back in
 
 Every output block is an Arrow table, so a pandas fn must return a
 frame Arrow can hold (no mixed-type object columns).  An empty
@@ -172,36 +180,52 @@ def _fold(fn: Callable[..., pa.Table], counts: Sequence[int], *parts) -> pa.Tabl
 
 
 def _exchange(
-    sides: Sequence[tuple[ray.data.Dataset, Sequence[str]]],
+    sides: Sequence[tuple[ray.data.Dataset | Sequence, Sequence[str] | None]],
     fn: Callable[..., pa.Table],
     num_partitions: int | None,
-) -> ray.data.Dataset:
-    """The one exchange core: size the width from every side's block
-    metadata, split each non-empty block by key hash (one task per
-    block), run ``fn(*side_tables)`` once per partition (one task per
-    partition).  ``p >= 2`` because a split task returns ``p`` refs."""
+) -> list[ray.ObjectRef]:
+    """The one exchange core: run ``fn(*side_tables)`` once per
+    partition (one task per partition) and return the p refs of its
+    tables.  A side ``(src, keys)`` is split by key hash, one task per
+    block: a Dataset is materialized once and its empty blocks drop
+    out; a list of table refs is split ref by ref, with no Dataset in
+    between.  A side ``(src, None)`` is already partitioned: entry i is
+    partition i's ref(s), it is not split, and ``len(src)`` fixes the
+    width.  Otherwise the width is ``num_partitions``, or derived from
+    the Dataset sides' block metadata (``p >= 2``)."""
+    widths = {len(src) for src, keys in sides if keys is None}
+    if len(widths) > 1 or widths and num_partitions not in (None, *widths):
+        raise ValueError(f"pre-partitioned widths {widths} vs {num_partitions}")
     # materialize() first: the plan runs once, and its bundles carry
     # every block's rows and bytes without a task
     blocks = [
-        [b for bb in ds.materialize().iter_internal_ref_bundles() for b in bb.blocks]
-        for ds, _ in sides
+        [b for bb in src.materialize().iter_internal_ref_bundles() for b in bb.blocks]
+        if isinstance(src, ray.data.Dataset) else [(r, None) for r in src]
+        for src, keys in sides
     ]
-    nbytes = sum(m.size_bytes for bl in blocks for _, m in bl)
-    p = max(2, _auto_partitions(nbytes) if num_partitions is None else num_partitions)
+    if widths:
+        p = widths.pop()
+    else:
+        nbytes = sum(m.size_bytes for bl in blocks for _, m in bl if m)
+        auto = num_partitions is None
+        p = max(2, _auto_partitions(nbytes) if auto else num_partitions)
     parts = []  # per side, per partition: the refs of fn's table
-    for (_, keys), bl in zip(sides, blocks):
+    for (src, keys), bl in zip(sides, blocks):
+        if keys is None:
+            parts.append([e if isinstance(e, list) else [e] for e in src])
+            continue
         splits = [
             _split.options(num_returns=p).remote(r, list(keys), p)
-            for r, m in bl if m.num_rows != 0
+            for r, m in bl if m is None or m.num_rows != 0
         ]
         # an all-empty side hands fn its columns through its first block
         empty = [r for r, _ in bl[:1]]
         parts.append([[s[i] for s in splits] or empty for i in range(p)])
     fn = ray.put(fn)
-    return ray.data.from_arrow_refs([
+    return [
         _fold.remote(fn, [len(s[i]) for s in parts], *[r for s in parts for r in s[i]])
         for i in range(p)
-    ])
+    ]
 
 
 def hash_exchange(
@@ -213,7 +237,8 @@ def hash_exchange(
     one output block (block i = hash(key) % num_partitions == i).
     ``num_partitions=None`` (the default) derives the width from the
     input's block bytes — see ``_auto_partitions``."""
-    return _exchange([(ds, keys)], lambda t: t, num_partitions)
+    refs = _exchange([(ds, keys)], lambda t: t, num_partitions)
+    return ray.data.from_arrow_refs(refs)
 
 
 def _pandas_fold(fn: Callable[..., pd.DataFrame], *tables: pa.Table) -> pa.Table:
@@ -235,12 +260,15 @@ def partition_map(
     ``hash_exchange(ds, keys).map_batches(fn, batch_format="pandas",
     batch_size=None)`` computes, without the second stage.  As under
     ``map_batches``, an empty partition passes through unchanged and
-    ``fn`` never sees it; ``fn`` must return a frame Arrow can hold."""
+    ``fn`` never sees it; ``fn`` must return a frame Arrow can hold.
+    ``(ds, keys)`` is one ``_exchange`` side, so ``(refs, None)`` runs
+    ``fn`` once per given partition, with no split."""
 
     def g(df: pd.DataFrame) -> pd.DataFrame:
         return fn(df) if len(df) else df
 
-    return _exchange([(ds, keys)], functools.partial(_pandas_fold, g), num_partitions)
+    fold = functools.partial(_pandas_fold, g)
+    return ray.data.from_arrow_refs(_exchange([(ds, keys)], fold, num_partitions))
 
 
 def cogroup_exchange(
@@ -265,7 +293,28 @@ def cogroup_exchange(
     of an empty left partition returns an empty frame with fn's OUTPUT
     columns, so empty partitions keep a consistent schema."""
     sides = [(left, left_keys), (right, right_keys)]
-    return _exchange(sides, functools.partial(_pandas_fold, fn), num_partitions)
+    fold = functools.partial(_pandas_fold, fn)
+    return ray.data.from_arrow_refs(_exchange(sides, fold, num_partitions))
+
+
+def _map_groups(
+    keys: list[str],
+    fn: Callable[[pd.DataFrame], pd.DataFrame],
+    min_group_size: int,
+    df: pd.DataFrame,
+) -> pd.DataFrame:
+    """``grouped_map``'s per-partition body: ``fn`` per key group, in
+    sorted key order.  Contract: fn(empty frame) must return an empty
+    frame with fn's OUTPUT columns (so empty partitions keep a
+    consistent schema)."""
+    if min_group_size > 1:
+        sizes = df.groupby(keys)[keys[0]].transform("size")
+        df = df[sizes >= min_group_size]
+    outs = [fn(g) for _, g in df.groupby(keys, sort=True)]
+    outs = [o for o in outs if len(o)]
+    if not outs:
+        return fn(df.iloc[0:0])
+    return pd.concat(outs, ignore_index=True)
 
 
 def grouped_map(
@@ -286,20 +335,7 @@ def grouped_map(
     singleton groups cannot contribute output (LSH buckets are mostly
     singletons, so this turns a 30k-group loop into a hundreds-group
     loop).  Only valid when fn(group) is empty for dropped sizes."""
-    keys = list(keys)
-
-    # contract: fn(empty frame) must return an empty frame with fn's
-    # OUTPUT columns (so empty partitions keep a consistent schema)
-    def per_partition(df: pd.DataFrame) -> pd.DataFrame:
-        if min_group_size > 1:
-            sizes = df.groupby(keys)[keys[0]].transform("size")
-            df = df[sizes >= min_group_size]
-        outs = [fn(g) for _, g in df.groupby(keys, sort=True)]
-        outs = [o for o in outs if len(o)]
-        if not outs:
-            return fn(df.iloc[0:0])
-        return pd.concat(outs, ignore_index=True)
-
+    per_partition = functools.partial(_map_groups, list(keys), fn, min_group_size)
     return partition_map(ds, keys, per_partition, num_partitions=num_partitions)
 
 
