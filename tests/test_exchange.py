@@ -596,3 +596,43 @@ def test_key_hash_pinned():
     assert _key_hash(t, ["i", "s"]).tolist() == [
         0, 11532174184144613436, 9479467551187275380, 16144340249790929076,
     ]
+
+
+def test_tree_reduce_bounded_fanin(ray_session, tmp_path):
+    """``tree_reduce`` merges at most ``TREE_FANIN`` (8) partials per
+    task at every level, and runs ``merge`` at least once: one merge
+    per tree node (65 blocks: 9 + 2 + 1), the exact sum at the root,
+    and an empty, column-less table for an input without rows.  A
+    block of more than 1,024 rows (Ray's legacy default batch) still
+    yields one partial."""
+    import ray
+
+    from valere_ocr_ray.ops.exchange import TREE_FANIN, tree_reduce
+
+    assert TREE_FANIN == 8
+    log = tmp_path / "merges"
+
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"s": [int(df["v"].sum())]})
+
+    def merge(df: pd.DataFrame) -> pd.DataFrame:
+        with open(log, "a") as f:
+            f.write(f"{len(df)}\n")
+        return pd.DataFrame({"s": [int(df["s"].sum())]})
+
+    cases = ((0, 0, 10), (1, 1, 10), (8, 1, 10), (9, 3, 10), (65, 12, 10), (9, 3, 2000))
+    for n_blocks, n_merges, block_rows in cases:
+        log.write_text("")
+        df = pd.DataFrame({"v": np.arange(max(n_blocks, 1) * block_rows)})
+        if n_blocks:
+            ds = rd.from_pandas(np.array_split(df, n_blocks))
+        else:
+            ds = rd.range(30, override_num_blocks=3).filter(lambda r: False)
+        out = ray.get(tree_reduce(ds, partial, merge))
+        seen = [int(x) for x in log.read_text().split()]
+        assert len(seen) == n_merges, n_blocks
+        assert max(seen, default=0) <= TREE_FANIN, (n_blocks, seen)
+        if n_blocks:
+            assert out.to_pylist() == [{"s": int(df["v"].sum())}], n_blocks
+        else:
+            assert out.num_rows == 0 and out.num_columns == 0

@@ -948,6 +948,20 @@ def test_bloom_semi_join_exact_despite_false_positives(ray_session):
         want_a = norm(left[~left["k"].isin(right["rk"])])
         pd.testing.assert_frame_equal(got_a, want_a)
 
+    # an Arrow-native int right key with nulls (no pandas metadata, so a
+    # pandas batch of it is float64): a null matches nothing, and every
+    # other key still matches its int left key
+    rk = pa.array(right["rk"].to_numpy(), mask=np.arange(len(right)) % 7 == 0)
+    rds_null = rd.from_arrow(pa.table({"rk": rk})).repartition(3)
+    vals = pd.Series(rk.drop_null().to_numpy())
+    for anti in (False, True):
+        got = norm(
+            bloom_semi_join(lds, rds_null, "k", "rk", anti=anti, num_bits=1 << 20)
+            .to_pandas()
+        )
+        want = norm(left[left["k"].isin(vals) != anti])
+        pd.testing.assert_frame_equal(got, want)
+
 
 def test_distinct_set_op_intersect_except(ray_session):
     import ray.data as rd
@@ -1054,6 +1068,104 @@ def test_grouped_distinct_kmv_exact_and_estimate(ray_session):
     )
     for g in want.index:
         assert abs(got_e[g] - want[g]) / want[g] < 0.2, (g, got_e[g], want[g])
+
+
+def test_grouped_distinct_kmv_block_count_invariant(ray_session):
+    """The per-key KMV merges after one keyed exchange: over ~1,000
+    keys it gives the same estimates at 1, 8 and 13 input blocks (exact
+    below k, the KMV estimate above), and its output is spread over
+    the exchange's blocks instead of funnelled into one."""
+    import ray.data as rd
+
+    from valere_ocr_ray.ops.sketch import grouped_distinct_kmv
+
+    rng = np.random.default_rng(43)
+    df = pd.DataFrame(
+        {"g": rng.integers(0, 1000, 30000), "v": rng.integers(0, 400, 30000)}
+    )
+    want = df.groupby("g")["v"].nunique()
+    for k in (64, 8):
+        outs = []
+        for n_blocks in (1, 8, 13):
+            ds = rd.from_pandas(np.array_split(df, n_blocks))
+            out = grouped_distinct_kmv(ds, ["g"], "v", k=k).materialize()
+            assert out.num_blocks() > 1, (k, n_blocks)
+            outs.append(out.to_pandas().sort_values("g").reset_index(drop=True))
+        for got in outs[1:]:
+            pd.testing.assert_frame_equal(got, outs[0])
+        assert outs[0]["g"].tolist() == want.index.tolist()
+        if k == 64:  # every key has < 64 distinct values: exact
+            assert outs[0]["distinct_est"].tolist() == want.tolist()
+
+
+def test_tree_topk_matches_pandas(ray_session):
+    """``tree_topk`` equals pandas ``sort_values(...).head(k)`` at 1, 7,
+    9 and 65 blocks, for k below and above the row count."""
+    import ray.data as rd
+
+    from valere_ocr_ray.ops.combine import tree_topk
+
+    rng = np.random.default_rng(41)
+    df = pd.DataFrame({"a": rng.integers(0, 50, 650), "b": rng.permutation(650)})
+    for n_blocks in (1, 7, 9, 65):
+        ds = rd.from_pandas(np.array_split(df, n_blocks))
+        for k in (10, 1000):
+            got = tree_topk(ds, ["a", "b"], [False, True], k).to_pandas()
+            want = df.sort_values(["a", "b"], ascending=[False, True]).head(k)
+            pd.testing.assert_frame_equal(
+                got.reset_index(drop=True), want.reset_index(drop=True)
+            )
+
+
+def test_global_merges_on_empty_input(ray_session):
+    """Each op that merges through ``tree_reduce`` or the per-key KMV
+    returns, on an input without rows, what it returned on the
+    repartition trees it replaced — for an empty block with a schema
+    and for the column-less blocks a filter leaves."""
+    import ray
+    import ray.data as rd
+
+    from valere_ocr_ray.ops.bloom import bloom_bits, bloom_semi_join, build_bloom
+    from valere_ocr_ray.ops.combine import tree_topk
+    from valere_ocr_ray.ops.sketch import (
+        column_quantiles_sketch,
+        distinct_tokens_kmv,
+        grouped_distinct_kmv,
+        grouped_hll,
+    )
+
+    def empty(kind: str, **cols: str) -> rd.Dataset:
+        if kind == "columnless":
+            return rd.range(30, override_num_blocks=3).filter(lambda r: False)
+        return rd.from_pandas(
+            pd.DataFrame({c: pd.Series([], dtype=t) for c, t in cols.items()})
+        )
+
+    left = pd.DataFrame({"k": np.arange(10), "x": np.arange(10) * 2})
+    for kind in ("schema", "columnless"):
+        assert distinct_tokens_kmv(empty(kind, text="object"), k=64) == 0
+        q = column_quantiles_sketch(empty(kind, x="float64"), "x", [0.5, 0.9])
+        assert q["prob"].tolist() == [0.5, 0.9]
+        assert q["quantile_est"].isna().all()
+        regs = grouped_hll(empty(kind, u="int64"), "u")
+        assert regs.dtype == np.int64 and regs.tolist() == [0] * 64
+        g = grouped_distinct_kmv(empty(kind, g="object", v="int64"), ["g"], "v")
+        g = g.to_pandas()
+        assert len(g) == 0 and list(g.columns) == []
+        t = tree_topk(empty(kind, a="int64", b="int64"), ["a", "b"], [False, True], 5)
+        t = t.to_pandas()
+        assert len(t) == 0 and list(t.columns) == []
+        bloom = bloom_bits(
+            ray.get(build_bloom(empty(kind, rk="int64"), ["rk"], num_bits=256)), 256
+        )
+        assert bloom.dtype == np.uint64 and bloom.tolist() == [0] * 4
+        semi = bloom_semi_join(rd.from_pandas(left), empty(kind, rk="int64"), "k", "rk")
+        assert len(semi.to_pandas()) == 0
+        anti = bloom_semi_join(
+            rd.from_pandas(left), empty(kind, rk="int64"), "k", "rk", anti=True
+        ).to_pandas()
+        anti = anti.sort_values("k").reset_index(drop=True)
+        pd.testing.assert_frame_equal(anti, left)
 
 
 def test_quantile_sketch_accuracy(ray_session):
@@ -2356,6 +2468,43 @@ def test_mix_unimax_water_filling(ray_session):
     assert abs(len(big) - 2000 * rate) < 70
     out2 = mix_unimax(rd.from_pandas(df), budget_denom=2).to_pandas()
     assert sorted(out2["doc_id"]) == sorted(out["doc_id"])
+
+
+def test_mix_null_domain_moves_no_threshold(ray_session):
+    """A null ``key_col`` has no domain total: it moves no other
+    domain's threshold (here it would be the smallest mass, so the
+    temperature anchor) and its rows are never sampled — the same
+    sample as the corpus without them, at 1 and 3 blocks."""
+    import ray.data as rd
+
+    from valere_ocr_ray.ops.mixing import (
+        mix_by_temperature,
+        mix_by_token_budget,
+        mix_unimax,
+    )
+
+    rng = np.random.default_rng(47)
+    n = 3000
+    src = rng.choice(["a", "b", "c"], n).astype(object)
+    src[rng.choice(n, 40, replace=False)] = None
+    df = pd.DataFrame(
+        {"doc_id": np.arange(n), "source": src, "n_tokens": rng.integers(1, 50, n)}
+    )
+    clean = df[df["source"].notna()].reset_index(drop=True)
+
+    def sample(fn, frame: pd.DataFrame, n_blocks: int) -> pd.DataFrame:
+        out = fn(rd.from_pandas(np.array_split(frame, n_blocks))).to_pandas()
+        return out.sort_values("doc_id").reset_index(drop=True)
+
+    for fn in (
+        lambda ds: mix_by_token_budget(ds, budget_tokens=5000),
+        mix_by_temperature,
+        lambda ds: mix_unimax(ds, budget_denom=2),
+    ):
+        want = sample(fn, clean, 1)
+        assert 0 < len(want) < len(clean)
+        for n_blocks in (1, 3):
+            pd.testing.assert_frame_equal(sample(fn, df, n_blocks), want)
 
 
 def test_embedding_semdedup_partition_invariant(ray_session):

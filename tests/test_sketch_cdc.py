@@ -54,6 +54,21 @@ def test_heavy_hitters_rejects_unsound_denom(ray_session):
         heavy_hitters(ds, "v", k=8, denom=10)
 
 
+def test_heavy_hitters_empty_input(ray_session):
+    """An input without rows reports no heavy hitters, as an empty
+    ``[col, count_col]`` frame — for an empty block with a schema and
+    for the column-less blocks a filter leaves."""
+    import ray.data as rd
+
+    for ds in (
+        rd.from_pandas(pd.DataFrame({"v": pd.Series([], dtype="object")})),
+        rd.range(30, override_num_blocks=3).filter(lambda r: False),
+    ):
+        out = heavy_hitters(ds, "v", k=8, denom=4)
+        assert len(out) == 0 and list(out.columns) == ["v", "cnt"]
+        assert out["cnt"].dtype == np.int64
+
+
 def test_heavy_hitters_exact_and_partition_invariant(ray_session):
     """High-cardinality skewed stream: the MG+verify report equals the
     brute-force count threshold exactly, at any partitioning — the

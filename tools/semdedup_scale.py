@@ -44,7 +44,7 @@ def main() -> None:
     if not ray.is_initialized():
         ray.init(
             address="local",
-            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count() or 1)),
             include_dashboard=False,
             logging_level="ERROR",
         )
@@ -93,7 +93,7 @@ def main() -> None:
                 "mix_sec": round(mix_s, 2),
                 "mix_rows_per_sec": round(n / mix_s, 1),
                 "mix_kept": mixed,
-                "num_cpus": int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+                "num_cpus": int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count() or 1)),
             }
         )
     )

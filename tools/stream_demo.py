@@ -123,7 +123,7 @@ def run_dedup(n_shards: int, rows: int) -> None:
 
     ray.init(
         address="local",
-        num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+        num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count() or 1)),
         include_dashboard=False,
         logging_level="ERROR",
     )
@@ -200,7 +200,7 @@ def run_watermark(sf_dir: str) -> None:
 
     ray.init(
         address="local",
-        num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+        num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count() or 1)),
         include_dashboard=False,
         logging_level="ERROR",
     )
@@ -344,7 +344,7 @@ def main() -> None:
 
     ray.init(
         address="local",
-        num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+        num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count() or 1)),
         include_dashboard=False,
         logging_level="ERROR",
     )

@@ -11,7 +11,10 @@ and the keyed data-movement layer: ``exchange`` — the one keyed
 exchange (one split task per block → one fold task per partition, which
 runs a pandas fold through ``partition_map``) and the one keyed-aggregate
 primitive on it (``grouped_agg``: pandas fold);
-``combine`` — mergeable top-k (``tree_topk``, ``keyed_topn``);
+and the one global merge on its core (``tree_reduce``: at most 8
+partial blocks per merge task, down to one table — top-k, sketches, Bloom);
+``combine`` — mergeable top-k (``tree_topk`` on ``tree_reduce``,
+``keyed_topn`` on ``partition_map``);
 ``bucketed`` — durable key-bucketed layout: pay the shuffle once at
 write, grouped reads are shuffle-free forever after.
 

@@ -4,9 +4,11 @@ The 100-TB shape for a *selective* semi join: exchanging the full left
 side (``ops/joins.semi_join``) moves every left byte even when only a
 sliver survives.  Instead:
 
-    right keys → per-block partial Bloom (map over Arrow refs)
-               → tree-OR reduce (filter bytes constant, depth log #blocks)
-               → ``ray.put`` ONCE → map-side membership filter on left
+    right keys → one partial Bloom per block (an Arrow ``map_batches``
+                 stage, hashed as the probe hashes)
+               → OR through ``exchange.tree_reduce`` (filter bytes
+                 constant, ≤8 blocks of filters per task, depth log8
+                 #blocks) → ONE ref → map-side membership filter on left
                → exact cogroup semi/anti join on the (small) maybe-set
 
 The Bloom is a fixed-size bit array (default 2^23 bits = 1 MiB) so the
@@ -26,11 +28,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data
 
-from valere_ocr_ray.ops.exchange import _key_hash, _mix64
+from valere_ocr_ray.ops.exchange import _key_hash, _mix64, tree_reduce
 
 _U64_1 = np.uint64(1)
 
@@ -59,22 +62,12 @@ def _contains_hashes(bloom: np.ndarray, h: np.ndarray, num_hashes: int) -> np.nd
     return bits.all(axis=0)
 
 
-@ray.remote
-def _block_bloom(
-    table: pa.Table, keys: list[str], num_bits: int, num_hashes: int
-) -> np.ndarray:
-    bloom = _empty_bloom(num_bits)
-    if table.num_rows:
-        _add_hashes(bloom, _key_hash(table, keys), num_hashes)
-    return bloom
-
-
-@ray.remote
-def _or_blooms(*blooms: np.ndarray) -> np.ndarray:
-    out = blooms[0].copy()
-    for b in blooms[1:]:
-        np.bitwise_or(out, b, out=out)
-    return out
+def bloom_bits(table: pa.Table, num_bits: int) -> np.ndarray:
+    """The packed ``uint64`` bit array in ``build_bloom``'s table, read
+    zero-copy; all zeros when the build saw no block."""
+    if not table.num_rows:
+        return _empty_bloom(num_bits)
+    return np.frombuffer(table["bloom"][0].as_buffer(), dtype=np.uint64)
 
 
 def build_bloom(
@@ -83,27 +76,31 @@ def build_bloom(
     *,
     num_bits: int = 1 << 23,
     num_hashes: int = 5,
-    fanin: int = 8,
 ) -> "ray.ObjectRef":
     """Distributed Bloom build over ``ds[keys]``: one partial filter per
-    block, OR-ed in a ``fanin``-ary tree.  Returns the **ObjectRef** of
-    the final packed ``uint64`` bit array (pass it straight into
-    ``map_batches`` closures; ``ray.get`` inside a task is a local
-    shared-memory read)."""
+    block, OR-ed through ``tree_reduce``.  Returns the **ObjectRef** of
+    a one-row table holding the packed ``uint64`` bit array (no row
+    when ``ds`` has no block); pass it straight into ``map_batches``
+    closures, where ``bloom_bits(ray.get(ref), num_bits)`` is a local
+    shared-memory read.  Each block is hashed in Arrow, as the probe
+    hashes: a pandas round trip would turn an int key column with a
+    null into float, which ``_key_hash`` hashes as strings."""
     keys = list(keys)
-    # materialize() first: to_arrow_refs() alone runs the plan twice (Ray 2.49)
-    refs = [
-        _block_bloom.remote(r, keys, num_bits, num_hashes)
-        for r in ds.select_columns(keys).materialize().to_arrow_refs()
-    ]
-    if not refs:
-        return ray.put(_empty_bloom(num_bits))
-    while len(refs) > 1:
-        refs = [
-            _or_blooms.remote(*refs[i : i + fanin])
-            for i in range(0, len(refs), fanin)
-        ]
-    return refs[0]
+
+    def block_bloom(table: pa.Table) -> pa.Table:
+        bloom = _empty_bloom(num_bits)
+        if table.num_rows:
+            _add_hashes(bloom, _key_hash(table, keys), num_hashes)
+        return pa.table({"bloom": [bloom.tobytes()]})
+
+    def merge(df: pd.DataFrame) -> pd.DataFrame:
+        blooms = [np.frombuffer(b, dtype=np.uint64) for b in df["bloom"]]
+        return pd.DataFrame({"bloom": [np.bitwise_or.reduce(blooms).tobytes()]})
+
+    pre = ds.select_columns(keys).map_batches(
+        block_bloom, batch_format="pyarrow", batch_size=None
+    )
+    return tree_reduce(pre, lambda df: df, merge)
 
 
 def bloom_semi_join(
@@ -132,7 +129,7 @@ def bloom_semi_join(
     def _mask(table: pa.Table) -> np.ndarray:
         if not table.num_rows:
             return np.zeros(0, dtype=bool)
-        bloom = ray.get(bloom_ref)
+        bloom = bloom_bits(ray.get(bloom_ref), num_bits)
         return _contains_hashes(bloom, _key_hash(table, [left_key]), num_hashes)
 
     maybe = left.map_batches(

@@ -1,9 +1,9 @@
 """Mergeable top-k operators — no sort shuffle.
 
-``tree_topk``: exact global top-k — per-block top-k, then a small
-repartition tree of the same kernel (top-k of unioned top-k's ==
-global top-k).  ``keyed_topn``: per-key top-n — per-block partial
-top-n, one hash exchange, final top-n per key.
+``tree_topk``: exact global top-k — per-block top-k, then the same
+kernel as the merge of ``exchange.tree_reduce`` (top-k of unioned
+top-k's == global top-k).  ``keyed_topn``: per-key top-n — per-block
+partial top-n, one hash exchange, final top-n per key.
 
 Keyed aggregates (sum/min/max per key) are not here: they run on the
 exchange (``ops/exchange.grouped_agg``).
@@ -16,9 +16,7 @@ from collections.abc import Sequence
 import pandas as pd
 import ray.data
 
-# fan-in levels of the tree_topk combine: k·n_blocks rows → ≤4 blocks
-# → one block; only k rows per block cross each level
-_TOPK_WIDTHS = (4, 1)
+from valere_ocr_ray.ops.exchange import partition_map, tree_reduce
 
 
 def tree_topk(
@@ -29,8 +27,9 @@ def tree_topk(
 ) -> ray.data.Dataset:
     """Exact global top-k WITHOUT an all-to-all sort shuffle: top-k is
     mergeable (top-k of unioned top-k's == global top-k), so each block
-    keeps only its k best rows and a small tree combines them — the
-    data crossing the wire is ``k × n_blocks`` rows, not the dataset.
+    keeps only its k best rows and ``tree_reduce`` merges them, at most
+    8 blocks of top-k's per task — the data crossing the wire is about
+    ``k × n_blocks`` rows, not the dataset.  The result is one block.
     ``sort_cols``/``ascending`` must produce a total order (include a
     unique tiebreak column) for run-to-run determinism."""
     sort_cols = list(sort_cols)
@@ -39,12 +38,7 @@ def tree_topk(
     def head(df: pd.DataFrame) -> pd.DataFrame:
         return df.sort_values(sort_cols, ascending=ascending, kind="stable").head(k)
 
-    out = ds.map_batches(head, batch_format="pandas")
-    for w in _TOPK_WIDTHS:
-        out = out.repartition(w).map_batches(
-            head, batch_format="pandas", batch_size=None
-        )
-    return out
+    return ray.data.from_arrow_refs([tree_reduce(ds, head, head)])
 
 
 def keyed_topn(
@@ -73,8 +67,6 @@ def keyed_topn(
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(sort_cols, ascending=ascending, kind="stable")
         return df.groupby(keys, sort=False).head(n)
-
-    from valere_ocr_ray.ops.exchange import partition_map
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(sort_cols, ascending=ascending, kind="stable")

@@ -27,6 +27,14 @@ implements the keyed exchange directly, as ONE core (``_exchange``):
                ``from_arrow_refs``, and a round loop
                (``dedup.cluster_labels``) feeds them straight back in
 
+The core has three uses: the keyed exchange (``hash_exchange``,
+``partition_map`` and the entry points built on it), the co-group
+(``cogroup_exchange``), and the tree reduce (``tree_reduce``), which
+merges a mergeable summary (top-k, KMV, HLL, quantile, Misra-Gries,
+Bloom) down to one table: one ``partial`` per block, then levels of
+pre-partitioned ``_fold`` tasks, each merging at most ``TREE_FANIN``
+partial blocks, until one ref is left.
+
 Every output block is an Arrow table, so a pandas fn must return a
 frame Arrow can hold (no mixed-type object columns).  An empty
 partition: ``partition_map``, ``grouped_map`` and ``grouped_agg`` pass
@@ -74,6 +82,9 @@ TARGET_PARTITION_BYTES = 128 * 2**20
 # backstop against pathological task fan-out (num_returns per split
 # task == num_partitions); beyond this, shard the exchange itself
 MAX_PARTITIONS = 65536
+# fan-in of a tree_reduce node: no merge reads more than this many
+# blocks, and each level cuts the ref count by this factor
+TREE_FANIN = 8
 
 
 def _auto_partitions(total_bytes: int) -> int:
@@ -179,6 +190,14 @@ def _fold(fn: Callable[..., pa.Table], counts: Sequence[int], *parts) -> pa.Tabl
     return fn(*[_concat_casted(parts[a:b]) for a, b in zip(bounds, bounds[1:])])
 
 
+def _block_refs(ds: ray.data.Dataset) -> list[tuple[ray.ObjectRef, object]]:
+    """``(ref, metadata)`` per block of ``ds``.  ``materialize()`` first:
+    the plan runs once, and its bundles carry every block's rows and
+    bytes without a task."""
+    bundles = ds.materialize().iter_internal_ref_bundles()
+    return [b for bundle in bundles for b in bundle.blocks]
+
+
 def _exchange(
     sides: Sequence[tuple[ray.data.Dataset | Sequence, Sequence[str] | None]],
     fn: Callable[..., pa.Table],
@@ -196,11 +215,9 @@ def _exchange(
     widths = {len(src) for src, keys in sides if keys is None}
     if len(widths) > 1 or widths and num_partitions not in (None, *widths):
         raise ValueError(f"pre-partitioned widths {widths} vs {num_partitions}")
-    # materialize() first: the plan runs once, and its bundles carry
-    # every block's rows and bytes without a task
     blocks = [
-        [b for bb in src.materialize().iter_internal_ref_bundles() for b in bb.blocks]
-        if isinstance(src, ray.data.Dataset) else [(r, None) for r in src]
+        _block_refs(src) if isinstance(src, ray.data.Dataset)
+        else [(r, None) for r in src]
         for src, keys in sides
     ]
     if widths:
@@ -248,6 +265,11 @@ def _pandas_fold(fn: Callable[..., pd.DataFrame], *tables: pa.Table) -> pa.Table
     return BlockAccessor.for_block(out).to_arrow()
 
 
+def _skip_empty(fn: Callable[[pd.DataFrame], pd.DataFrame], df: pd.DataFrame):
+    """``map_batches``' rule: an empty frame passes through unseen by ``fn``."""
+    return fn(df) if len(df) else df
+
+
 def partition_map(
     ds: ray.data.Dataset,
     keys: Sequence[str],
@@ -263,12 +285,43 @@ def partition_map(
     ``fn`` never sees it; ``fn`` must return a frame Arrow can hold.
     ``(ds, keys)`` is one ``_exchange`` side, so ``(refs, None)`` runs
     ``fn`` once per given partition, with no split."""
-
-    def g(df: pd.DataFrame) -> pd.DataFrame:
-        return fn(df) if len(df) else df
-
-    fold = functools.partial(_pandas_fold, g)
+    fold = functools.partial(_pandas_fold, functools.partial(_skip_empty, fn))
     return ray.data.from_arrow_refs(_exchange([(ds, keys)], fold, num_partitions))
+
+
+def tree_reduce(
+    ds: ray.data.Dataset,
+    partial: Callable[[pd.DataFrame], pd.DataFrame],
+    merge: Callable[[pd.DataFrame], pd.DataFrame],
+) -> ray.ObjectRef:
+    """Global merge of a mergeable summary: ``partial`` once per block
+    (a ``map_batches(batch_size=None)`` stage, so it fuses with the
+    caller's), then a tree of pre-partitioned exchanges in which each
+    node is one ``_fold`` task running ``merge`` over the concat of at
+    most ``TREE_FANIN`` blocks.  Returns the ref of the final table.
+
+    ``merge`` must be associative over re-grouping: its output rows are
+    fed back to it at the next level.  It runs at least once (one level
+    up to ``TREE_FANIN`` blocks, ``ceil(log8 n)`` levels for n).  As
+    under ``map_batches``, neither fn sees an empty frame: when no
+    partial has rows, the result is an empty, column-less table."""
+    fold = functools.partial(_pandas_fold, functools.partial(_skip_empty, merge))
+    pre = ds.map_batches(
+        functools.partial(_skip_empty, partial), batch_format="pandas", batch_size=None
+    )
+    refs = [r for r, m in _block_refs(pre) if m.num_rows != 0]
+    while True:
+        nodes = [refs[i : i + TREE_FANIN] for i in range(0, len(refs), TREE_FANIN)]
+        refs = _exchange([(nodes or [[]], None)], fold, None)
+        if len(refs) == 1:
+            return refs[0]
+
+
+def reduced_row(ref: ray.ObjectRef) -> dict:
+    """The one row a one-row ``merge`` leaves in ``tree_reduce``'s
+    result, as a dict; ``{}`` when no partial had rows."""
+    rows = ray.get(ref).to_pylist()
+    return rows[0] if rows else {}
 
 
 def cogroup_exchange(

@@ -7,12 +7,12 @@ open vocabulary (tokens, URLs, user agents) cannot run as a plain
 groupby — the groupby ships every distinct key through an all-to-all
 exchange just to discard almost all of them.  The Misra-Gries summary
 keeps ``k`` counters per block and merges associatively, so the
-candidate discovery costs ``k`` rows per block through a small tree and
-ZERO exchanges.  A second pass exact-counts just the ≤``k`` surviving
-candidates (broadcast to every block — the classic small-side
-broadcast) and sums those ≤``k`` keys over one keyed exchange, making
-the final report exact: the sketch's only job is to bound what gets
-exact-counted.
+candidate discovery costs ``k`` counters per block through
+``ops/exchange.tree_reduce`` and no keyed exchange.  A second pass
+exact-counts just the ≤``k`` surviving candidates (broadcast to every
+block — the classic small-side broadcast) and sums those ≤``k`` keys
+over one keyed exchange, making the final report exact: the sketch's
+only job is to bound what gets exact-counted.
 
 Guarantee (public scheme: Misra & Gries 1982; mergeability per
 Agarwal et al., "Mergeable summaries", PODS 2012): an MG summary with
@@ -37,9 +37,7 @@ import numpy as np
 import pandas as pd
 import ray.data
 
-# fan-in levels of the pass-1 sketch merge tree: one sketch row per
-# block → ≤8 blocks → the single final sketch
-_MERGE_WIDTHS = (8, 1)
+from valere_ocr_ray.ops.exchange import grouped_sum, reduced_row, tree_reduce
 
 
 def mg_compress(counts: dict, k: int) -> dict:
@@ -82,9 +80,9 @@ def heavy_hitters(
     the candidates.
 
     Pass 1: per-block exact ``value_counts`` (an error-free MG summary
-    of the block) → ``mg_compress(k)`` → one sketch row per block → an
-    8 → 1 repartition tree of ``mg_merge`` → ONE row holding ≤k
-    candidates plus the exact total ``n``.  Pass 2: candidates (≤k
+    of the block) → ``mg_compress(k)`` → one sketch row per block →
+    ``tree_reduce`` with ``mg_merge`` → ONE row holding ≤k candidates
+    plus the exact total ``n``.  Pass 2: candidates (≤k
     values — closure-captured; at this size the capture IS the
     broadcast) exact-counted per block, summed over the keyed exchange
     (``grouped_sum``), thresholded.
@@ -103,7 +101,7 @@ def heavy_hitters(
         s = mg_compress(dict(zip(vc.index, (int(x) for x in vc.to_numpy()))), k)
         return _sketch_rows(list(s.keys()), list(s.values()), len(df))
 
-    def merge_block(df: pd.DataFrame) -> pd.DataFrame:
+    def merge(df: pd.DataFrame) -> pd.DataFrame:
         merged = mg_merge(
             [dict(zip(v, c)) for v, c in zip(df["vals"], df["cnts"])], k
         )
@@ -111,17 +109,9 @@ def heavy_hitters(
             list(merged.keys()), list(merged.values()), int(df["n"].sum())
         )
 
-    parts = ds.map_batches(partial, batch_format="pandas")
-    for w in _MERGE_WIDTHS:
-        parts = parts.repartition(w).map_batches(
-            merge_block, batch_format="pandas", batch_size=None
-        )
-    rows = parts.take_all()
-    final = mg_merge(
-        [dict(zip(r["vals"], r["cnts"])) for r in rows], k
-    )
-    n_total = int(sum(r["n"] for r in rows))
-    candidates = list(final.keys())
+    final = reduced_row(tree_reduce(ds, partial, merge))
+    candidates = final.get("vals", [])
+    n_total = final.get("n", 0)
     empty = pd.DataFrame(
         {col: pd.Series([], dtype="object"), count_col: pd.Series([], dtype="int64")}
     )
@@ -136,8 +126,6 @@ def heavy_hitters(
         return pd.DataFrame(
             {col: vc.index, count_col: vc.to_numpy().astype("int64")}
         )
-
-    from valere_ocr_ray.ops.exchange import grouped_sum
 
     exact = grouped_sum(
         ds.map_batches(exact_partial, batch_format="pandas"),

@@ -8,15 +8,17 @@ kernels.  Nothing is broadcast, so BOTH sides may grow with the
 corpus (the broadcast-join variants in ``pipelines/queries.py`` stay
 the right choice when one side is provably small).
 
-Semi/anti additionally prune the right side to its distinct keys
-per block BEFORE the exchange, so the right-side bytes crossing the
-wire are one row per distinct key per block, not the table.
+Semi/anti additionally prune the right side to its distinct non-null
+keys per block, in Arrow, BEFORE the exchange (a null matches nothing;
+pandas would turn an int column with a null float), so the right-side
+bytes crossing the wire are one row per distinct key per block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow.compute as pc
 import ray.data
 
 from valere_ocr_ray.ops.exchange import cogroup_exchange, grouped_sum
@@ -36,7 +38,8 @@ def semi_join(
     EXISTS / NOT EXISTS join, output columns = left's columns."""
     right_key = right_key or left_key
     keys_only = right.select_columns([right_key]).map_batches(
-        lambda df: df.drop_duplicates(), batch_format="pandas"
+        lambda t: t.filter(pc.is_valid(t[right_key])).group_by(right_key).aggregate([]),
+        batch_format="pyarrow",
     )
 
     def fold(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:

@@ -37,6 +37,8 @@ import numpy as np
 import pandas as pd
 import ray.data
 
+from valere_ocr_ray.ops.exchange import grouped_sum
+
 SCALE = 1_000_000
 
 
@@ -52,6 +54,15 @@ def _hash64_str(values: pd.Series) -> np.ndarray:
         count=len(uniques),
     )
     return uh[codes]
+
+
+def _domain_totals(ds: ray.data.Dataset, key_col: str, tokens_col: str) -> dict:
+    """Token mass per domain from the keyed aggregate — one row per
+    domain reaches the driver.  A null domain has no total (pandas'
+    groupby drops it), so it moves no threshold and samples at 0."""
+    pairs = ds.select_columns([key_col, tokens_col])
+    sums = grouped_sum(pairs, [key_col], [tokens_col])
+    return {r[key_col]: int(r[tokens_col]) for r in sums.take_all()}
 
 
 def mix_by_rates(
@@ -107,8 +118,8 @@ def mix_by_token_budget(
     Rates use exact integer arithmetic — ``min(SCALE, budget·SCALE //
     total)`` — so the SQL mirror (``LEAST(1000000, b*1000000 //
     sum(...))``) reproduces thresholds bit-for-bit, no float boundary.
-    The per-domain totals groupby returns one row per domain — the only
-    driver-side state, O(#domains) however large the corpus.
+    The per-domain totals aggregate returns one row per domain — the
+    only driver-side state, O(#domains) however large the corpus.
 
     The totals pass and the sample pass both consume ``ds`` — a lazy
     upstream re-executes once per pass.  ``pin=True`` materializes
@@ -117,10 +128,7 @@ def mix_by_token_budget(
     False when the upstream is a cheap read or is already pinned."""
     if pin:
         ds = ds.materialize()
-    totals = {
-        r[key_col]: int(r[f"sum({tokens_col})"])
-        for r in ds.groupby(key_col).sum(tokens_col).take_all()
-    }
+    totals = _domain_totals(ds, key_col, tokens_col)
     thresholds = {
         k: min(SCALE, int(budget_tokens) * SCALE // v) if v > 0 else SCALE
         for k, v in totals.items()
@@ -223,10 +231,7 @@ def mix_by_temperature(
 
     if pin:
         ds = ds.materialize()
-    totals = {
-        r[key_col]: int(r[f"sum({tokens_col})"])
-        for r in ds.groupby(key_col).sum(tokens_col).take_all()
-    }
+    totals = _domain_totals(ds, key_col, tokens_col)
     positive = [v for v in totals.values() if v > 0]
     m_min = min(positive) if positive else 0
     thresholds = {
@@ -273,10 +278,7 @@ def mix_unimax(
     count, not the corpus."""
     if pin:
         ds = ds.materialize()
-    totals = {
-        r[key_col]: int(r[f"sum({tokens_col})"])
-        for r in ds.groupby(key_col).sum(tokens_col).take_all()
-    }
+    totals = _domain_totals(ds, key_col, tokens_col)
     total = sum(v for v in totals.values() if v > 0)
     budget = int(budget_tokens) if budget_tokens is not None else total // budget_denom
     items = sorted(

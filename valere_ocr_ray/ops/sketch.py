@@ -1,5 +1,8 @@
 """Approximate distinct-count sketch (KMV / bottom-k) — mergeable,
-partial-aggregable, deterministic.
+partial-aggregable, deterministic.  Every global sketch here merges
+through ``ops/exchange.tree_reduce`` (a per-block partial, then merge
+tasks of at most 8 partial blocks each, down to one row); the per-key KMV
+merges through one keyed exchange (``partition_map``).
 
 A KMV (k-minimum-values) sketch keeps the k smallest 64-bit hashes of
 the values seen; the distinct-count estimate is ``(k-1) * 2^63 /
@@ -28,6 +31,12 @@ import pandas as pd
 import ray.data
 
 from valere_ocr_ray.ops.dedup import _token_hashes64
+from valere_ocr_ray.ops.exchange import (
+    _mix64,
+    partition_map,
+    reduced_row,
+    tree_reduce,
+)
 
 _HASH_SPACE = float(1 << 63)  # hashes are right-shifted to 63-bit below
 
@@ -59,8 +68,8 @@ def distinct_tokens_kmv(
     ds: ray.data.Dataset, *, col: str = "text", k: int = 4096
 ) -> int:
     """Approximate distinct lower-cased alpha-token count over a text
-    column: per-block KMV partials → TREE merge (sketches are
-    associative, so intermediate merges run in tasks) → ONE k-vector
+    column: per-block KMV partials → ``tree_reduce`` (sketches are
+    associative, so every merge runs in a task) → ONE k-vector
     reaches the driver.  A driver-side merge of per-block sketches
     would hold n_blocks × k int64s (≈32 GB at 100 TB block counts);
     the tree keeps driver state at k int64s regardless of corpus
@@ -77,20 +86,14 @@ def distinct_tokens_kmv(
         sk = kmv_from_hashes(_token_hashes64(sorted(toks)), k)
         return pd.DataFrame({"sketch": [sk.tolist()]})
 
-    def merge_block(df: pd.DataFrame) -> pd.DataFrame:
+    def merge(df: pd.DataFrame) -> pd.DataFrame:
         merged = kmv_merge(
             [np.asarray(s, dtype=np.int64) for s in df["sketch"]], k
         )
         return pd.DataFrame({"sketch": [merged.tolist()]})
 
-    parts = ds.map_batches(partial, batch_format="pandas")
-    for w in (8, 1):  # tree fan-in, one sketch row per block at each level
-        parts = parts.repartition(w).map_batches(
-            merge_block, batch_format="pandas", batch_size=None
-        )
-    rows = parts.take_all()  # exactly one row
-    merged = kmv_merge([np.asarray(r["sketch"], dtype=np.int64) for r in rows], k)
-    return kmv_estimate(merged, k)
+    sketch = reduced_row(tree_reduce(ds, partial, merge)).get("sketch", [])
+    return kmv_estimate(np.asarray(sketch, dtype=np.int64), k)
 
 
 def _value_hashes64(values: pd.Series) -> np.ndarray:
@@ -98,8 +101,6 @@ def _value_hashes64(values: pd.Series) -> np.ndarray:
     dtypes vectorize through splitmix64; everything else routes through
     the string token hash (first 8 md5 digest bytes — full 64-bit
     entropy, same construction the KMV module header documents)."""
-    from valere_ocr_ray.ops.exchange import _mix64
-
     v = values.to_numpy()
     if np.issubdtype(v.dtype, np.integer):
         with np.errstate(over="ignore"):
@@ -116,7 +117,9 @@ def grouped_distinct_kmv(
     out_col: str = "distinct_est",
 ) -> ray.data.Dataset:
     """Approximate COUNT(DISTINCT value) PER KEY — one KMV sketch per
-    group, merged through a tree.  EXACT while a group's distinct count
+    group and block, merged per key after one keyed exchange (the
+    ``combine.keyed_topn`` shape), so the output has one row per key
+    spread over the exchange's blocks.  EXACT while a group's distinct count
     stays below ``k`` (the sketch still holds every distinct hash), so
     with k sized above the expected cardinality this value-matches the
     SQL oracle; beyond k it degrades to the ±1/sqrt(k) KMV estimate
@@ -132,7 +135,7 @@ def grouped_distinct_kmv(
             rows.append((*key_vals, sk.tolist()))
         return pd.DataFrame(rows, columns=[*keys, "sketch"])
 
-    def merge_block(df: pd.DataFrame) -> pd.DataFrame:
+    def final(df: pd.DataFrame) -> pd.DataFrame:
         rows = []
         for key_vals, g in df.groupby(keys, sort=True):
             if not isinstance(key_vals, tuple):
@@ -140,24 +143,12 @@ def grouped_distinct_kmv(
             merged = kmv_merge(
                 [np.asarray(s, dtype=np.int64) for s in g["sketch"]], k
             )
-            rows.append((*key_vals, merged.tolist()))
-        return pd.DataFrame(rows, columns=[*keys, "sketch"])
+            rows.append((*key_vals, kmv_estimate(merged, k)))
+        out = pd.DataFrame(rows, columns=[*keys, out_col])
+        return out.astype({out_col: "int64"})
 
-    parts = ds.map_batches(partial, batch_format="pandas")
-    for w in (8, 1):
-        parts = parts.repartition(w).map_batches(
-            merge_block, batch_format="pandas", batch_size=None
-        )
-
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[keys].copy()
-        out[out_col] = [
-            kmv_estimate(np.asarray(s, dtype=np.int64), k) for s in df["sketch"]
-        ]
-        out[out_col] = out[out_col].astype("int64")
-        return out
-
-    return parts.map_batches(finalize, batch_format="pandas", batch_size=None)
+    pre = ds.map_batches(partial, batch_format="pandas")
+    return partition_map(pre, keys, final)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +209,7 @@ def column_quantiles_sketch(
     q: int = 1024,
 ) -> pd.DataFrame:
     """Approximate column quantiles via the mergeable sketch: per-block
-    partials → tree merge → one (2, q) array on the driver.  The exact
+    partials → ``tree_reduce`` → one (2, q) array on the driver.  The exact
     distributed percentile (``pipelines/queries.py`` global percentile)
     needs one exchange; this needs NONE and ships 2·q floats per block
     — the trade at 100 TB when ±0.1% rank error is acceptable."""
@@ -227,22 +218,15 @@ def column_quantiles_sketch(
         sk = quantile_sketch_from_values(df[col].to_numpy(), q)
         return pd.DataFrame({"sk": [sk.tolist()]})
 
-    def merge_block(df: pd.DataFrame) -> pd.DataFrame:
+    def merge(df: pd.DataFrame) -> pd.DataFrame:
+        # a (2, m) sketch reaches pandas as an array of two row arrays
         merged = quantile_sketch_merge(
-            [np.asarray(s, dtype=np.float64) for s in df["sk"]], q
+            [np.vstack(s).astype(np.float64) for s in df["sk"]], q
         )
         return pd.DataFrame({"sk": [merged.tolist()]})
 
-    parts = ds.map_batches(partial, batch_format="pandas")
-    for w in (8, 1):
-        parts = parts.repartition(w).map_batches(
-            merge_block, batch_format="pandas", batch_size=None
-        )
-    rows = parts.take_all()
-    merged = quantile_sketch_merge(
-        [np.asarray(r["sk"], dtype=np.float64) for r in rows], q
-    )
-    est = quantile_sketch_query(merged, probs)
+    sketch = reduced_row(tree_reduce(ds, partial, merge)).get("sk", [])
+    est = quantile_sketch_query(np.asarray(sketch, dtype=np.float64), probs)
     return pd.DataFrame({"prob": probs, "quantile_est": est})
 
 
@@ -321,7 +305,7 @@ def grouped_hll(
 ) -> np.ndarray:
     """Corpus-wide HLL over ``value_col``: per-block register partials
     (2^b int64s per block — constant, never the values) elementwise-max
-    through the same (8,1) repartition tree the KMV path uses.  Values
+    through ``tree_reduce``, as the KMV path merges.  Values
     hash through the md5 string path so SQL can replay every register."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -330,14 +314,9 @@ def grouped_hll(
         )
         return pd.DataFrame({"sketch": [sk.tolist()]})
 
-    def merge_block(df: pd.DataFrame) -> pd.DataFrame:
+    def merge(df: pd.DataFrame) -> pd.DataFrame:
         merged = hll_merge([np.asarray(s, dtype=np.int64) for s in df["sketch"]])
         return pd.DataFrame({"sketch": [merged.tolist()]})
 
-    parts = ds.map_batches(partial, batch_format="pandas")
-    for w in (8, 1):
-        parts = parts.repartition(w).map_batches(
-            merge_block, batch_format="pandas", batch_size=None
-        )
-    rows = parts.take_all()  # exactly one row
-    return hll_merge([np.asarray(r["sketch"], dtype=np.int64) for r in rows])
+    regs = reduced_row(tree_reduce(ds, partial, merge)).get("sketch")
+    return np.asarray(regs or np.zeros(1 << b), dtype=np.int64)

@@ -1605,8 +1605,9 @@ def orders_customer_join_skew(sf_dir: str):
 def events_type_distinct_users_kmv(sf_dir: str):
     """Approximate COUNT(DISTINCT user_id) per event_type via the
     per-key KMV sketch (``ops/sketch.grouped_distinct_kmv``): one
-    bounded sketch per group merged through a tree — each group costs
-    ≤ k int64s at any stage regardless of corpus size.  k=65536 sits
+    bounded sketch per group and block, merged per key after one keyed
+    exchange — each group costs ≤ k int64s at any stage regardless of
+    corpus size.  k=65536 sits
     above the test corpora's user cardinality, so the sketch is in its
     EXACT regime and value-matches the SQL oracle; at 100 TB the same
     code degrades to the ±1/√k estimate instead of a shuffle."""
@@ -1621,8 +1622,8 @@ def events_type_distinct_users_kmv(sf_dir: str):
 def doc_nchars_quantiles_sketch(sf_dir: str):
     """Approximate p50/p90/p99 of document length via the mergeable
     quantile sketch (``ops/sketch.column_quantiles_sketch``): per-block
-    (2, q) centroid partials → tree merge → interpolation.  ZERO
-    exchanges (the exact percentile query pays one); ±0.1% rank error
+    (2, q) centroid partials → ``tree_reduce`` → interpolation.  No
+    keyed exchange (the exact percentile query pays one); ±0.1% rank error
     at q=1024.  No SQL oracle by design — approximate result; accuracy
     is pinned by ``test_quantile_sketch_accuracy``."""
     from valere_ocr_ray.ops.sketch import column_quantiles_sketch
@@ -1755,9 +1756,10 @@ def doc_shared_ngrams(sf_dir: str):
 
 def doc_corpus_checksum(sf_dir: str):
     """Order-invariant corpus fingerprint (replication / copy audit):
-    per-row md5-derived int64, summed mod 2^63 through the tree — two
-    corpora match iff (n_rows, checksum) match, regardless of
-    partitioning or row order.  One pass, no exchange."""
+    per-row md5-derived int64, per-block partial sums (one row per
+    block) summed mod 2^62 on the driver — two corpora match iff
+    (n_rows, checksum) match, regardless of partitioning or row order.
+    One pass, no exchange."""
     import hashlib
 
     M = np.int64(2**62)  # stay clear of int64 overflow in partial sums
@@ -2344,36 +2346,27 @@ def doc_emb_corr(sf_dir: str):
 def emb_pca_evr(sf_dir: str):
     """Distributed PCA: per-batch partial moment matrices (sum of
     outer products + sum vector + count, one numpy matmul each)
-    tree-combine down to ONE d×d covariance row — driver state is
-    O(d²), never O(blocks) — then a local eigendecomposition.
+    merge through ``ops/exchange.tree_reduce`` down to ONE d×d
+    covariance row — driver state is O(d²), never O(blocks) — then a
+    local eigendecomposition.
     Output: top-8
     explained-variance ratios (floor-scaled).  Linear algebra, not
     SQL — rows-only; correctness unit-tested against numpy.cov."""
+    from valere_ocr_ray.ops.exchange import reduced_row, tree_reduce
+
     emb = rd.read_parquet(_t(sf_dir, "embeddings"), columns=["embedding"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    "xtx": pd.Series([], dtype="object"),
-                    "xsum": pd.Series([], dtype="object"),
-                    "n": pd.Series([], dtype="int64"),
-                }
-            )
         mat = np.stack(df["embedding"].to_numpy()).astype(np.float64)
         return pd.DataFrame(
             {
-                "xtx": [
-                    (mat.T @ mat).ravel()
-                ],
+                "xtx": [(mat.T @ mat).ravel()],
                 "xsum": [mat.sum(axis=0)],
                 "n": [np.int64(len(mat))],
             }
         )
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df
         return pd.DataFrame(
             {
                 "xtx": [np.sum(np.stack(df["xtx"].to_numpy()), axis=0)],
@@ -2382,17 +2375,12 @@ def emb_pca_evr(sf_dir: str):
             }
         )
 
-    # tree-combine the per-block moment partials (32 KB each at d=64)
-    # so the driver receives ONE row, not one per block
-    parts = emb.map_batches(partial, batch_format="pandas")
-    for w in (8, 1):
-        parts = parts.repartition(w).map_batches(
-            fold, batch_format="pandas", batch_size=None
-        )
-    parts = parts.to_pandas()
-    n = int(parts["n"].sum())
-    xtx = np.sum(np.stack(parts["xtx"].to_numpy()), axis=0)
-    xsum = np.sum(np.stack(parts["xsum"].to_numpy()), axis=0)
+    # merge the per-block moment partials (32 KB each at d=64) so the
+    # driver receives ONE row, not one per block
+    moments = reduced_row(tree_reduce(emb, partial, fold))
+    n = moments["n"]
+    xtx = np.asarray(moments["xtx"], dtype=np.float64)
+    xsum = np.asarray(moments["xsum"], dtype=np.float64)
     d = len(xsum)
     cov = (xtx.reshape(d, d) - np.outer(xsum, xsum) / n) / (n - 1)
     evals = np.linalg.eigvalsh(cov)[::-1]
@@ -2510,7 +2498,7 @@ def events_funnel(sf_dir: str):
     exchange co-locates each user, then the WHOLE partition resolves
     the stage chain with three groupby-transform passes (first signup →
     first later click → any later purchase) — no Python fn per user —
-    and a 1-row tree fold counts users completing each prefix."""
+    and one global ``Dataset.sum`` counts users completing each prefix."""
     from valere_ocr_ray.ops.exchange import partition_map
 
     ev = rd.read_parquet(
@@ -3794,6 +3782,7 @@ def events_distinct_users_kmv_est(sf_dir: str):
     just its exact-regime twin.  k=64 < the corpus's user cardinality,
     so this exercises the estimator, not the exact fallback."""
     from valere_ocr_ray.ops import sketch
+    from valere_ocr_ray.ops.exchange import reduced_row, tree_reduce
 
     k = 64
     ds = rd.read_parquet(_t(sf_dir, "events"), columns=["user_id"])
@@ -3807,24 +3796,15 @@ def events_distinct_users_kmv_est(sf_dir: str):
         )
         return pd.DataFrame({"sketch": [sk.tolist()]})
 
-    def merge_block(df: pd.DataFrame) -> pd.DataFrame:
+    def merge(df: pd.DataFrame) -> pd.DataFrame:
         merged = sketch.kmv_merge(
             [np.asarray(s, dtype=np.int64) for s in df["sketch"]], k
         )
         return pd.DataFrame({"sketch": [merged.tolist()]})
 
-    parts = ds.map_batches(partial, batch_format="pandas")
-    for w in (8, 1):
-        parts = parts.repartition(w).map_batches(
-            merge_block, batch_format="pandas", batch_size=None
-        )
-    rows = parts.take_all()  # exactly one row
-    merged = sketch.kmv_merge(
-        [np.asarray(r["sketch"], dtype=np.int64) for r in rows], k
-    )
-    return pa.table(
-        {"n_distinct_est": pa.array([sketch.kmv_estimate(merged, k)], pa.int64())}
-    )
+    merged = reduced_row(tree_reduce(ds, partial, merge)).get("sketch", [])
+    est = sketch.kmv_estimate(np.asarray(merged, dtype=np.int64), k)
+    return pa.table({"n_distinct_est": pa.array([est], pa.int64())})
 
 
 def doc_distinct_tokens_kmv(sf_dir: str):
