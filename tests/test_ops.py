@@ -18,9 +18,9 @@ def docs_ds(ray_session):
 
 # -- textstats ----------------------------------------------------------
 def test_token_counts_match_python(docs_ds):
-    from valere_ocr_ray.ops.textstats import with_textstats
+    from valere_ocr_ray.ops.textstats import token_count_batch
 
-    df = with_textstats(docs_ds).to_pandas()
+    df = docs_ds.map_batches(token_count_batch, batch_format="pandas").to_pandas()
     sample = df.head(25)
     for _, row in sample.iterrows():
         assert row["n_tokens"] == len(row["text"].split())
@@ -28,9 +28,13 @@ def test_token_counts_match_python(docs_ds):
 
 
 def test_quality_and_langid_columns(docs_ds):
-    from valere_ocr_ray.ops.textstats import with_textstats
+    from valere_ocr_ray.ops.textstats import langid_batch, quality_batch
 
-    df = with_textstats(docs_ds).to_pandas()
+    df = (
+        docs_ds.map_batches(quality_batch, batch_format="pandas")
+        .map_batches(langid_batch, batch_format="pandas")
+        .to_pandas()
+    )
     assert df["alpha_ratio"].between(0, 1000).all()
     assert set(df["lang_pred"].unique()) <= {"en", "es", "fr", "de", "und"}
 
@@ -152,14 +156,41 @@ def test_doc_lsh_union_recall_query(ray_session):
     assert row["recall_2seed_per_mil"] <= 1000
 
 
+def _verify_pairs_oracle(ds, pairs, threshold, n=3):
+    """Exact-Jaccard verify as a pandas loop of ``ngram_jaccard`` over
+    the distinct candidate pairs (a missing text is the empty string)."""
+    from valere_ocr_ray.ops.dedup import ngram_jaccard
+
+    docs = ds.select_columns(["doc_id", "text"]).to_pandas()
+    texts = dict(zip(docs["doc_id"], docs["text"]))
+    cand = pairs.to_pandas()[["id_a", "id_b"]].drop_duplicates()
+    cand["jaccard"] = [
+        ngram_jaccard(texts.get(a, ""), texts.get(b, ""), n)
+        for a, b in zip(cand["id_a"], cand["id_b"])
+    ]
+    return cand[cand["jaccard"] >= threshold]
+
+
+def _norm_pairs(df):
+    df = df[["id_a", "id_b", "jaccard"]].astype({"id_a": "int64", "id_b": "int64"})
+    df["jaccard"] = df["jaccard"].round(9)
+    return df.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+
+
 def test_verify_pairs_exact_jaccard(ray_session):
-    from valere_ocr_ray.ops.dedup import minhash_lsh_pairs, ngram_jaccard, verify_pairs_exact
+    from valere_ocr_ray.ops.dedup import (
+        minhash_lsh_pairs,
+        ngram_jaccard,
+        verify_pairs_exact_exchange,
+    )
 
     ds = _dup_corpus(ray_session)
-    pairs = minhash_lsh_pairs(ds, threshold=0.3)
-    verified = verify_pairs_exact(ds, pairs, threshold=0.9).to_pandas()
+    pairs = minhash_lsh_pairs(ds, threshold=0.3).materialize()
+    verified = verify_pairs_exact_exchange(ds, pairs, threshold=0.9).to_pandas()
     got = {(int(a), int(b)) for a, b in zip(verified["id_a"], verified["id_b"])}
     assert (1, 2) in got  # exact dup: jaccard 1.0
+    want = _norm_pairs(_verify_pairs_oracle(ds, pairs, 0.9))
+    pd.testing.assert_frame_equal(_norm_pairs(verified), want)
     assert ngram_jaccard("a b c d", "a b c d") == 1.0
     assert ngram_jaccard("a b c d", "x y z w") == 0.0
 
@@ -294,6 +325,25 @@ def test_ivf_recall_vs_brute(ray_session):
         for qi in range(5)
     )
     assert hits >= 4  # n_probe=4 of 8 clusters: near-perfect on top-1
+
+
+def test_ivf_index_sample_block_layout_invariant(ray_session):
+    """IvfIndex trains k-means on its sample_size smallest ids in id
+    order, so the same rows permuted over a different block count give
+    equal centroids (a sample in task-completion order, or drawn per
+    block, seeds k-means differently from layout to layout)."""
+    import ray.data as rd
+
+    from valere_ocr_ray.ops.similarity import IvfIndex
+
+    df = rd.read_parquet(f"{SF}/embeddings.parquet").to_pandas()
+    perm = df.sample(frac=1.0, random_state=7).reset_index(drop=True)
+    blocks = [perm.iloc[i : i + 70] for i in range(0, len(perm), 70)]
+    assert len(blocks) > 1
+    for size in (300, len(df)):
+        a = IvfIndex(rd.from_pandas(df), n_clusters=8, sample_size=size)
+        b = IvfIndex(rd.from_pandas(blocks), n_clusters=8, sample_size=size)
+        assert np.array_equal(a.centroids, b.centroids)
 
 
 def test_ivf_persisted_probe_reads_only_probed_clusters(ray_session, tmp_path):
@@ -443,13 +493,6 @@ def test_media_features_deterministic(ray_session):
             assert np.allclose(fa, fb)
 
 
-def test_frame_sample_plan():
-    from valere_ocr_ray.ops.multimodal import frame_sample_plan
-
-    assert frame_sample_plan(3500, 1000) == [0, 1000, 2000, 3000]
-    assert frame_sample_plan(0) == []
-
-
 def test_kmv_sketch_exact_below_k_and_bounded_above(ray_session):
     import numpy as np
     import pandas as pd
@@ -494,13 +537,15 @@ def test_asof_and_range_join_edges(ray_session):
     import pandas as pd
     import ray.data as rd
 
-    from valere_ocr_ray.ops.asof import asof_join, range_count_join
+    from valere_ocr_ray.ops.asof import asof_join_exchange, range_count_join_exchange
 
-    right = pd.DataFrame(
-        {
-            "k": [1, 1, 2],
-            "rts": pd.to_datetime(["2024-01-01", "2024-01-10", "2024-01-05"]),
-        }
+    right = rd.from_pandas(
+        pd.DataFrame(
+            {
+                "k": [1, 1, 2],
+                "rts": pd.to_datetime(["2024-01-01", "2024-01-10", "2024-01-05"]),
+            }
+        )
     )
     left = rd.from_pandas(
         pd.DataFrame(
@@ -517,7 +562,7 @@ def test_asof_and_range_join_edges(ray_session):
             }
         )
     )
-    out = asof_join(
+    out = asof_join_exchange(
         left, right, left_key="k", left_ts="ts", right_key="k", right_ts="rts"
     ).to_pandas().set_index("id")
     assert sorted(out.index) == [10, 11, 13]
@@ -525,13 +570,10 @@ def test_asof_and_range_join_edges(ray_session):
     e = pd.Timestamp("2024-01-01").value // 1000
     assert out.loc[10, "matched_ts_us"] == e + 9 * day
     assert out.loc[11, "matched_ts_us"] == e
-    # range: 7-day windows; id=10 at 01-10 covered by the 01-10 window
-    # only (01-01 window ends 01-08); id=11 at 01-09 covered by none of
-    # k=1? 01-01+7d=01-08 <= 01-09, 01-10 starts later → dropped
     # range: 7-day windows.  id=10 at 01-10: covered by the 01-10 window
     # only (01-01 window ends 01-08); id=11 at 01-09: covered by none;
     # id=13 at 02-01: the k=2 window (01-05..01-12) ended → dropped.
-    r = range_count_join(
+    r = range_count_join_exchange(
         left, right, left_key="k", left_ts="ts", right_key="k", right_ts="rts",
         window_us=7 * day,
     ).to_pandas().set_index("id")
@@ -545,60 +587,92 @@ def test_asof_pre_epoch_matches_and_key_validation(ray_session):
     import pandas as pd
     import ray.data as rd
 
-    from valere_ocr_ray.ops.asof import asof_join, build_time_index
+    from valere_ocr_ray.ops.asof import asof_join_exchange, range_count_join_exchange
 
-    right = pd.DataFrame(
-        {"k": [1], "rts": pd.to_datetime(["1960-06-01"])}
+    right = rd.from_pandas(
+        pd.DataFrame({"k": [1], "rts": pd.to_datetime(["1960-06-01"])})
     )
     left = rd.from_pandas(
         pd.DataFrame(
             {"id": [1], "k": [1], "ts": pd.to_datetime(["1961-01-01"])}
         )
     )
-    out = asof_join(
+    out = asof_join_exchange(
         left, right, left_key="k", left_ts="ts", right_key="k", right_ts="rts"
     ).to_pandas()
     assert len(out) == 1
     assert out["matched_ts_us"].iloc[0] == pd.Timestamp("1960-06-01").value // 1000
     assert out["matched_ts_us"].iloc[0] < 0
 
-    bad = pd.DataFrame({"k": ["a"], "rts": pd.to_datetime(["2024-01-01"])})
-    with pytest.raises(TypeError, match="must be integer"):
-        build_time_index(bad, "k", "rts")
+    # a float key would truncate through the exchange's int64 cast (1.5
+    # would join right key 1) and a string key would fail without naming
+    # its column: either, on either side of either join, names the column
+    good_l = pd.DataFrame({"id": [1], "lk": [1], "ts": pd.to_datetime(["2024-01-02"])})
+    good_r = pd.DataFrame({"rk": [1], "rts": pd.to_datetime(["2024-01-01"])})
+    cases = [
+        ("lk", good_l.assign(lk=[1.5]), good_r),
+        ("lk", good_l.assign(lk=["1"]), good_r),
+        ("rk", good_l, good_r.assign(rk=[1.0])),
+        ("rk", good_l, good_r.assign(rk=["a"])),
+    ]
+    kw = dict(left_key="lk", left_ts="ts", right_key="rk", right_ts="rts")
+    for col, bad_l, bad_r in cases:
+        for join, extra in (
+            (asof_join_exchange, {}),
+            (range_count_join_exchange, {"window_us": 10**12}),
+        ):
+            with pytest.raises(Exception, match=f"'{col}' must be integer"):
+                join(
+                    rd.from_pandas(bad_l), rd.from_pandas(bad_r), **kw, **extra
+                ).materialize()
+    # the valid pair still joins
+    out = asof_join_exchange(rd.from_pandas(good_l), rd.from_pandas(good_r), **kw)
+    assert out.to_pandas()["id"].tolist() == [1]
+    # an int key with nulls stays an int key, and a null matches nothing
+    # (not even a null on the other side)
+    null_l = pa.table(
+        {
+            "id": [1, 2],
+            "lk": pa.array([1, None], pa.int64()),
+            "ts": pa.array(pd.to_datetime(["2024-01-02"] * 2)),
+        }
+    )
+    null_r = pa.table(
+        {
+            "rk": pa.array([1, None], pa.int64()),
+            "rts": pa.array(pd.to_datetime(["2024-01-01"] * 2)),
+        }
+    )
+    for join, extra in (
+        (asof_join_exchange, {}),
+        (range_count_join_exchange, {"window_us": 10**12}),
+    ):
+        out = join(rd.from_arrow(null_l), rd.from_arrow(null_r), **kw, **extra)
+        assert out.to_pandas()["id"].tolist() == [1]
 
 
 def test_verify_pairs_exchange_matches_broadcast(ray_session):
-    """The zero-driver-state exchange verify == the broadcast verify,
-    on both a toy dup corpus and the documents table."""
+    """The zero-driver-state exchange verify == a pandas loop of
+    ``ngram_jaccard`` over the candidate pairs, on both a toy dup corpus
+    and the documents table."""
     import ray.data as rd
 
-    from valere_ocr_ray.ops.dedup import (
-        minhash_lsh_pairs,
-        verify_pairs_exact,
-        verify_pairs_exact_exchange,
-    )
-
-    def normalize(df):
-        df = df[["id_a", "id_b", "jaccard"]].copy()
-        df["jaccard"] = df["jaccard"].round(9)
-        return df.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+    from valere_ocr_ray.ops.dedup import minhash_lsh_pairs, verify_pairs_exact_exchange
 
     ds = _dup_corpus(ray_session)
-    cand = minhash_lsh_pairs(ds, threshold=0.3)
-    a = normalize(verify_pairs_exact(ds, cand, threshold=0.35).to_pandas())
-    b = normalize(
-        verify_pairs_exact_exchange(ds, cand, threshold=0.35).to_pandas()
-    )
+    cand = minhash_lsh_pairs(ds, threshold=0.3).materialize()
+    a = _norm_pairs(_verify_pairs_oracle(ds, cand, 0.35))
+    b = _norm_pairs(verify_pairs_exact_exchange(ds, cand, threshold=0.35).to_pandas())
     assert len(a) > 0
-    assert a.equals(b)
+    pd.testing.assert_frame_equal(a, b)
 
     docs = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
-    cand2 = minhash_lsh_pairs(docs, threshold=0.3)
-    a2 = normalize(verify_pairs_exact(docs, cand2, threshold=0.35).to_pandas())
-    b2 = normalize(
+    cand2 = minhash_lsh_pairs(docs, threshold=0.3).materialize()
+    a2 = _norm_pairs(_verify_pairs_oracle(docs, cand2, 0.35))
+    b2 = _norm_pairs(
         verify_pairs_exact_exchange(docs, cand2, threshold=0.35).to_pandas()
     )
-    assert a2.equals(b2)
+    pd.testing.assert_frame_equal(a2, b2)
 
 
 def test_tfidf_top_terms_hand_computed(ray_session):
@@ -633,17 +707,28 @@ def test_tfidf_top_terms_hand_computed(ray_session):
     assert out.groupby("doc_id").size().tolist() == [2, 2, 2]
 
 
+def _duckdb_sf(sql: str):
+    """``sql`` run by DuckDB over the sf0.001 ``events`` and ``orders``
+    parquet, sorted by ``event_id``."""
+    import duckdb
+
+    con = duckdb.connect()
+    for t in ("events", "orders"):
+        con.execute(
+            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')"
+        )
+    return con.execute(sql).df().sort_values("event_id").reset_index(drop=True)
+
+
 def test_asof_exchange_matches_broadcast(ray_session):
-    """Two-large-sides exchange as-of == broadcast as-of on real data."""
+    """Exchange as-of join == DuckDB ``ASOF JOIN`` on real data (the
+    oracle of the ``events_orders_asof`` query)."""
     import pandas as pd
     import ray.data as rd
 
-    from valere_ocr_ray.ops.asof import asof_join, asof_join_exchange
+    from valere_ocr_ray.ops.asof import asof_join_exchange
 
     sf = "/root/testdata/sf0.001"
-    orders_pd = pd.read_parquet(
-        f"{sf}/orders.parquet", columns=["o_custkey", "o_orderdate"]
-    )
     orders_ds = rd.read_parquet(
         f"{sf}/orders.parquet", columns=["o_custkey", "o_orderdate"]
     )
@@ -655,11 +740,10 @@ def test_asof_exchange_matches_broadcast(ray_session):
         right_key="o_custkey", right_ts="o_orderdate",
         out_col="order_date_us",
     )
-    a = (
-        asof_join(events, orders_pd, **kw)
-        .to_pandas()[["event_id", "order_date_us"]]
-        .sort_values("event_id")
-        .reset_index(drop=True)
+    a = _duckdb_sf(
+        "SELECT e.event_id, CAST(epoch_us(o.o_orderdate) AS BIGINT) "
+        "AS order_date_us FROM events e ASOF JOIN orders o "
+        "ON e.user_id = o.o_custkey AND e.ts >= o.o_orderdate"
     )
     b = (
         asof_join_exchange(events, orders_ds, num_partitions=4, **kw)
@@ -672,13 +756,14 @@ def test_asof_exchange_matches_broadcast(ray_session):
 
 
 def test_range_exchange_matches_broadcast(ray_session):
+    """Exchange range-count self-join == DuckDB's windowed count join on
+    real data (the oracle of the ``events_trailing_window`` query)."""
     import pandas as pd
     import ray.data as rd
 
-    from valere_ocr_ray.ops.asof import range_count_join, range_count_join_exchange
+    from valere_ocr_ray.ops.asof import range_count_join_exchange
 
     sf = "/root/testdata/sf0.001"
-    right_pd = pd.read_parquet(f"{sf}/events.parquet", columns=["user_id", "ts"])
     right_ds = rd.read_parquet(f"{sf}/events.parquet", columns=["user_id", "ts"])
     events = rd.read_parquet(
         f"{sf}/events.parquet", columns=["event_id", "user_id", "ts"]
@@ -687,11 +772,11 @@ def test_range_exchange_matches_broadcast(ray_session):
         left_key="user_id", left_ts="ts", right_key="user_id", right_ts="ts",
         window_us=3600 * 1_000_000,
     )
-    a = (
-        range_count_join(events, right_pd, **kw)
-        .to_pandas()[["event_id", "n_windows"]]
-        .sort_values("event_id")
-        .reset_index(drop=True)
+    a = _duckdb_sf(
+        "SELECT e.event_id, count(*) AS n_windows FROM events e "
+        "JOIN events o ON e.user_id = o.user_id "
+        "AND e.ts >= o.ts AND e.ts < o.ts + INTERVAL 1 HOUR "
+        "GROUP BY e.event_id"
     )
     b = (
         range_count_join_exchange(events, right_ds, num_partitions=4, **kw)
@@ -701,75 +786,6 @@ def test_range_exchange_matches_broadcast(ray_session):
     )
     assert len(a) > 0
     pd.testing.assert_frame_equal(a, b)
-
-
-def test_bucketed_layout_grouped_map_no_shuffle(ray_session, tmp_path):
-    """Durable key-bucketed layout: write once bucketed by user_id,
-    then sessionize straight off the bucket files — results identical
-    to the exchange-based sessionize, with no exchange at read time."""
-    import glob
-
-    import pandas as pd
-    import ray.data as rd
-
-    from valere_ocr_ray.ops.bucketed import grouped_map_bucketed, write_bucketed
-    from valere_ocr_ray.ops.exchange import grouped_map
-
-    sf = "/root/testdata/sf0.001"
-    ds = rd.read_parquet(f"{sf}/events.parquet", columns=["user_id", "ts", "event_id"])
-    out = str(tmp_path / "events_bucketed")
-    write_bucketed(ds, out, ["user_id"], n_buckets=8)
-    assert len(glob.glob(out + "/__bucket=*")) >= 2
-
-    gap_us = 1_800_000_000
-
-    def sessions(df: pd.DataFrame) -> pd.DataFrame:
-        import numpy as np
-
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype="int64"),
-                    "n_sessions": pd.Series([], dtype="int64"),
-                }
-            )
-        df = df.sort_values(["ts", "event_id"])
-        t = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        return pd.DataFrame(
-            {
-                "user_id": [int(df["user_id"].iloc[0])],
-                "n_sessions": [int(1 + (np.diff(t) > gap_us).sum())],
-            }
-        )
-
-    got = (
-        grouped_map_bucketed(out, sessions, ["user_id"])
-        .to_pandas()
-        .sort_values("user_id")
-        .reset_index(drop=True)
-    )
-    want = (
-        grouped_map(ds, ["user_id"], sessions, num_partitions=4)
-        .to_pandas()
-        .sort_values("user_id")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got, want)
-
-    # small read blocks split a bucket into several: key groups must
-    # still meet in one fold
-    from ray.data import DataContext
-
-    ctx = DataContext.get_current()
-    saved = ctx.target_max_block_size
-    ctx.target_max_block_size = 1024
-    try:
-        small = grouped_map_bucketed(out, sessions, ["user_id"]).to_pandas()
-    finally:
-        ctx.target_max_block_size = saved
-    pd.testing.assert_frame_equal(
-        small.sort_values("user_id").reset_index(drop=True), want
-    )
 
 
 def test_repetition_signals_hand_computed():
@@ -1648,27 +1664,6 @@ def test_doc_incremental_near_dedup_query(ray_session):
     assert (out["n_novel_exact"] <= out["n_rows_in"]).all()
 
 
-def test_compact_parquet(ray_session, tmp_path):
-    import glob
-
-    import ray.data as rd
-
-    from valere_ocr_ray.ops.incremental import compact_parquet
-
-    src = str(tmp_path / "many")
-    rd.from_pandas(
-        pd.DataFrame({"x": np.arange(5000, dtype="int64")})
-    ).repartition(40).write_parquet(src)
-    assert len(glob.glob(src + "/*.parquet")) >= 20
-
-    out = str(tmp_path / "few")
-    s = compact_parquet(src, out, target_rows_per_file=2500)
-    assert s["n_rows"] == 5000
-    assert s["n_files_out"] < s["n_files_in"]
-    got = rd.read_parquet(out).to_pandas()
-    assert sorted(got["x"]) == list(range(5000))
-
-
 def test_segment_dedup_properties_random(ray_session):
     """Property check on a randomized corpus: stats bookkeeping is
     internally consistent and matches a single-process reference."""
@@ -1846,24 +1841,6 @@ def test_media_audio_real_decode(ray_session):
     # first feature dim is the true duration in seconds
     for _, r in audio.head(5).iterrows():
         assert abs(r["feature"][0] - r["decoded_w"] / 8000.0) < 1e-5
-
-
-def test_resize_images_stage(ray_session):
-    import ray.data as rd
-
-    from valere_ocr_ray.extract.image_decode import decode_image
-    from valere_ocr_ray.ops.multimodal import resize_images, synth_media_table
-
-    tbl = synth_media_table(40)
-    out = resize_images(rd.from_arrow(tbl), 16, 16).to_pandas()
-    assert len(out) == 40  # rows never dropped
-    imgs = out[out["status"] == "ok"]
-    assert len(imgs) > 0
-    for _, r in imgs.head(5).iterrows():
-        px = decode_image(bytes(r["payload"]))
-        assert px.shape == (16, 16, 3)
-    others = out[out["status"] != "ok"]
-    assert (others["status"] == "skipped_no_decoder").all()
 
 
 def test_hash_join_randomized_vs_pandas(ray_session):

@@ -5,12 +5,10 @@ def test_jsonl_source_end_to_end(ray_session, tmp_path):
     import gzip
     import json as _json
 
+    import ray.data as rd
+
     from valere_ocr_ray.pipelines.extract import run_resumable
-    from valere_ocr_ray.sources.jsonl import (
-        convert_jsonl_dir,
-        jsonl_file_to_table,
-        read_jsonl,
-    )
+    from valere_ocr_ray.sources.jsonl import convert_jsonl_dir, jsonl_file_to_table
 
     d = tmp_path / "jl"
     d.mkdir()
@@ -31,13 +29,11 @@ def test_jsonl_source_end_to_end(ray_session, tmp_path):
     assert t.num_rows == 13
     assert t.schema.metadata[b"n_bad_lines"] == b"1"
 
-    ds = read_jsonl(str(d))
-    df = ds.to_pandas()
-    assert len(df) == 26
-    assert (df["url"] == "about:missing").sum() == 1
-
     outs = convert_jsonl_dir(str(d), str(tmp_path / "pages"))
     assert len(outs) == 2
+    df = rd.read_parquet(outs).to_pandas()
+    assert len(df) == 26
+    assert (df["url"] == "about:missing").sum() == 1
     s = run_resumable(str(tmp_path / "pages"), str(tmp_path / "out"), group_size=2)
     assert s["totals"]["n_in"] == 26
 

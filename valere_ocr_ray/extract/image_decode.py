@@ -345,13 +345,3 @@ def image_feature(pixels: np.ndarray, dim: int = 32) -> np.ndarray:
     feat[dim - 2] = np.log1p(w)
     feat[dim - 1] = np.log1p(h)
     return feat
-
-
-def resize_nearest(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Nearest-neighbor resize, pure numpy indexing — the dependency-
-    free resize kernel for the multimodal pipeline (real, not a stub;
-    bilinear-class quality needs PIL, which stays behind the seam)."""
-    h, w = pixels.shape[:2]
-    ri = (np.arange(out_h) * h // out_h).clip(0, h - 1)
-    ci = (np.arange(out_w) * w // out_w).clip(0, w - 1)
-    return pixels[ri][:, ci]

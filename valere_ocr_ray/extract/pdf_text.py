@@ -5,8 +5,8 @@ Replaces the reference's PDF paths — PyPDF2 page-loop text reads
 Textract document-analysis flow
 (``IDD/finalcodes/SignedAgreement.py:124-156``) — with a minimal,
 dependency-free parser over PDF content streams (pdfminer/PyPDF2 are
-not available in this environment; an OCR seam for scanned pages is
-left pluggable via :class:`OcrSeam`).
+not available in this environment; an OCR engine for scanned pages
+plugs in through ``stages/extractor.PageExtractor(ocr_seam=…)``).
 
 Supported subset (sufficient for the synthetic corpus and any
 uncompressed text-object PDF):
@@ -171,20 +171,3 @@ def extract_pdf_text(pdf_bytes: bytes) -> str:
     else:
         _collect_text(pdf_bytes, lines)
     return "\n".join(lines)
-
-
-class OcrSeam:
-    """Pluggable OCR hook for image-only PDF pages / raster payloads.
-
-    The OCR engine the reference leans on (AWS Textract) is a network
-    service and no local OCR library ships in this container, so the
-    seam is a clearly-marked stub: the pipeline plumbing (actor
-    signature, batch routing, status columns) is real and tested, the
-    model call is not.
-    """
-
-    def __call__(self, payload: bytes) -> str:
-        raise NotImplementedError(
-            "OCR backend not available in this environment; plug a local "
-            "OCR engine here (e.g. tesseract) for scanned-page payloads."
-        )

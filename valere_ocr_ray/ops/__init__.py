@@ -6,7 +6,8 @@ projections (``urlmeta``), approximate distinct sketches (``sketch``), Misra-Gri
 hitters (``heavyhitters``), content-defined-chunking dedup (``cdc``),
 deterministic domain-mixture sampling (``mixing``),
 leakage-safe train/holdout splitting (``split``),
-multimodal plumbing (``multimodal``), as-of/range joins (``asof``),
+multimodal plumbing (``multimodal``), as-of/range joins on the keyed
+exchange (``asof``),
 and the keyed data-movement layer: ``exchange`` — the one keyed
 exchange (one split task per block → one fold task per partition, which
 runs a pandas fold through ``partition_map``) and the one keyed-aggregate
@@ -14,9 +15,7 @@ primitive on it (``grouped_agg``: pandas fold);
 and the one global merge on its core (``tree_reduce``: at most 8
 partial blocks per merge task, down to one table — top-k, sketches, Bloom);
 ``combine`` — mergeable top-k (``tree_topk`` on ``tree_reduce``,
-``keyed_topn`` on ``partition_map``);
-``bucketed`` — durable key-bucketed layout: pay the shuffle once at
-write, grouped reads are shuffle-free forever after.
+``keyed_topn`` on ``partition_map``).
 
 All are Dataset→Dataset transforms built on ``map_batches`` plus the
 custom exchange — no driver-side row loops.
@@ -25,7 +24,6 @@ custom exchange — no driver-side row loops.
 from valere_ocr_ray.ops import (  # noqa: F401
     asof,
     bloom,
-    bucketed,
     cdc,
     combine,
     decontam,
@@ -53,7 +51,6 @@ from valere_ocr_ray.ops import (  # noqa: F401
 __all__ = [
     "asof",
     "bloom",
-    "bucketed",
     "cdc",
     "combine",
     "decontam",

@@ -1,48 +1,24 @@
-"""As-of join: for each left row, the latest right row at-or-before its
-timestamp, per key — the operator the Dataset API lacks (SURVEY.md §2.4
-notes the reference has none either; this is a beyond-reference op the
-brief calls for).
+"""As-of and range joins on the keyed exchange: for each left row, the
+latest right row at-or-before its timestamp per key (as-of), or the
+count of right windows covering it (range) — the operators the Dataset
+API lacks (SURVEY.md §2.4 notes the reference has none either; these
+are beyond-reference ops the brief calls for).
 
-Implementation (custom-operator path (b)): the right side is built into
-a per-key **sorted timestamp index** driver-side and broadcast via
-``ray.put``; each batch then resolves matches with vectorized
-``np.searchsorted`` per key group — no shuffle of the (large) left
-side.
-
-Partitioning assumption (documented per SURVEY §2): the right side is
-the small/dimension side (its per-key index fits worker memory).  For
-two large sides use :func:`asof_join_exchange` — BOTH sides co-grouped
-by key on ``ops/exchange.cogroup_exchange``, the same searchsorted
-kernel (``_resolve``) running against a partition-local index (no
-broadcast, no driver state).
+Implementation: BOTH sides co-grouped by key on
+``ops/exchange.cogroup_exchange``; each partition builds a per-key
+sorted timestamp index from its right rows and resolves its left rows
+with vectorized ``np.searchsorted`` per key group (``_resolve``) — no
+broadcast, no driver state, so either side may grow with the corpus.
+Keys must be an integer type on both sides; a null key matches nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import ray
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
-
-
-def build_time_index(
-    right: pd.DataFrame, key_col: str, ts_col: str
-) -> dict[int, np.ndarray]:
-    """{key → sorted int64-epoch-us timestamps} (duplicates kept).
-
-    Keys must be an integer dtype — validated up front with a clear
-    error (a float key would silently truncate through ``int()``, a
-    string key would raise deep inside the exchange)."""
-    if not pd.api.types.is_integer_dtype(right[key_col]):
-        raise TypeError(
-            f"asof/range join key {key_col!r} must be integer, got "
-            f"{right[key_col].dtype} — cast or factorize keys upstream"
-        )
-    out: dict[int, np.ndarray] = {}
-    ts = right[ts_col].astype("datetime64[us]").astype("int64")
-    for key, g in ts.groupby(right[key_col].to_numpy()):
-        out[int(key)] = np.sort(g.to_numpy())
-    return out
 
 
 def _epoch_us(s: pd.Series) -> np.ndarray:
@@ -91,27 +67,6 @@ def _range_kernel(window_us: int):
     return kernel
 
 
-def _broadcast_join(
-    left: ray.data.Dataset,
-    right: pd.DataFrame,
-    left_key: str,
-    left_ts: str,
-    right_key: str,
-    right_ts: str,
-    out_col: str,
-    kernel,
-) -> ray.data.Dataset:
-    ref = ray.put(build_time_index(right, right_key, right_ts))
-
-    def match(df: pd.DataFrame) -> pd.DataFrame:
-        vals, hit = _resolve(
-            ray.get(ref), df[left_key].to_numpy(), _epoch_us(df[left_ts]), kernel
-        )
-        return df.assign(**{out_col: vals})[hit]
-
-    return left.map_batches(match, batch_format="pandas")
-
-
 def _exchange_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -130,7 +85,20 @@ def _exchange_join(
     from valere_ocr_ray.ops.exchange import cogroup_exchange
 
     def norm(key: str, ts: str, carry: bool):
-        def f(df: pd.DataFrame) -> pd.DataFrame:
+        def f(t: pa.Table) -> pd.DataFrame:
+            # checked in Arrow, where an int column with nulls stays
+            # integer (pandas makes it float64): a float key would
+            # truncate through the int64 cast (1.5 joins 1), a string key
+            # would fail without naming its column
+            typ = t.schema.field(key).type
+            if not pa.types.is_integer(typ):
+                raise TypeError(
+                    f"asof/range join key {key!r} must be integer, got "
+                    f"{typ} — cast or factorize keys upstream"
+                )
+            if t[key].null_count:  # a null key matches nothing
+                t = t.filter(pc.is_valid(t[key]))
+            df = t.to_pandas()
             out = pd.DataFrame(
                 {
                     "__key": df[key].to_numpy(dtype=np.int64),
@@ -167,30 +135,12 @@ def _exchange_join(
         return out[hit]
 
     return cogroup_exchange(
-        left.map_batches(norm(left_key, left_ts, True), batch_format="pandas"),
-        right.map_batches(norm(right_key, right_ts, False), batch_format="pandas"),
+        left.map_batches(norm(left_key, left_ts, True), batch_format="pyarrow"),
+        right.map_batches(norm(right_key, right_ts, False), batch_format="pyarrow"),
         ["__key"],
         ["__key"],
         fold,
         num_partitions=num_partitions,
-    )
-
-
-def asof_join(
-    left: ray.data.Dataset,
-    right: pd.DataFrame,
-    *,
-    left_key: str,
-    left_ts: str,
-    right_key: str,
-    right_ts: str,
-    out_col: str = "matched_ts_us",
-) -> ray.data.Dataset:
-    """Inner as-of join: rows of ``left`` that have a right row with the
-    same key and ``right_ts <= left_ts`` get ``out_col`` = the greatest
-    such ``right_ts`` (epoch µs); unmatched rows are dropped (inner)."""
-    return _broadcast_join(
-        left, right, left_key, left_ts, right_key, right_ts, out_col, _asof_kernel
     )
 
 
@@ -205,10 +155,10 @@ def asof_join_exchange(
     out_col: str = "matched_ts_us",
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
-    """Two-LARGE-sides inner as-of join on ``cogroup_exchange`` — the
-    scale path when the right side also grows with the corpus (the
-    broadcast variant ships a per-key index of the ENTIRE right side
-    to every worker).
+    """Inner as-of join on ``cogroup_exchange``: rows of ``left`` that
+    have a right row with the same key and ``right_ts <= left_ts`` get
+    ``out_col`` = the greatest such ``right_ts`` (epoch µs; an exact
+    tie matches, and pre-1970 timestamps match as negative µs).
 
     The left side travels as ``__key``, ``__ts_us`` (epoch µs) and its
     carry columns, the right side as ``(__key, __ts_us)`` only; both
@@ -224,31 +174,6 @@ def asof_join_exchange(
     )
 
 
-def range_count_join(
-    left: ray.data.Dataset,
-    right: pd.DataFrame,
-    *,
-    left_key: str,
-    left_ts: str,
-    right_key: str,
-    right_ts: str,
-    window_us: int,
-    out_col: str = "n_windows",
-) -> ray.data.Dataset:
-    """Range join (inner, counted): per left row, the number of right
-    rows of the same key whose window ``[right_ts, right_ts+window)``
-    covers ``left_ts``; rows with zero matches are dropped.
-
-    Same broadcast-index kernel as :func:`asof_join` — membership
-    counts come from two ``searchsorted`` probes per key group
-    (start ∈ (ts-window, ts]), so the cost is O(log n_right) per row.
-    """
-    return _broadcast_join(
-        left, right, left_key, left_ts, right_key, right_ts, out_col,
-        _range_kernel(window_us),
-    )
-
-
 def range_count_join_exchange(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -261,16 +186,16 @@ def range_count_join_exchange(
     out_col: str = "n_windows",
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
-    """Two-LARGE-sides range join (inner, counted) on
-    ``cogroup_exchange`` — the scale path when the right side grows
-    with the corpus (e.g. self-joins of an event log, where the
-    broadcast variant would ship the whole log's index to every
-    worker).
+    """Range join (inner, counted) on ``cogroup_exchange``: per left
+    row, the number of right rows of the same key whose window
+    ``[right_ts, right_ts + window_us)`` covers ``left_ts`` (start ∈
+    ``(ts - window, ts]``); e.g. a self-join of an event log.
 
     Same co-group as :func:`asof_join_exchange`; each partition counts
     window membership with two partition-local searchsorted probes per
-    key group.  Output: the left columns (``left_ts`` as epoch-µs
-    int64) + ``out_col``; zero-match rows drop (inner).
+    key group, O(log n_right) per row.  Output: the left columns
+    (``left_ts`` as epoch-µs int64) + ``out_col``; zero-match rows drop
+    (inner).
     """
     return _exchange_join(
         left, right, left_key, left_ts, right_key, right_ts, out_col,

@@ -471,9 +471,9 @@ def verify_pairs_exact_exchange(
     threshold: float = 0.5,
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
-    """Exact-Jaccard verify with ZERO driver state — the scale path
-    (the broadcast variant below holds a candidate-texts dict on the
-    driver, which is fine only while candidates ≪ corpus).
+    """Exact-Jaccard verify of candidate pairs with ZERO driver state:
+    neither the pairs nor the candidate texts reach the driver, so the
+    candidate set may scale with the corpus.
 
     Two hash exchanges:
 
@@ -551,50 +551,6 @@ def verify_pairs_exact_exchange(
     return grouped_map(
         attached, ["id_a", "id_b"], pair_jaccard, num_partitions=num_partitions
     )
-
-
-def verify_pairs_exact(
-    ds: ray.data.Dataset,
-    pairs: ray.data.Dataset,
-    *,
-    n: int = 3,
-    threshold: float = 0.5,
-) -> ray.data.Dataset:
-    """Exact-Jaccard verify of candidate pairs, broadcast variant.
-
-    Partitioning assumption (documented per SURVEY.md): the candidate
-    set is orders of magnitude smaller than the corpus, so the texts
-    of candidate ids are broadcast (``ray.put``) to the verify stage
-    rather than shuffled — a semi-join small-side-broadcast.  When the
-    candidate set scales with the corpus, use
-    :func:`verify_pairs_exact_exchange` (zero driver state).
-    """
-    import ray as _ray
-
-    cand_ids = set()
-    for row in pairs.select_columns(["id_a", "id_b"]).take_all():
-        cand_ids.add(row["id_a"])
-        cand_ids.add(row["id_b"])
-    texts = {}
-    if cand_ids:
-        sub = ds.select_columns(["doc_id", "text"]).map_batches(
-            lambda df: df[df["doc_id"].isin(cand_ids)], batch_format="pandas"
-        )
-        for row in sub.take_all():
-            texts[row["doc_id"]] = row["text"]
-    ref = _ray.put(texts)
-
-    def verify(df: pd.DataFrame) -> pd.DataFrame:
-        lookup = _ray.get(ref)
-        jac = [
-            ngram_jaccard(lookup.get(a, ""), lookup.get(b, ""), n)
-            for a, b in zip(df["id_a"], df["id_b"])
-        ]
-        df = df.copy()
-        df["jaccard"] = jac
-        return df[df["jaccard"] >= threshold]
-
-    return pairs.map_batches(verify, batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------

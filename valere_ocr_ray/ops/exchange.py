@@ -350,26 +350,6 @@ def cogroup_exchange(
     return ray.data.from_arrow_refs(_exchange(sides, fold, num_partitions))
 
 
-def _map_groups(
-    keys: list[str],
-    fn: Callable[[pd.DataFrame], pd.DataFrame],
-    min_group_size: int,
-    df: pd.DataFrame,
-) -> pd.DataFrame:
-    """``grouped_map``'s per-partition body: ``fn`` per key group, in
-    sorted key order.  Contract: fn(empty frame) must return an empty
-    frame with fn's OUTPUT columns (so empty partitions keep a
-    consistent schema)."""
-    if min_group_size > 1:
-        sizes = df.groupby(keys)[keys[0]].transform("size")
-        df = df[sizes >= min_group_size]
-    outs = [fn(g) for _, g in df.groupby(keys, sort=True)]
-    outs = [o for o in outs if len(o)]
-    if not outs:
-        return fn(df.iloc[0:0])
-    return pd.concat(outs, ignore_index=True)
-
-
 def grouped_map(
     ds: ray.data.Dataset,
     keys: Sequence[str],
@@ -388,7 +368,20 @@ def grouped_map(
     singleton groups cannot contribute output (LSH buckets are mostly
     singletons, so this turns a 30k-group loop into a hundreds-group
     loop).  Only valid when fn(group) is empty for dropped sizes."""
-    per_partition = functools.partial(_map_groups, list(keys), fn, min_group_size)
+    keys = list(keys)
+
+    # contract: fn(empty frame) must return an empty frame with fn's
+    # OUTPUT columns (so empty partitions keep a consistent schema)
+    def per_partition(df: pd.DataFrame) -> pd.DataFrame:
+        if min_group_size > 1:
+            sizes = df.groupby(keys)[keys[0]].transform("size")
+            df = df[sizes >= min_group_size]
+        outs = [fn(g) for _, g in df.groupby(keys, sort=True)]
+        outs = [o for o in outs if len(o)]
+        if not outs:
+            return fn(df.iloc[0:0])
+        return pd.concat(outs, ignore_index=True)
+
     return partition_map(ds, keys, per_partition, num_partitions=num_partitions)
 
 

@@ -520,28 +520,3 @@ def read_state(state_dir: str) -> ray.data.Dataset:
     return ray.data.read_parquet(files).select_columns(
         meta["keys"] + meta["sums"]
     )
-
-
-def compact_parquet(
-    in_dir: str,
-    out_dir: str,
-    *,
-    target_rows_per_file: int = 1_000_000,
-) -> dict:
-    """Small-file compaction — the maintenance op every long-running
-    ingest needs: re-emit a parquet directory as files of
-    ``target_rows_per_file`` rows (order-preserving within the scan,
-    no shuffle — ``Dataset.repartition(target_num_rows_per_block=…)``
-    is a streaming coalesce, not an all-to-all).  Returns
-    ``{n_rows, n_files_in, n_files_out}``."""
-    import glob
-
-    n_in = len(glob.glob(os.path.join(in_dir, "**", "*.parquet"), recursive=True))
-    ds = ray.data.read_parquet(in_dir)
-    n_rows = ds.count()
-    ds = ray.data.read_parquet(in_dir).repartition(
-        target_num_rows_per_block=target_rows_per_file
-    )
-    ds.write_parquet(out_dir)
-    n_out = len(glob.glob(os.path.join(out_dir, "**", "*.parquet"), recursive=True))
-    return {"n_rows": n_rows, "n_files_in": n_in, "n_files_out": n_out}

@@ -154,16 +154,6 @@ def extract_media_features(
     )
 
 
-def frame_sample_plan(duration_ms: int, every_ms: int = 1000) -> list[int]:
-    """Deterministic frame-sampling timestamps for a video payload —
-    the plan half of a decode+sample stage (the decode half is real
-    for animated GIFs via :func:`sample_gif_frames`; ffmpeg-class
-    containers stay behind the stub)."""
-    if duration_ms <= 0:
-        return []
-    return list(range(0, duration_ms, every_ms))
-
-
 def sample_gif_frames(
     ds: ray.data.Dataset,
     *,
@@ -176,7 +166,7 @@ def sample_gif_frames(
     GIF89a composition with placement/transparency/disposal), keep
     every ``every_n``-th frame up to ``max_frames``, and emit ONE ROW
     PER SAMPLED FRAME with the frame re-encoded as BMP — the layout
-    downstream per-frame feature/resize stages already consume.
+    downstream per-frame feature stage already consumes.
     Non-GIF payloads pass through as a single ``skipped_no_decoder``
     row (the ffmpeg-class seam); corrupt GIFs route to
     ``error_decode``.  Rows are never dropped.
@@ -319,46 +309,3 @@ def synth_media_table(n: int, seed: int = 42) -> pa.Table:
         rows["height"].append(h)
         rows["duration_ms"].append(0 if mt == "image" else 1000 + (i * 131) % 60000)
     return pa.table(rows, schema=MEDIA_SCHEMA)
-
-
-def resize_images(
-    ds: ray.data.Dataset, out_h: int = 16, out_w: int = 16, *, batch_size: int = 32
-) -> ray.data.Dataset:
-    """Image resize as a batch stage: decodable payloads re-emit as
-    ``out_h×out_w`` BMP (real nearest-neighbor kernel); everything else
-    keeps its payload with ``status='skipped_no_decoder'`` — rows are
-    never dropped (same routing contract as the extract pipeline)."""
-
-    def run(batch: pa.Table) -> pa.Table:
-        from valere_ocr_ray.extract.image_decode import (
-            decode_image,
-            encode_bmp,
-            resize_nearest,
-            sniff_image_format,
-        )
-
-        payloads = batch["payload"]
-        types = batch["media_type"].to_pylist()
-        out_payloads: list[bytes] = []
-        status: list[str] = []
-        for i, mt in enumerate(types):
-            buf = payloads[i].as_buffer().to_pybytes()
-            try:
-                if mt == "image" and sniff_image_format(buf) is not None:
-                    px = decode_image(buf)
-                    out_payloads.append(
-                        encode_bmp(resize_nearest(px, out_h, out_w))
-                    )
-                    status.append("ok")
-                else:
-                    out_payloads.append(buf)
-                    status.append("skipped_no_decoder")
-            except Exception:
-                out_payloads.append(buf)
-                status.append("error_decode")
-        out = batch.drop_columns(["payload"])
-        return out.append_column(
-            "payload", pa.array(out_payloads, pa.binary())
-        ).append_column("status", pa.array(status, pa.string()))
-
-    return ds.map_batches(run, batch_format="pyarrow", batch_size=batch_size)

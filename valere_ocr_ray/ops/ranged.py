@@ -1,11 +1,11 @@
 """Range-partitioned parquet layout + predicate-pruned reads.
 
-The hash-bucketed layout (``ops/bucketed.py``) co-locates keys; this
-module co-locates RANGES, which is what time/size/score predicates
-want: write once partitioned by sampled quantile boundaries of a sort
-column, then a range query opens ONLY the partitions whose
-[lo, hi) interval intersects the predicate — I/O proportional to
-selectivity, not corpus size.  The 100-TB pattern for event-time
+The keyed exchange (``ops/exchange.py``) co-locates keys per run; this
+module co-locates RANGES at rest, which is what time/size/score
+predicates want: write once partitioned by sampled quantile
+boundaries of a sort column, then a range query opens ONLY the
+partitions whose [lo, hi) interval intersects the predicate — I/O
+proportional to selectivity, not corpus size.  The 100-TB pattern for event-time
 windows, length-sliced corpora, score-band exports.
 
 Boundaries come from a bounded random sample (``Dataset.take`` over a

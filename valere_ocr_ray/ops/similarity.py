@@ -108,6 +108,30 @@ def knn_brute_force(
 # ---------------------------------------------------------------------------
 
 
+def _id_sample(
+    ds: ray.data.Dataset, id_col: str, vec_col: str, stride: int, limit: int
+) -> np.ndarray:
+    """The training sample of every index here: the ``limit`` smallest
+    ids of the id-stride slice ``id % stride == 0``, as vectors in id
+    order.  Deterministic and partition-invariant (``random_sample``'s
+    draw and ``take_all``'s row order both depend on block structure
+    and task completion), so a single-process twin replays it; only
+    ``limit`` rows reach the driver, through the mergeable top-k."""
+    from valere_ocr_ray.ops.combine import tree_topk
+
+    src = ds.select_columns([id_col, vec_col])
+    if stride > 1:
+
+        def keep(df: pd.DataFrame) -> pd.DataFrame:
+            # vectorized id-stride filter (Ray's expr mini-language has
+            # no modulo); one bounded pass, block-layout invariant
+            return df[df[id_col].to_numpy() % stride == 0]
+
+        src = src.map_batches(keep, batch_format="pandas")
+    df = tree_topk(src, [id_col], [True], limit).to_pandas().sort_values(id_col)
+    return np.stack(df[vec_col].to_numpy())
+
+
 def _kmeans(sample: np.ndarray, n_clusters: int, iters: int = 10, seed: int = 42) -> np.ndarray:
     rng = np.random.default_rng(seed)
     centroids = sample[rng.choice(len(sample), size=n_clusters, replace=False)]
@@ -141,10 +165,7 @@ class IvfIndex:
         vec_col: str = "embedding",
     ) -> None:
         self.id_col, self.vec_col = id_col, vec_col
-        n = ds.count()
-        frac = min(1.0, sample_size / max(n, 1))
-        sample_rows = ds.select_columns([vec_col]).random_sample(frac, seed=seed).take_all()
-        sample = np.stack([np.asarray(r[vec_col], dtype=np.float32) for r in sample_rows])
+        sample = _id_sample(ds, id_col, vec_col, 1, sample_size).astype(np.float32)
         self.centroids = _kmeans(sample, min(n_clusters, len(sample)), seed=seed)
         cref = ray.put(_normalize(self.centroids))
 
@@ -357,32 +378,16 @@ def pq_fit(
     d/m)`` float64 codebooks — a few KB, broadcast once via ``ray.put``
     to every encode/search task.
 
-    The training sample is the id-stride slice ``id % sample_stride ==
-    0`` — an Arrow predicate pushdown, deterministic and
-    partition-invariant (unlike ``random_sample``, whose draw depends
-    on block structure), so a single-process twin reproduces the
-    codebook bit-exactly.  Only the ``PQ_FIT_MAX_ROWS`` smallest ids
-    of that slice reach the driver (a mergeable top-k, as in
-    ``ivfpq_build``), so even ``sample_stride=1`` is bounded; codebook
-    quality needs only a sample."""
-    from valere_ocr_ray.ops.combine import tree_topk
-
-    sample_ds = ds.select_columns([id_col, vec_col])
-    if sample_stride > 1:
-        stride = int(sample_stride)
-
-        def keep(df: pd.DataFrame) -> pd.DataFrame:
-            # vectorized id-stride filter (Ray's expr mini-language has
-            # no modulo); one bounded pass, block-layout invariant
-            return df[df[id_col].to_numpy() % stride == 0]
-
-        sample_ds = sample_ds.map_batches(keep, batch_format="pandas")
-    sample_df = (
-        tree_topk(sample_ds, [id_col], [True], PQ_FIT_MAX_ROWS)
-        .to_pandas()
-        .sort_values(id_col)
+    The training sample is ``_id_sample``: the ``PQ_FIT_MAX_ROWS``
+    smallest ids of the id-stride slice ``id % sample_stride == 0``, so
+    a single-process twin reproduces the codebook bit-exactly and even
+    ``sample_stride=1`` is bounded; codebook quality needs only a
+    sample."""
+    mat = _normalize(
+        _id_sample(ds, id_col, vec_col, sample_stride, PQ_FIT_MAX_ROWS).astype(
+            np.float64
+        )
     )
-    mat = _normalize(np.stack(sample_df[vec_col].to_numpy()).astype(np.float64))
     d = mat.shape[1]
     if d % m:
         raise ValueError(f"dim {d} not divisible by m={m}")
@@ -700,28 +705,9 @@ def ivfpq_build(
     import json
     import os
 
-    from valere_ocr_ray.ops.combine import tree_topk
-
-    # deterministic coarse-quantizer sample: the same id-stride slice
-    # convention as pq_fit (partition-invariant, replayable by a
-    # single-process twin) — random_sample's draw depends on block
-    # structure and would make the persisted index layout-dependent
-    coarse_src = ds.select_columns([id_col, vec_col])
-    if sample_stride > 1:
-        stride = int(sample_stride)
-
-        def keep(df: pd.DataFrame) -> pd.DataFrame:
-            return df[df[id_col].to_numpy() % stride == 0]
-
-        coarse_src = coarse_src.map_batches(keep, batch_format="pandas")
-    # the sample_size smallest ids via the mergeable top-k: only those
-    # rows reach the driver, never the whole (id, vector) corpus
-    sample_df = (
-        tree_topk(coarse_src, [id_col], [True], sample_size)
-        .to_pandas()
-        .sort_values(id_col)
+    sample = _id_sample(ds, id_col, vec_col, sample_stride, sample_size).astype(
+        np.float32
     )
-    sample = np.stack(sample_df[vec_col].to_numpy()).astype(np.float32)
     coarse = _kmeans(sample, min(n_clusters, len(sample)), seed=seed)
     codebooks = pq_fit(
         ds,

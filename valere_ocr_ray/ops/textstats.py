@@ -122,17 +122,6 @@ def fingerprint_batch(df: pd.DataFrame, col: str = "text") -> pd.DataFrame:
     return df
 
 
-def with_textstats(ds: ray.data.Dataset, col: str = "text") -> ray.data.Dataset:
-    """All four analyzers in one fused pandas stage."""
-
-    def fused(df: pd.DataFrame) -> pd.DataFrame:
-        return fingerprint_batch(
-            langid_batch(quality_batch(token_count_batch(df, col), col), col), col
-        )
-
-    return ds.map_batches(fused, batch_format="pandas")
-
-
 # --- repetition signals (Gopher-style quality gates) --------------------
 
 

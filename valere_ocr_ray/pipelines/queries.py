@@ -3863,12 +3863,9 @@ def doc_dup_clusters(sf_dir: str):
 
 def events_orders_asof(sf_dir: str):
     """As-of join: each event matched to the user's latest order at or
-    before the event time.  ``orders`` SCALES WITH THE FACT SIDE, so
-    this runs the two-large-sides exchange variant
-    (``ops/asof.asof_join_exchange`` — both sides hash-partitioned by
-    key, partition-local searchsorted index; no corpus-scaling
-    broadcast).  The broadcast variant remains for genuine dimension
-    right sides."""
+    before the event time (``ops/asof.asof_join_exchange`` — both sides
+    hash-partitioned by key, partition-local searchsorted index; no
+    broadcast, so ``orders`` may scale with the fact side)."""
     from valere_ocr_ray.ops.asof import asof_join_exchange
 
     orders = rd.read_parquet(
@@ -3889,12 +3886,11 @@ def events_orders_asof(sf_dir: str):
 
 def events_trailing_window(sf_dir: str):
     """Self range join: per event, the user's event count in the
-    trailing hour (``ops/asof.range_count_join``; includes the event
-    itself, so the result is never empty — window ``(ts-1h, ts]``
+    trailing hour (``ops/asof.range_count_join_exchange``; includes the
+    event itself, so the result is never empty — window ``(ts-1h, ts]``
     expressed as start-coverage ``[start, start+1h) ∋ ts``).  A
-    self-join's right side IS the fact table, so this runs the
-    two-large-sides exchange variant (``range_count_join_exchange``);
-    the broadcast variant remains for dimension right sides."""
+    self-join's right side IS the fact table, which the keyed exchange
+    co-groups with the left side by user."""
     from valere_ocr_ray.ops.asof import range_count_join_exchange
 
     right = rd.read_parquet(_t(sf_dir, "events"), columns=["user_id", "ts"])

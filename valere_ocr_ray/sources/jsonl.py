@@ -6,9 +6,10 @@ format after parquet and WARC; crawl dumps and scraped exports ship as
 Field mapping (configurable): ``url`` (required; rows without it are
 routed, not dropped — ``url='about:missing'`` so the extract pipeline
 can blocklist them), ``html`` (string or base64-free bytes → binary
-payload), ``text``/``lang``/``ts`` optional.  Files are the unit of
-parallelism (one read task per file), same contract as
-``sources/warc.py``.  Parsing is stdlib ``json`` + ``gzip``.
+payload), ``text``/``lang``/``ts`` optional.  Each file converts to
+one pages parquet shard (``convert_jsonl_dir``), the layout contract of
+``sources/warc.convert_warc_dir``, so files stay the unit of
+parallelism and resumability.  Parsing is stdlib ``json`` + ``gzip``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray.data
 
 from valere_ocr_ray.sources.warc import PAGES_SCHEMA
 
@@ -102,32 +102,6 @@ def jsonl_file_to_table(
         schema=PAGES_SCHEMA,
     )
     return tbl.replace_schema_metadata({"n_bad_lines": str(n_bad)})
-
-
-def read_jsonl(paths: list[str] | str, **field_keys) -> ray.data.Dataset:
-    """Lazy pages-shaped Dataset over JSONL(.gz) files — one Ray task
-    per file (files are the parallelism unit; lines within a file are
-    sequential by format)."""
-    if isinstance(paths, str):
-        paths = sorted(
-            glob.glob(os.path.join(paths, "*.jsonl"))
-            + glob.glob(os.path.join(paths, "*.jsonl.gz"))
-        )
-    if not paths:
-        raise FileNotFoundError("no *.jsonl / *.jsonl.gz files found")
-
-    def load(batch: pa.Table) -> pa.Table:
-        tables = [
-            jsonl_file_to_table(p, **field_keys)
-            for p in batch["path"].to_pylist()
-        ]
-        live = [t for t in tables if t.num_rows]
-        return pa.concat_tables(live) if live else PAGES_SCHEMA.empty_table()
-
-    meta = pa.table({"path": pa.array(paths, pa.string())})
-    return ray.data.from_arrow(meta).repartition(len(paths)).map_batches(
-        load, batch_format="pyarrow"
-    )
 
 
 def convert_jsonl_dir(
