@@ -100,6 +100,32 @@ def test_corrupt_and_unsupported_raise():
         decode_jpeg(bytes(arith))
 
 
+@pytest.mark.parametrize("encode", [encode_jpeg, encode_jpeg_progressive])
+def test_bit_flip_fuzz_raises_only_image_format_error(encode):
+    """200 seeded 1-4 bit-flip mutants of one small RGB JPEG: each one
+    decodes or raises ImageFormatError (the extractor's skip status),
+    never another exception type (which routes to error_parse), and
+    no decode takes more than 1 s."""
+    import random
+    import time
+
+    good = encode(_gradient(24, 32))
+    rng = random.Random(1)
+    n_raised = 0
+    for _ in range(200):
+        bad = bytearray(good)
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(bad))
+            bad[i] ^= 1 << rng.randrange(8)
+        t0 = time.perf_counter()
+        try:
+            decode_jpeg(bytes(bad))
+        except ImageFormatError:
+            n_raised += 1
+        assert time.perf_counter() - t0 < 1.0
+    assert n_raised > 0  # the mutants do reach the error paths
+
+
 def test_restart_markers():
     """DRI/RSTn path: a restart-encoded stream decodes identically to
     the same image without restarts."""

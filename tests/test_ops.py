@@ -1904,16 +1904,41 @@ def test_ranged_layout_randomized_ranges(ray_session, tmp_path):
         assert sorted(got["rid"]) == sorted(want["rid"]), (lo, hi)
 
 
-def test_line_dedup_variants_equal(ray_session):
-    """Broadcast and exchange rewrites agree; frequent lines drop, rare
-    and blank lines survive; every row comes back."""
-    import ray.data as rd
-
-    from valere_ocr_ray.ops.linededup import (
-        repeated_lines,
-        strip_repeated_lines,
-        strip_repeated_lines_exchange,
+def _line_strip_oracle(df: pd.DataFrame, id_col: str, min_docs: int):
+    """pandas oracle for the line strip: distinct ids per non-blank
+    line, every line held by ≥ ``min_docs`` ids drops, every row kept.
+    Returns (frequent lines, expected frame sorted by id then text)."""
+    lines = df.assign(line=df["text"].str.split("\n")).explode("line")
+    lines = lines[lines["line"].str.strip() != ""]
+    n_ids = lines.groupby("line")[id_col].nunique()
+    freq = set(n_ids[n_ids >= min_docs].index)
+    kept = [[ln for ln in t.split("\n") if ln not in freq] for t in df["text"]]
+    want = pd.DataFrame(
+        {
+            id_col: df[id_col].to_numpy(),
+            "text": ["\n".join(k) for k in kept],
+            "n_dropped": np.asarray(
+                [t.count("\n") + 1 - len(k) for t, k in zip(df["text"], kept)],
+                dtype="int64",
+            ),
+        }
     )
+    return freq, want.sort_values([id_col, "text"]).reset_index(drop=True)
+
+
+def _line_strip(ds, id_col: str, min_docs: int = 5) -> pd.DataFrame:
+    from valere_ocr_ray.ops.linededup import strip_repeated_lines_exchange
+
+    got = strip_repeated_lines_exchange(ds, min_docs=min_docs, id_col=id_col)
+    return got.to_pandas().sort_values([id_col, "text"]).reset_index(drop=True)
+
+
+def test_line_dedup_variants_equal(ray_session):
+    """The line strip matches a pandas oracle: frequent lines drop, rare
+    and blank lines survive, every row comes back — for int ids, string
+    ids, and an id shared by two rows (each row drops only its own
+    frequent lines)."""
+    import ray.data as rd
 
     docs = []
     for i in range(40):
@@ -1927,49 +1952,69 @@ def test_line_dedup_variants_equal(ray_session):
         if i == 7:
             lines.insert(1, "")  # blank structural line
         docs.append({"doc_id": i, "text": "\n".join(lines)})
-    ds = rd.from_pandas(pd.DataFrame(docs))
-
-    freq = repeated_lines(ds, min_docs=5).to_pandas()
-    assert len(freq) == 2  # SUBSCRIBE + COPYRIGHT
-    a = (
-        strip_repeated_lines(ds, min_docs=5)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    b = (
-        strip_repeated_lines_exchange(ds, min_docs=5)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(a, b[a.columns])
+    df = pd.DataFrame(docs)
+    freq, want = _line_strip_oracle(df, "doc_id", 5)
+    assert freq == {"SUBSCRIBE NOW", "COPYRIGHT 2024"}
+    a = _line_strip(rd.from_pandas(df), "doc_id")
+    pd.testing.assert_frame_equal(a, want[a.columns])
     assert len(a) == 40  # no rows vanish
-    # string ids (url-keyed corpora) work through both variants too
+    assert a.loc[0, "text"] == "unique line 0 alpha\nunique 0 beta\nRARE LINE"
+    assert int(a.loc[0, "n_dropped"]) == 2
+    assert a.loc[7, "text"] == "unique line 7 alpha\n\nunique 7 beta"  # blank kept
+    assert not a["text"].str.contains("SUBSCRIBE|COPYRIGHT", regex=True).any()
+    # string ids (url-keyed corpora)
     sdocs = pd.DataFrame(
         [
             {"u": f"url{i}", "text": ("HDR\n" if i % 2 == 0 else "") + f"body {i}"}
             for i in range(20)
         ]
     )
-    sa = (
-        strip_repeated_lines(rd.from_pandas(sdocs), min_docs=5, id_col="u")
-        .to_pandas()
-        .sort_values("u")
-        .reset_index(drop=True)
-    )
-    sb = (
-        strip_repeated_lines_exchange(rd.from_pandas(sdocs), min_docs=5, id_col="u")
-        .to_pandas()
-        .sort_values("u")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(sa, sb[sa.columns])
+    sfreq, swant = _line_strip_oracle(sdocs, "u", 5)
+    assert sfreq == {"HDR"}
+    sa = _line_strip(rd.from_pandas(sdocs), "u")
+    pd.testing.assert_frame_equal(sa, swant[sa.columns])
     assert int(sa["n_dropped"].sum()) == 10
-    assert a.loc[0, "text"] == "unique line 0 alpha\nunique 0 beta\nRARE LINE"
-    assert int(a.loc[0, "n_dropped"]) == 2
-    assert a.loc[7, "text"] == "unique line 7 alpha\n\nunique 7 beta"  # blank kept
-    assert not a["text"].str.contains("SUBSCRIBE|COPYRIGHT", regex=True).any()
+    # a repeated id: id 0's two rows sit in different blocks, and each
+    # keeps its own body line
+    rep = pd.DataFrame(
+        {
+            "doc_id": [0] + list(range(1, 10)) + [0],
+            "text": ["keep me\nHDR"] + [f"HDR\nbody {i}" for i in range(1, 10)]
+            + ["HDR\nkeep too"],
+        }
+    )
+    rfreq, rwant = _line_strip_oracle(rep, "doc_id", 5)
+    assert rfreq == {"HDR"}
+    ra = _line_strip(rd.from_pandas([rep[:5], rep[5:]]), "doc_id")
+    pd.testing.assert_frame_equal(ra, rwant[ra.columns])
+    assert list(ra.loc[ra["doc_id"] == 0, "text"]) == ["keep me", "keep too"]
+    assert list(ra.loc[ra["doc_id"] == 0, "n_dropped"]) == [1, 1]
+
+
+def test_line_dedup_reads_input_once(ray_session, tmp_path):
+    """Both passes of the line strip consume one materialized read: a
+    probe upstream of the op sees every input row exactly once."""
+    import uuid
+
+    import ray.data as rd
+
+    df = pd.DataFrame(
+        {
+            "doc_id": np.arange(60, dtype=np.int64),
+            "text": [("HDR\n" if i % 2 else "") + f"body {i}" for i in range(60)],
+        }
+    )
+
+    def probe(batch: pd.DataFrame) -> pd.DataFrame:
+        (tmp_path / uuid.uuid4().hex).write_text(str(len(batch)))
+        return batch
+
+    ds = rd.from_pandas([df[:20], df[20:40], df[40:]]).map_batches(
+        probe, batch_format="pandas"
+    )
+    out = _line_strip(ds, "doc_id")
+    assert len(out) == 60 and int(out["n_dropped"].sum()) == 30
+    assert sum(int(f.read_text()) for f in tmp_path.iterdir()) == 60
 
 
 def test_text_classifier_learns_and_is_partition_invariant(ray_session):

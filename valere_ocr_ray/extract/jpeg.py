@@ -211,6 +211,12 @@ def _lut_for(bits: list[int], vals: list[int]) -> _HuffLUT:
     return lut
 
 
+# zero bytes past a segment's end: more than one block can read (64 codes
+# and values ≤ 32 bits each), so a decoder that checks its bit position
+# once per block raises ImageFormatError instead of an IndexError
+_READ_PAD = 256
+
+
 class _BitReader:
     """Bit reader over one unstuffed entropy segment: a precomputed
     per-byte 32-bit window list makes each 16-bit peek two shifts and
@@ -220,7 +226,7 @@ class _BitReader:
 
     def __init__(self, data: bytes) -> None:
         b = np.frombuffer(data, dtype=np.uint8)
-        bb = np.concatenate([b, np.zeros(4, dtype=np.uint8)]).astype(np.uint32)
+        bb = np.concatenate([b, np.zeros(_READ_PAD + 4, np.uint8)]).astype(np.uint32)
         self.w32 = (
             (bb[:-3] << 24) | (bb[1:-2] << 16) | (bb[2:-1] << 8) | bb[3:]
         ).tolist()
@@ -366,6 +372,8 @@ def _decode_prog_scan(
                     pos += ln
                     s = dc_sym[key]
                     if s:
+                        if s > 16:
+                            raise ImageFormatError("DC magnitude category > 16")
                         v = ((w32[pos >> 3] >> (16 - (pos & 7))) & 0xFFFF) >> (
                             16 - s
                         )
@@ -382,8 +390,8 @@ def _decode_prog_scan(
                     if bit:
                         blk[0] |= p1
             unit_in_seg += 1
-        if pos > reader.n + 7:
-            raise ImageFormatError("truncated entropy data")
+            if pos > reader.n + 7:
+                raise ImageFormatError("truncated entropy data")
         return
 
     # AC scan: single component, band ss..se
@@ -491,8 +499,8 @@ def _decode_prog_scan(
                     k += 1
                 eobrun -= 1
         unit_in_seg += 1
-    if pos > reader.n + 7:
-        raise ImageFormatError("truncated entropy data")
+        if pos > reader.n + 7:
+            raise ImageFormatError("truncated entropy data")
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +539,8 @@ def decode_jpeg(payload: bytes) -> np.ndarray:
                 pq, tq = seg[sp] >> 4, seg[sp] & 0xF
                 if pq != 0:
                     raise ImageFormatError("16-bit quant tables unsupported")
+                if sp + 65 > len(seg):
+                    raise ImageFormatError("truncated DQT")
                 table = np.frombuffer(seg, np.uint8, 64, sp + 1).astype(np.int64)
                 raster = np.zeros(64, dtype=np.int64)
                 raster[ZIGZAG] = table
@@ -543,9 +553,13 @@ def decode_jpeg(payload: bytes) -> np.ndarray:
                 bits = list(seg[sp + 1 : sp + 17])
                 nv = sum(bits)
                 vals = list(seg[sp + 17 : sp + 17 + nv])
+                if len(bits) < 16 or len(vals) < nv or nv > 256:
+                    raise ImageFormatError("truncated DHT")
                 huff[(tc, th)] = _lut_for(bits, vals)
                 sp += 17 + nv
         elif marker in (0xC0, 0xC1, 0xC2):  # SOF0/1 sequential, SOF2 progressive
+            if len(seg) < 6 or len(seg) < 6 + 3 * seg[5]:
+                raise ImageFormatError("truncated SOF")
             prec, h, w, nc = struct.unpack_from(">BHHB", seg, 0)
             if prec != 8:
                 raise ImageFormatError(f"{prec}-bit precision unsupported")
@@ -563,10 +577,14 @@ def decode_jpeg(payload: bytes) -> np.ndarray:
         elif marker in (0xC3, 0xC5, 0xC6, 0xC7, 0xC9, 0xCA, 0xCB, 0xCD, 0xCE, 0xCF):
             raise ImageFormatError("arithmetic/hierarchical/lossless JPEG unsupported")
         elif marker == 0xDD:  # DRI
+            if len(seg) < 2:
+                raise ImageFormatError("truncated DRI")
             (restart_interval,) = struct.unpack_from(">H", seg, 0)
         elif marker == 0xDA:  # SOS
             if frame is None:
                 raise ImageFormatError("SOS before SOF")
+            if not seg or len(seg) < 4 + 2 * seg[0]:
+                raise ImageFormatError("truncated SOS")
             ns = seg[0]
             tables = {}
             scomps = []
@@ -712,6 +730,8 @@ def decode_jpeg(payload: bytes) -> np.ndarray:
                         pos += ln
                         s = dc_sym[key]
                         if s:
+                            if s > 16:
+                                raise ImageFormatError("DC magnitude category > 16")
                             v = ((w32[pos >> 3] >> (16 - (pos & 7))) & 0xFFFF) >> (
                                 16 - s
                             )

@@ -231,7 +231,7 @@ def column_quantiles_sketch(
 
 
 # ---------------------------------------------------------------------------
-# HyperLogLog (Flajolet et al. 2007) — fixed 2^b registers, mergeable by
+# HyperLogLog (Flajolet et al. 2007) — fixed 2^HLL_B registers, mergeable by
 # elementwise max.  The register update is SQL-replayable bit-for-bit
 # (same md5-derived 63-bit hash as KMV; rho via exact integer
 # bit-length, never a float log), so the SKETCH STATE itself can be
@@ -256,20 +256,19 @@ def _bit_length64(w: np.ndarray) -> np.ndarray:
     return np.where(hi > 0, 32 + e_hi, e_lo).astype(np.int64)
 
 
-def hll_partial_from_hashes(hashes: np.ndarray, b: int = HLL_B) -> np.ndarray:
-    """One block's register vector (length 2^b int64): register = top b
-    bits of the 63-bit hash, rho = leading zeros of the remaining
-    (63-b)-bit word + 1 (an all-zero word caps at 63-b+1), register
-    value = max rho seen.  Returns all-zero registers for an empty
-    block so merges stay shape-stable."""
-    m = 1 << b
-    regs = np.zeros(m, dtype=np.int64)
+def hll_partial_from_hashes(hashes: np.ndarray) -> np.ndarray:
+    """One block's register vector (length 2^HLL_B int64): register =
+    top HLL_B bits of the 63-bit hash, rho = leading zeros of the
+    remaining ``_HLL_W_BITS``-bit word + 1 (an all-zero word caps at
+    ``_HLL_W_BITS`` + 1), register value = max rho seen.  Returns
+    all-zero registers for an empty block so merges stay shape-stable."""
+    regs = np.zeros(1 << HLL_B, dtype=np.int64)
     if not len(hashes):
         return regs
     h = (hashes >> np.uint64(1)).astype(np.int64)  # 63-bit space
-    idx = h >> (63 - b)
-    w = h & ((np.int64(1) << np.int64(63 - b)) - 1)
-    rho = (63 - b) + 1 - _bit_length64(w)
+    idx = h >> _HLL_W_BITS
+    w = h & ((np.int64(1) << np.int64(_HLL_W_BITS)) - 1)
+    rho = _HLL_W_BITS + 1 - _bit_length64(w)
     np.maximum.at(regs, idx, rho)
     return regs
 
@@ -297,20 +296,15 @@ def hll_estimate(regs: np.ndarray) -> int:
     return int(np.floor(est))
 
 
-def grouped_hll(
-    ds: ray.data.Dataset,
-    value_col: str,
-    *,
-    b: int = HLL_B,
-) -> np.ndarray:
+def grouped_hll(ds: ray.data.Dataset, value_col: str) -> np.ndarray:
     """Corpus-wide HLL over ``value_col``: per-block register partials
-    (2^b int64s per block — constant, never the values) elementwise-max
+    (2^HLL_B int64s per block — constant, never the values) elementwise-max
     through ``tree_reduce``, as the KMV path merges.  Values
     hash through the md5 string path so SQL can replay every register."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         sk = hll_partial_from_hashes(
-            _value_hashes64(df[value_col].astype(str).drop_duplicates()), b
+            _value_hashes64(df[value_col].astype(str).drop_duplicates())
         )
         return pd.DataFrame({"sketch": [sk.tolist()]})
 
@@ -319,4 +313,4 @@ def grouped_hll(
         return pd.DataFrame({"sketch": [merged.tolist()]})
 
     regs = reduced_row(tree_reduce(ds, partial, merge)).get("sketch")
-    return np.asarray(regs or np.zeros(1 << b), dtype=np.int64)
+    return np.asarray(regs or np.zeros(1 << HLL_B), dtype=np.int64)

@@ -225,8 +225,8 @@ def build_training_shards(
         from valere_ocr_ray.ops.textstats import TOKEN_RE
 
         # per-class totals pass AND the sample pass both consume
-        # `clean` — pin the diamond (same rationale as the boilerplate
-        # stage's materialize below)
+        # `clean` — pin the diamond, or the lazy DAG re-runs
+        # extraction+quality once per consumer
         clean = clean.map_batches(
             lambda df: df.assign(
                 mix_toks=df["extracted_text"].str.count(TOKEN_RE).astype("int64")
@@ -243,15 +243,9 @@ def build_training_shards(
         ).select_columns(["url_hash", "extracted_text"])
 
     if boilerplate_min_docs:
-        from valere_ocr_ray.ops.linededup import strip_repeated_lines
+        from valere_ocr_ray.ops.linededup import strip_repeated_lines_exchange
 
-        # the line-frequency count pass AND the rewrite pass both
-        # consume `clean` — without a checkpoint the lazy DAG re-runs
-        # extraction+quality once per consumer (measured +114 s at 200k
-        # pages).  materialize() pins the filtered text blocks in the
-        # object store (spillable), the legitimate diamond-reuse case.
-        clean = clean.materialize()
-        clean = strip_repeated_lines(
+        clean = strip_repeated_lines_exchange(
             clean,
             min_docs=boilerplate_min_docs,
             text_col="extracted_text",

@@ -4397,16 +4397,19 @@ def pages_line_dedup(sf_dir: str):
     extract the pages corpus, then drop every text line that appears in
     ≥20 distinct extracted documents (site-template nav/footer lines —
     the synth corpus's repeated card/section headers fire this for
-    real).  Returns per-doc drop counts for the affected docs plus the
-    corpus totals row (url='') so the result is small and stable."""
-    from valere_ocr_ray.ops.linededup import strip_repeated_lines
+    real).  Returns ONE row, the corpus totals (lines dropped, docs
+    hit, docs), so the result is small and stable.  The op reads the
+    extraction once: its own materialized projection feeds both the
+    line count and the rewrite."""
+    from valere_ocr_ray.ops.exchange import grouped_sum
+    from valere_ocr_ray.ops.linededup import strip_repeated_lines_exchange
 
     pages_dir = ensure_pages(sf_dir)
-    ds = build_extraction_ds(pages_dir).select_columns(["url", "extracted_text"])
-    from valere_ocr_ray.ops.exchange import grouped_sum
-
-    stripped = strip_repeated_lines(
-        ds, min_docs=20, text_col="extracted_text", id_col="url"
+    stripped = strip_repeated_lines_exchange(
+        build_extraction_ds(pages_dir),
+        min_docs=20,
+        text_col="extracted_text",
+        id_col="url",
     )
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
