@@ -125,3 +125,69 @@ def test_walk_follows_dead_chains(tmp_path):
         "a.py:dead_leaf",
         "a.py:recursive",
     }
+
+
+_SPLITMIX = 0xBF58476D1CE4E5B9
+
+
+def _hash_copies(root: pathlib.Path = ROOT, pkg: str = PKG.name) -> set[str]:
+    """``path:line`` of each hash written out again outside
+    ``ops/hashing.py``: an ``int.from_bytes`` over an md5 digest (or over
+    a name bound to one) in a module under ``ops/`` or ``pipelines/``,
+    and the splitmix64 multiplier in any module outside ``tests/``."""
+    found: set[str] = set()
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root)
+        if rel.parts[0] == "tests" or any(p.startswith(".") for p in rel.parts):
+            continue
+        if rel.as_posix() == f"{pkg}/ops/hashing.py":
+            continue
+        tree = ast.parse(path.read_text())
+        digests = {
+            t.id
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Assign) and "digest" in _names(n.value)
+            for t in n.targets
+            if isinstance(t, ast.Name)
+        }
+        scoped = rel.parts[0] == pkg and rel.parts[1] in ("ops", "pipelines")
+        for n in ast.walk(tree):
+            if (
+                scoped
+                and isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "from_bytes"
+                and n.args
+                and _names(n.args[0]) & (digests | {"digest"})
+            ) or (isinstance(n, ast.Constant) and n.value == _SPLITMIX):
+                found.add(f"{rel.as_posix()}:{n.lineno}")
+    return found
+
+
+def test_hashes_live_in_one_module():
+    assert _hash_copies() == set(), "use valere_ocr_ray/ops/hashing.py"
+
+
+def test_hash_copy_check_fires(tmp_path):
+    """The check on a toy repo: a digest read directly or through a
+    name, and the splitmix64 multiplier, are found; ``ops/hashing.py``
+    itself, a module outside ``ops/`` and ``pipelines/`` reading a
+    digest, and ``int.from_bytes`` over other bytes are not."""
+    ops = tmp_path / "pkg" / "ops"
+    ops.mkdir(parents=True)
+    (tmp_path / "pkg" / "stages").mkdir()
+    digest_read = (
+        "import hashlib\n"
+        "d = hashlib.md5(b'x').digest()\n"
+        "a = int.from_bytes(d[:4], 'little')\n"
+        "b = int.from_bytes(hashlib.md5(b'y').digest()[8:], 'little')\n"
+    )
+    (ops / "a.py").write_text(digest_read + f"M = {_SPLITMIX:#x}\n")
+    (ops / "hashing.py").write_text(digest_read + f"M = {_SPLITMIX:#x}\n")
+    (tmp_path / "pkg" / "stages" / "s.py").write_text(digest_read)
+    (ops / "n.py").write_text("n = int.from_bytes(b'\\x01', 'big')\n")
+    assert _hash_copies(tmp_path, "pkg") == {
+        "pkg/ops/a.py:3",
+        "pkg/ops/a.py:4",
+        "pkg/ops/a.py:5",
+    }

@@ -126,6 +126,28 @@ def test_bit_flip_fuzz_raises_only_image_format_error(encode):
     assert n_raised > 0  # the mutants do reach the error paths
 
 
+@pytest.mark.parametrize("encode", [encode_jpeg, encode_jpeg_progressive])
+def test_oversized_frame_raises_before_allocating(encode):
+    """A SOF that claims 4096x4096 on a 24x32 payload is refused before
+    the decoder builds per-block state for it: ImageFormatError, with a
+    traced allocation peak under 16 MB."""
+    import struct
+    import tracemalloc
+
+    good = encode(_gradient(24, 32))
+    sof = max(good.find(b"\xff\xc0"), good.find(b"\xff\xc2"))
+    bad = bytearray(good)
+    struct.pack_into(">HH", bad, sof + 5, 4096, 4096)  # after length, precision
+    tracemalloc.start()
+    try:
+        with pytest.raises(ImageFormatError):
+            decode_jpeg(bytes(bad))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_restart_markers():
     """DRI/RSTn path: a restart-encoded stream decodes identically to
     the same image without restarts."""

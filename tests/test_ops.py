@@ -1386,6 +1386,30 @@ def test_segment_dedup_short_tail(ray_session):
     assert out["seg"].tolist()[2] == "10 11 12"
 
 
+def test_segment_dedup_exact_wire_keeps_nul_segments(ray_session):
+    """Segments that differ only after a NUL are distinct: the exact
+    wire keeps both (one exchange partition holds them, since string
+    keys are placed by their NUL prefix), a true duplicate is still
+    dropped, and the exact and hash wires agree."""
+    import ray.data as rd
+
+    from valere_ocr_ray.ops.segdedup import segment_dedup_rebuild
+
+    texts = ["x\x00y", "x\x00z", "x\x00y", "x"]
+    df = pd.DataFrame({"doc_id": np.arange(4, dtype="int64"), "text": texts})
+    ds = rd.from_pandas(df).repartition(2)
+    got = {
+        wire: segment_dedup_rebuild(ds, window=10, wire=wire)
+        .to_pandas()
+        .sort_values("doc_id")
+        .reset_index(drop=True)
+        for wire in ("exact", "hash")
+    }
+    assert got["exact"]["clean_text"].tolist() == ["x\x00y", "x\x00z", "", "x"]
+    assert got["exact"]["n_kept"].tolist() == [1, 1, 0, 1]
+    pd.testing.assert_frame_equal(got["exact"], got["hash"])
+
+
 def test_pack_sequences_semantics(ray_session):
     import ray.data as rd
 
@@ -2051,38 +2075,13 @@ def test_text_classifier_learns_and_is_partition_invariant(ray_session):
     assert np.allclose(w1, w2, atol=1e-8)
 
 
-def test_dsir_bucket_hash_matches_duckdb_md5_number_lower():
-    """The engine's bucket hash must equal DuckDB's md5_number_lower
-    (lower 8 md5 digest bytes, little-endian) — the contract the SQL
-    oracle relies on."""
-    import duckdb
-
-    from valere_ocr_ray.ops.dsir import _bucket_of_grams
-
-    grams = pd.Series(["hello", "foo bar", "a", "7", "hello"])
-    got = _bucket_of_grams(grams, 1024)
-    want = (
-        duckdb.sql(
-            "SELECT md5_number_lower(g) % 1024 AS b FROM (VALUES ('hello'), "
-            "('foo bar'), ('a'), ('7'), ('hello')) AS t(g)"
-        )
-        .df()["b"]
-        .to_numpy()
-        .astype(np.int64)
-    )
-    assert (got == want).all()
-
-
 def test_dsir_weights_match_local_numpy_and_partitioning(ray_session):
     """dsir_weights equals a single-process numpy reference, and is
     invariant to the block layout (partials are algebraic)."""
     import ray.data as rd
 
-    from valere_ocr_ray.ops.dsir import (
-        _bucket_of_grams,
-        _TOKEN_RE,
-        dsir_weights,
-    )
+    from valere_ocr_ray.ops.dsir import _TOKEN_RE, dsir_weights
+    from valere_ocr_ray.ops.hashing import md5_lower
 
     rng = np.random.default_rng(7)
     vocab = ["alpha", "beta", "gamma", "delta", "target token"]
@@ -2100,7 +2099,7 @@ def test_dsir_weights_match_local_numpy_and_partitioning(ray_session):
     def doc_gram_buckets(text):
         t = _TOKEN_RE.findall(text.lower())
         grams = t + [f"{a} {b}" for a, b in zip(t, t[1:])]
-        return _bucket_of_grams(pd.Series(grams), K) if grams else np.zeros(0, np.int64)
+        return (md5_lower(grams) % np.uint64(K)).astype(np.int64)
 
     ct = np.zeros(K, np.int64)
     cr = np.zeros(K, np.int64)
@@ -2348,23 +2347,6 @@ def test_mix_by_rates_salt_independence(ray_session):
     assert 0 < inter < min(len(sa), len(sb))
 
 
-def test_mix_hash_matches_duckdb_md5_number_lower():
-    """The engine's membership hash must equal DuckDB's
-    md5_number_lower('mix:' || doc_id) — the oracle contract."""
-    import duckdb
-
-    from valere_ocr_ray.ops.mixing import _hash64_str
-
-    ids = pd.Series([0, 1, 17, 999_983]).astype(str)
-    eng = _hash64_str("mix:" + ids) % 1_000_000
-    con = duckdb.connect()
-    sql = con.execute(
-        "SELECT md5_number_lower('mix:' || CAST(v AS VARCHAR)) % 1000000 "
-        "FROM (VALUES (0), (1), (17), (999983)) t(v)"
-    ).fetchall()
-    assert [int(x) for x in eng] == [int(r[0]) for r in sql]
-
-
 def test_mix_by_token_budget_expected_tokens(ray_session):
     """Each domain's sampled token mass lands near the budget (hash
     thresholds are uniform), a domain under budget keeps everything,
@@ -2562,17 +2544,18 @@ def test_mix_membership_property_fuzz():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from valere_ocr_ray.ops.mixing import SCALE, _hash64_str
+    from valere_ocr_ray.ops.hashing import md5_lower
+    from valere_ocr_ray.ops.mixing import SCALE
 
     @settings(max_examples=50, deadline=None)
     @given(
         ids=st.lists(st.integers(min_value=-(10**12), max_value=10**12), min_size=1, max_size=40),
-        salt=st.text(alphabet=st.characters(codec="ascii", exclude_characters="\x00"), min_size=0, max_size=8),
+        salt=st.text(alphabet=st.characters(codec="ascii"), min_size=0, max_size=8),
         thr=st.integers(min_value=0, max_value=SCALE),
     )
     def check(ids, salt, thr):
         s = pd.Series(ids)
-        h = _hash64_str(salt + ":" + s.astype(str)) % SCALE
+        h = md5_lower(salt + ":" + s.astype(str)) % SCALE
         expect = np.array(
             [
                 int.from_bytes(
@@ -2781,7 +2764,8 @@ def test_mix_unimax_epoch_repeats(ray_session):
     import pandas as pd
     import ray.data as rd
 
-    from valere_ocr_ray.ops.mixing import SCALE, _hash64_str, mix_unimax
+    from valere_ocr_ray.ops.hashing import md5_lower
+    from valere_ocr_ray.ops.mixing import SCALE, mix_unimax
 
     # small: 10 docs x 10 toks (mass 100); big: 80 docs x 10 (mass 800)
     df = pd.DataFrame(
@@ -2800,13 +2784,13 @@ def test_mix_unimax_epoch_repeats(ray_session):
     small = out[out["source"] == "small"]
     big = out[out["source"] == "big"]
     assert len(small) == 10 and set(small["n_repeats"]) <= {2, 3}
-    h = _hash64_str("um:" + small["doc_id"].astype(str)) % SCALE
+    h = md5_lower("um:" + small["doc_id"].astype(str)) % SCALE
     frac_thr = (225 - 2 * 100) * SCALE // 100  # 250000
     assert (
         small["n_repeats"].to_numpy() == 2 + (h.astype("int64") < frac_thr)
     ).all()
     assert (big["n_repeats"] == 1).all()
-    hb = _hash64_str("um:" + big["doc_id"].astype(str)) % SCALE
+    hb = md5_lower("um:" + big["doc_id"].astype(str)) % SCALE
     assert len(big) == int((hb.astype("int64") < 225 * SCALE // 800).sum())
     # determinism across partitionings
     out2 = mix_unimax(

@@ -604,7 +604,8 @@ def test_build_training_shards_holdout(ray_session, pages_500, tmp_path):
     import pandas as pd
     import ray.data as rd
 
-    from valere_ocr_ray.ops.mixing import SCALE, _hash64_str
+    from valere_ocr_ray.ops.hashing import md5_lower
+    from valere_ocr_ray.ops.mixing import SCALE
     from valere_ocr_ray.pipelines.curate import build_training_shards
 
     out = str(tmp_path / "with_holdout")
@@ -624,7 +625,7 @@ def test_build_training_shards_holdout(ray_session, pages_500, tmp_path):
     hexes = hold["extracted_text"].map(
         lambda t: hashlib.md5(t.encode()).hexdigest()
     )
-    h = _hash64_str("ev:" + hexes)
+    h = md5_lower("ev:" + hexes)
     assert (h % SCALE < int(0.2 * SCALE)).all()
 
     # determinism + holdout resume: drop one holdout shard and the

@@ -34,9 +34,9 @@ N_KEYS = 1_000_000
 
 
 def _cols(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    from valere_ocr_ray.ops.exchange import _mix64
+    from valere_ocr_ray.ops.hashing import mix64
 
-    h = _mix64(idx.astype(np.int64).view(np.uint64))
+    h = mix64(idx.astype(np.int64).view(np.uint64))
     keys = (h % np.uint64(N_KEYS)).astype(np.int64)
     vals = ((h >> np.uint64(32)) % np.uint64(1000)).astype(np.int64)
     return keys, vals
@@ -118,7 +118,7 @@ _VOCAB = [f"w{i:03d}" for i in range(997)]
 
 
 def _doc_batch(b: "pa.Table") -> pd.DataFrame:
-    from valere_ocr_ray.ops.exchange import _mix64
+    from valere_ocr_ray.ops.hashing import mix64
 
     ids = b["id"].to_numpy().astype(np.int64)
     # 25% of docs duplicate the text of an earlier "master" row
@@ -127,14 +127,14 @@ def _doc_batch(b: "pa.Table") -> pd.DataFrame:
     toks = np.empty((len(ids), 60), dtype=np.int64)
     h = src.copy()
     for j in range(60):
-        h = _mix64((h + j * 1_000_003).view(np.uint64)).view(np.int64)
+        h = mix64((h + j * 1_000_003).view(np.uint64)).view(np.int64)
         toks[:, j] = np.abs(h) % 997
     # docs also SHARE their middle 20 tokens with their id//64 cohort
     # (segment dedup finds these; exact dedup does not)
     ch = (ids // 64).astype(np.int64)
     hh = ch.copy()
     for j in range(20, 40):
-        hh = _mix64((hh + j * 7_919).view(np.uint64)).view(np.int64)
+        hh = mix64((hh + j * 7_919).view(np.uint64)).view(np.int64)
         toks[:, j] = np.abs(hh) % 997
     texts = [" ".join(_VOCAB[t] for t in row) for row in toks]
     return pd.DataFrame({"doc_id": ids, "text": texts})

@@ -56,9 +56,9 @@ def _derive_cols(shard: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Counter-based deterministic columns from a global row index —
     the same formula runs vectorized inside Ray tasks (shard synthesis
     never touches the driver) and locally (the exactness recompute)."""
-    from valere_ocr_ray.ops.exchange import _mix64
+    from valere_ocr_ray.ops.hashing import mix64
 
-    h = _mix64((idx + shard * 1_000_000_007).astype(np.int64).view(np.uint64))
+    h = mix64((idx + shard * 1_000_000_007).astype(np.int64).view(np.uint64))
     keys = (h % np.uint64(N_KEYS)).astype(np.int64)
     vals = ((h >> np.uint64(32)) % np.uint64(10_000)).astype(np.int64)
     return keys, vals
@@ -92,9 +92,9 @@ def _dedup_keys(shard: int, idx: np.ndarray, rows: int) -> np.ndarray:
     rows//2 per shard — so every shard re-sees roughly half its content
     from earlier arrivals (a crawl's revisit rate), deterministically
     recomputable locally for the exactness check."""
-    from valere_ocr_ray.ops.exchange import _mix64
+    from valere_ocr_ray.ops.hashing import mix64
 
-    h = _mix64((idx + shard * 2_000_003).astype(np.int64).view(np.uint64))
+    h = mix64((idx + shard * 2_000_003).astype(np.int64).view(np.uint64))
     universe = np.uint64((shard + 1) * (rows // 2))
     return (h % universe).astype(np.int64)
 

@@ -572,6 +572,21 @@ def decode_jpeg(payload: bytes) -> np.ndarray:
                 if not (1 <= hs <= 2 and 1 <= vs <= 2):
                     raise ImageFormatError(f"sampling {hs}x{vs} unsupported")
                 comps.append((cid, hs, vs, tq))
+            # every block spends at least one Huffman code (≥ 1 bit) in
+            # the baseline scan or the progressive DC-first scan, so a
+            # frame with more blocks than the payload has bits cannot be
+            # coded: refuse it before any per-block state is allocated
+            hmax = max(c[1] for c in comps)
+            vmax = max(c[2] for c in comps)
+            n_blocks = (
+                -(-w // (8 * hmax))
+                * -(-h // (8 * vmax))
+                * sum(c[1] * c[2] for c in comps)
+            )
+            if n_blocks > 8 * n:
+                raise ImageFormatError(
+                    f"{w}x{h} frame has {n_blocks} blocks, more than {n} bytes code"
+                )
             frame = (h, w, comps)
             progressive = marker == 0xC2
         elif marker in (0xC3, 0xC5, 0xC6, 0xC7, 0xC9, 0xCA, 0xCB, 0xCD, 0xCE, 0xCF):

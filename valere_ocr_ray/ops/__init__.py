@@ -4,7 +4,8 @@ operators): deduplication families (``dedup``), similarity search
 removal (``linededup``), text analysis (``textstats``), sectioning + URL
 projections (``urlmeta``), approximate distinct sketches (``sketch``), Misra-Gries heavy
 hitters (``heavyhitters``), content-defined-chunking dedup (``cdc``),
-deterministic domain-mixture sampling (``mixing``),
+deterministic domain-mixture sampling (``mixing``), the md5 and
+splitmix64 hashes every op shares (``hashing``),
 leakage-safe train/holdout splitting (``split``),
 multimodal plumbing (``multimodal``), as-of/range joins on the keyed
 exchange (``asof``),
@@ -30,6 +31,7 @@ from valere_ocr_ray.ops import (  # noqa: F401
     dedup,
     dsir,
     exchange,
+    hashing,
     heavyhitters,
     incremental,
     invindex,
@@ -57,6 +59,7 @@ __all__ = [
     "dedup",
     "dsir",
     "exchange",
+    "hashing",
     "heavyhitters",
     "incremental",
     "invindex",

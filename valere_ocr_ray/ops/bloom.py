@@ -18,8 +18,8 @@ results are EXACT — the filter only prunes.  For ``anti=True`` the
 "definitely absent" rows (bloom-negative — Bloom filters have no false
 negatives) are emitted directly and only the maybe-set is exact-checked.
 
-Hashing reuses the exchange's deterministic ``_key_hash`` (splitmix64
-mix over int/crc32 lanes) with double hashing for the k probe positions,
+Hashing reuses the exchange's deterministic ``_key_hash``
+(``ops/hashing.mix64`` over int/crc32 lanes) with double hashing for the k probe positions,
 so filter build and probe agree across processes with no seed plumbing.
 """
 
@@ -33,7 +33,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from valere_ocr_ray.ops.exchange import _key_hash, _mix64, tree_reduce
+from valere_ocr_ray.ops.exchange import _key_hash, tree_reduce
+from valere_ocr_ray.ops.hashing import mix64
 
 _U64_1 = np.uint64(1)
 
@@ -41,7 +42,7 @@ _U64_1 = np.uint64(1)
 def _positions(h: np.ndarray, num_bits: int, num_hashes: int) -> np.ndarray:
     """(num_hashes, n) probe positions via double hashing."""
     with np.errstate(over="ignore"):
-        h2 = _mix64(h ^ np.uint64(0xA076_1D64_78BD_642F)) | _U64_1
+        h2 = mix64(h ^ np.uint64(0xA076_1D64_78BD_642F)) | _U64_1
         i = np.arange(num_hashes, dtype=np.uint64)[:, None]
         return (h[None, :] + i * h2[None, :]) % np.uint64(num_bits)
 

@@ -170,14 +170,15 @@ def train_bpe(
     deterministic hash sample of the docs (``ops/mixing`` threshold —
     reproducible, shuffle-free), the 100-TB protocol."""
     if sample_rate is not None:
-        from valere_ocr_ray.ops.mixing import SCALE, _hash64_str
+        from valere_ocr_ray.ops.hashing import md5_lower
+        from valere_ocr_ray.ops.mixing import SCALE
 
         thr = int(round(min(max(float(sample_rate), 0.0), 1.0) * SCALE))
 
         def keep(df: pd.DataFrame) -> pd.DataFrame:
             if not len(df):
                 return df
-            h = _hash64_str("bpe-train:" + df[id_col].astype(str))
+            h = md5_lower("bpe-train:" + df[id_col].astype(str))
             return df[h % np.uint64(SCALE) < thr]
 
         ds = ds.map_batches(keep, batch_format="pandas")

@@ -31,22 +31,15 @@ exchange partition reduces to a single stats row.  Driver state:
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pandas as pd
 import ray.data
 
-# deterministic 256-entry gear table: first 8 md5 digest bytes of each
-# byte value, little-endian (same construction family as ops/dedup's
-# _token_hashes64 — full 64-bit entropy per entry)
-_GEAR = np.array(
-    [
-        int.from_bytes(hashlib.md5(bytes([i])).digest()[:8], "little")
-        for i in range(256)
-    ],
-    dtype=np.uint64,
-)
+from valere_ocr_ray.ops.hashing import md5_upper
+
+# deterministic 256-entry gear table: md5_number_upper of each byte
+# value (full 64-bit entropy per entry)
+_GEAR = md5_upper([bytes([i]) for i in range(256)])
 
 _WINDOW = 64  # gear window = word width: older bytes have shifted out
 
@@ -106,19 +99,12 @@ def chunk_hashes(
     max_size: int = 2048,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(hashes int64[], sizes int64[]) of the CDC chunks of ``data`` —
-    chunk identity = first 8 md5 digest bytes of the chunk's bytes
+    chunk identity = ``md5_number_upper`` of the chunk's bytes
     (signed view, matching the repo's 64-bit hash convention)."""
     spans = chunk_spans(
         data, min_size=min_size, mask_bits=mask_bits, max_size=max_size
     )
-    hs = np.fromiter(
-        (
-            int.from_bytes(hashlib.md5(data[a:b]).digest()[:8], "little")
-            for a, b in spans
-        ),
-        dtype=np.uint64,
-        count=len(spans),
-    ).view(np.int64)
+    hs = md5_upper([data[a:b] for a, b in spans]).view(np.int64)
     sizes = np.fromiter((b - a for a, b in spans), dtype=np.int64, count=len(spans))
     return hs, sizes
 

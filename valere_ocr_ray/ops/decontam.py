@@ -14,7 +14,7 @@ eval is compromised.  Scale shape here:
 
 One pass over the corpus, zero exchanges, broadcast bytes = O(benchmark
 n-grams) — constant in corpus size.  Matching is on 64-bit window
-hashes (md5-derived, ``ops/dedup._token_hashes64`` — truly 64 bits of
+hashes (md5-derived, ``ops/hashing.md5_upper`` — truly 64 bits of
 entropy, unlike the crc32 pair it replaced)
 computed by THE SAME function on both sides, so probe/doc agreement is
 deterministic; 64-bit collisions are negligible (~1e-9 at 10^5
@@ -28,8 +28,7 @@ import pandas as pd
 import ray
 import ray.data
 
-from valere_ocr_ray.ops.dedup import _token_hashes64
-from valere_ocr_ray.ops.exchange import _mix64
+from valere_ocr_ray.ops.hashing import md5_upper, mix64
 
 # distinct odd multipliers per window offset keep token order significant
 _WINDOW_SALT = np.uint64(0x9E3779B97F4A7C15)
@@ -43,12 +42,12 @@ def window_hashes(toks: list[str], n: int) -> np.ndarray:
     m = len(toks)
     if m < n:
         return np.zeros(0, dtype=np.uint64)
-    th = _token_hashes64(toks)
+    th = md5_upper(toks)
     w = m - n + 1
     acc = np.zeros(w, dtype=np.uint64)
     with np.errstate(over="ignore"):
         for j in range(n):
-            acc = _mix64(acc * _WINDOW_SALT ^ th[j : j + w])
+            acc = mix64(acc * _WINDOW_SALT ^ th[j : j + w])
     return acc
 
 

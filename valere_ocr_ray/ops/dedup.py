@@ -35,6 +35,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from valere_ocr_ray.ops.hashing import distinct, mix64
+
 
 def _empty_pairs(value_col: str, dtype: str) -> "pd.DataFrame":
     """Typed empty pair frame — keeps empty blocks schema-identical to
@@ -97,14 +99,6 @@ def exact_dedup(
 # ---------------------------------------------------------------------------
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer — avalanches the (linear) crc32 token hash."""
-    with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return x ^ (x >> np.uint64(31))
-
-
 def _token_hashes(toks: list[str]) -> np.ndarray:
     """Per-token hashes: crc32 (C speed) lifted through splitmix64.
 
@@ -114,7 +108,7 @@ def _token_hashes(toks: list[str]) -> np.ndarray:
     per-permutation minima over whole documents, so rare token
     collisions only nudge similarity estimates).  For estimators whose
     math ASSUMES uniform 63/64-bit hashes (KMV distinct counting), use
-    :func:`_token_hashes64` instead — a 32-bit base saturates near
+    ``ops/hashing.md5_upper`` instead — a 32-bit base saturates near
     4.3e9 distinct tokens."""
     if not toks:
         return np.zeros(0, dtype=np.uint64)
@@ -122,30 +116,7 @@ def _token_hashes(toks: list[str]) -> np.ndarray:
         (zlib.crc32(t.encode()) for t in toks), dtype=np.uint64, count=len(toks)
     )
     with np.errstate(over="ignore"):
-        return _mix64(th * np.uint64(0x9E3779B97F4A7C15))
-
-
-def _token_hashes64(toks: list[str]) -> np.ndarray:
-    """Genuinely 64-bit-entropy per-token hashes: first 8 md5 digest
-    bytes (ADVICE r1).  NOT two crc32 lanes — CRC is linear over
-    GF(2), so ``crc32(m)`` and ``crc32(m || salt)`` are affinely
-    related within a length class: the pair carries only ~32 bits of
-    entropy, exactly the saturation the KMV estimator must avoid
-    (the flaw was caught when the same construction produced measurable
-    spurious collisions in ``ops/segdedup`` at 6.75M segments)."""
-    if not toks:
-        return np.zeros(0, dtype=np.uint64)
-    import hashlib
-
-    n = len(toks)
-    return np.fromiter(
-        (
-            int.from_bytes(hashlib.md5(t.encode()).digest()[:8], "little")
-            for t in toks
-        ),
-        dtype=np.uint64,
-        count=n,
-    )
+        return mix64(th * np.uint64(0x9E3779B97F4A7C15))
 
 
 _SHINGLE_B = np.uint64(0x100000001B3)
@@ -169,7 +140,7 @@ def _shingle_hashes(text: str, k: int) -> np.ndarray:
             g = np.zeros(n, dtype=np.uint64)
             for j in range(k):
                 g = g * _SHINGLE_B + th[j : j + n]
-    return np.unique(_mix64(g))
+    return np.unique(mix64(g))
 
 
 class MinHasher:
@@ -363,21 +334,29 @@ def minhash_lsh_pairs(
 # ---------------------------------------------------------------------------
 
 
-def simhash64(text: str) -> int:
-    """64-bit SimHash over whitespace tokens (crc32+splitmix64 token
-    hashes, bit matrix vectorized over all tokens at once)."""
-    th = _token_hashes(text.split())
-    if not len(th):
-        return 0
+def _simhash(texts: pd.Series, token_hashes) -> np.ndarray:
+    """64-bit SimHash per text: each bit is the majority vote of that
+    bit over the text's whitespace tokens' ``token_hashes`` (0 for a
+    text without tokens).  Each distinct token of the batch is hashed
+    and turned into ±1 votes once; a text sums its tokens' vote rows."""
+    toks = texts.map(str.split)
+    codes, uniq = distinct([t for lst in toks for t in lst])
     shifts = np.arange(64, dtype=np.uint64)
-    bits = ((th[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.int32)
-    acc = (2 * bits - 1).sum(axis=0)
-    return int(((acc > 0).astype(np.uint64) << shifts).sum())
+    bits = (token_hashes(uniq)[:, None] >> shifts) & np.uint64(1)
+    signs = 2 * bits.astype(np.int32) - 1
+    votes = np.zeros((len(texts), 64), np.int64)
+    end = 0
+    for i, lst in enumerate(toks):
+        start, end = end, end + len(lst)
+        votes[i] = signs[codes[start:end]].sum(axis=0)
+    return ((votes > 0).astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
 
 
 def simhash_batch(df: pd.DataFrame, col: str = "text") -> pd.DataFrame:
+    """``df`` plus an int64 ``simhash`` column (crc32+splitmix64 token
+    hashes)."""
     df = df.copy()
-    df["simhash"] = df[col].map(simhash64).astype("uint64").astype("int64")
+    df["simhash"] = _simhash(df[col], _token_hashes).view(np.int64)
     return df
 
 

@@ -4,11 +4,10 @@
 Estimates per-document ``log p_target(x) - log p_raw(x)`` under
 bag-of-hashed-ngrams (unigram+bigram) multinomial models:
 
-1. **Feature hashing** — grams hash into ``K`` buckets via the lower 8
-   md5 digest bytes (little-endian) mod K, the exact construction of
-   DuckDB's ``md5_number_lower`` so the SQL oracle reproduces bucket
-   assignment bit-for-bit.  Only UNIQUE grams per batch are hashed
-   (factorize → hash → gather).
+1. **Feature hashing** — grams hash into ``K`` buckets via DuckDB's
+   ``md5_number_lower`` (``ops/hashing.md5_lower``) mod K, so the SQL
+   oracle reproduces bucket assignment bit-for-bit.  Only DISTINCT grams
+   per batch are hashed (``hashing.distinct`` → hash → gather).
 2. **Corpus bucket counts** — per-block partial (bucket, c_target,
    c_raw) rows (≤K per block on the wire, never text), summed over
    one keyed exchange to a ≤K-row table.  The driver holds 2·K ints —
@@ -27,7 +26,6 @@ collisions (K·16 bytes broadcast per worker).
 
 from __future__ import annotations
 
-import hashlib
 import re
 
 import numpy as np
@@ -35,37 +33,18 @@ import pandas as pd
 import ray
 import ray.data
 
+from valere_ocr_ray.ops.hashing import distinct, md5_lower
+
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 DEFAULT_K = 1024
 _SCALE = 1_000_000
 
 
-# gram → raw 64-bit hash memo, shared across batches within a worker
-# process (natural-language gram vocabularies repeat heavily batch to
-# batch); capped so a 100 TB vocabulary can't grow worker heaps
-_HASH_CACHE: dict[str, int] = {}
-_HASH_CACHE_CAP = 2_000_000
-
-
-def _hash64(g: str) -> int:
-    h = _HASH_CACHE.get(g)
-    if h is None:
-        h = int.from_bytes(hashlib.md5(g.encode()).digest()[8:16], "little")
-        if len(_HASH_CACHE) < _HASH_CACHE_CAP:
-            _HASH_CACHE[g] = h
-    return h
-
-
 def _bucket_of_grams(grams: pd.Series, k: int) -> np.ndarray:
-    """md5_number_lower(g) % k for each gram — hashing unique values only."""
-    codes, uniques = pd.factorize(grams, sort=False)
-    uh = np.fromiter(
-        (_hash64(g) % k for g in uniques),
-        dtype=np.int64,
-        count=len(uniques),
-    )
-    return uh[codes]
+    """md5_number_lower(g) % k for each gram — hashing distinct grams only."""
+    codes, uniques = distinct(grams)
+    return (md5_lower(uniques) % np.uint64(k)).astype(np.int64)[codes]
 
 
 def _doc_grams(df: pd.DataFrame, text_col: str) -> pd.DataFrame:

@@ -74,6 +74,8 @@ import ray
 import ray.data
 from ray.data.block import BlockAccessor
 
+from valere_ocr_ray.ops.hashing import mix64
+
 
 # a fold task materializes ONE partition in worker heap (plus the
 # kernel that runs on it) — 128 MiB of Arrow per partition keeps it
@@ -103,13 +105,6 @@ def _auto_partitions(total_bytes: int) -> int:
     return min(max(floor, by_bytes), MAX_PARTITIONS)
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return x ^ (x >> np.uint64(31))
-
-
 def _key_hash(table: pa.Table, keys: Sequence[str]) -> np.ndarray:
     """Deterministic uint64 hash of the key column(s), vectorized for
     integer keys; strings via crc32 (C loop)."""
@@ -125,7 +120,7 @@ def _key_hash(table: pa.Table, keys: Sequence[str]) -> np.ndarray:
                     dtype=np.uint64,
                     count=table.num_rows,
                 )
-            acc = _mix64(acc * np.uint64(0x9E3779B97F4A7C15) ^ _mix64(v))
+            acc = mix64(acc * np.uint64(0x9E3779B97F4A7C15) ^ mix64(v))
     return acc
 
 

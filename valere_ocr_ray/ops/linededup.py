@@ -35,8 +35,8 @@ import numpy as np
 import pandas as pd
 import ray.data
 
-from valere_ocr_ray.ops.dedup import _token_hashes64
 from valere_ocr_ray.ops.exchange import cogroup_exchange, hash_exchange
+from valere_ocr_ray.ops.hashing import md5_upper
 
 
 def _line_frame(df: pd.DataFrame, id_col: str, text_col: str) -> pd.DataFrame:
@@ -60,7 +60,7 @@ def _line_frame(df: pd.DataFrame, id_col: str, text_col: str) -> pd.DataFrame:
         {
             "doc_id": pd.Series(ids, dtype=id_dtype),
             "line_idx": np.asarray(idxs, dtype=np.int64),
-            "line_hash": _token_hashes64(lines).view(np.int64),
+            "line_hash": md5_upper(lines).view(np.int64),
         }
     )
 
@@ -115,7 +115,7 @@ def strip_repeated_lines_exchange(
             if d in marked:
                 idxs, hashes = marked[d]
                 cand = [j for j in idxs if j < len(lines)]
-                h = _token_hashes64([lines[j] for j in cand]).view(np.int64)
+                h = md5_upper([lines[j] for j in cand]).view(np.int64)
                 drop = {j for j, x in zip(cand, h.tolist()) if x in hashes}
             kept = [ln for j, ln in enumerate(lines) if j not in drop]
             texts.append("\n".join(kept))

@@ -8,9 +8,8 @@ This module replaces the coin flip with a *hash threshold*:
 
     keep(row)  <=>  md5_number_lower(salt || id) % SCALE  <  rate · SCALE
 
-where ``md5_number_lower`` is the lower-8-bytes-little-endian md5
-construction shared with :mod:`valere_ocr_ray.ops.dsir` — i.e. exactly
-DuckDB's ``md5_number_lower``, so a SQL oracle reproduces the sample
+where ``md5_number_lower`` is DuckDB's function of that name
+(``ops/hashing.md5_lower``), so a SQL oracle reproduces the sample
 bit-for-bit.  Properties:
 
 * **stateless & shuffle-free** — one vectorized ``map_batches`` pass;
@@ -30,7 +29,6 @@ from "route everything" to "route a governed fraction per class".
 
 from __future__ import annotations
 
-import hashlib
 from typing import Mapping
 
 import numpy as np
@@ -38,22 +36,9 @@ import pandas as pd
 import ray.data
 
 from valere_ocr_ray.ops.exchange import grouped_sum
+from valere_ocr_ray.ops.hashing import md5_lower
 
 SCALE = 1_000_000
-
-
-def _hash64_str(values: pd.Series) -> np.ndarray:
-    """md5_number_lower over string values, unique-only hashing."""
-    codes, uniques = pd.factorize(values, sort=False)
-    uh = np.fromiter(
-        (
-            int.from_bytes(hashlib.md5(u.encode()).digest()[8:16], "little")
-            for u in uniques
-        ),
-        dtype=np.uint64,
-        count=len(uniques),
-    )
-    return uh[codes]
 
 
 def _domain_totals(ds: ray.data.Dataset, key_col: str, tokens_col: str) -> dict:
@@ -154,7 +139,7 @@ def _sample_by_thresholds(
     def sample(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             return df
-        h = _hash64_str(salt + ":" + df[id_col].astype(str)) % SCALE
+        h = md5_lower(salt + ":" + df[id_col].astype(str)) % SCALE
         thr = (
             df[key_col]
             .map(lambda s: thresholds.get(s, default_thr))
@@ -184,7 +169,7 @@ def _sample_with_repeats(
     def sample(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             return df.assign(n_repeats=pd.Series([], dtype="int64"))
-        h = (_hash64_str(salt + ":" + df[id_col].astype(str)) % SCALE).astype(
+        h = (md5_lower(salt + ":" + df[id_col].astype(str)) % SCALE).astype(
             np.int64
         )
         full = (

@@ -28,6 +28,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from valere_ocr_ray.ops.hashing import md5_upper
+
 MEDIA_SCHEMA = pa.schema(
     [
         ("media_id", pa.int64()),
@@ -54,7 +56,7 @@ def _decode_stub(payload: bytes, media_type: str) -> np.ndarray:
     if media_type not in ("image", "audio", "video"):
         raise NotImplementedError(f"no decoder for media_type={media_type!r}")
     hist = np.bincount(np.frombuffer(payload, dtype=np.uint8), minlength=256)
-    seed = int.from_bytes(hashlib.md5(media_type.encode()).digest()[:4], "little")
+    seed = int(md5_upper([media_type])[0]) & 0xFFFFFFFF
     proj = np.random.default_rng(seed).standard_normal((256, FEATURE_DIM))
     return (hist.astype(np.float32) @ proj.astype(np.float32)) / max(len(payload), 1)
 
@@ -242,11 +244,12 @@ def synth_media_table(n: int, seed: int = 42) -> pa.Table:
 
     rows = {k.name: [] for k in MEDIA_SCHEMA}
     for i in range(n):
-        d = hashlib.md5(f"media:{seed}:{i}".encode()).digest()
+        key = f"media:{seed}:{i}".encode()
+        row_seed = int(md5_upper([key])[0]) & 0xFFFFFFFF
         mt = ["image", "audio", "video", "weird"][i % 4 if i % 17 == 0 else i % 3]
         if mt == "image":
             w, h = 8 + i % 24, 6 + (i * 3) % 20
-            rng = np.random.default_rng(int.from_bytes(d[:4], "little"))
+            rng = np.random.default_rng(row_seed)
             grad = np.linspace(0, 255, w, dtype=np.float32)[None, :, None]
             px = (
                 (grad + rng.integers(0, 64, (h, w, 3))).clip(0, 255).astype(np.uint8)
@@ -261,7 +264,7 @@ def synth_media_table(n: int, seed: int = 42) -> pa.Table:
             from valere_ocr_ray.extract.flac import encode_flac
             from valere_ocr_ray.extract.wav_decode import encode_wav
 
-            rng = np.random.default_rng(int.from_bytes(d[:4], "little"))
+            rng = np.random.default_rng(row_seed)
             rate = 8000
             n_s = 400 + (i * 97) % 2000
             t = np.arange(n_s, dtype=np.float32) / rate
@@ -287,7 +290,7 @@ def synth_media_table(n: int, seed: int = 42) -> pa.Table:
             # frame-sample stage decodes genuine multi-frame content
             from valere_ocr_ray.extract.gif import encode_gif_frames
 
-            rng = np.random.default_rng(int.from_bytes(d[:4], "little"))
+            rng = np.random.default_rng(row_seed)
             w, h = 24, 18
             fg = rng.integers(64, 256, 3).astype(np.uint8)
             frames = []
@@ -300,6 +303,7 @@ def synth_media_table(n: int, seed: int = 42) -> pa.Table:
             w = h = 0
         else:
             w = h = 0
+            d = hashlib.md5(key).digest()
             payload = (d * (8 + i % 23))[: 64 + (i * 37) % 512]
         rows["media_id"].append(i)
         rows["url"].append(f"https://media{i % 11}.example/{mt}/{i:06d}")

@@ -12,8 +12,11 @@ Scale shape (100 TB):
 * segmentation slices each doc at byte offsets of every ``window``-th
   space (numpy scan + C-level string slices — no token-level explode);
 * the global keep-first is ONE hash exchange keyed by the segment's
-  64-bit content hash with only ``(h64, id, seg_idx, n_toks)`` ints on
-  the wire (``exact=False``, the default) — segment TEXT never moves;
+  64-bit content hash (``ops/hashing.md5_upper``) with only
+  ``(h64, id, seg_idx, n_toks)`` ints on the wire (``exact=False``, the
+  default) — segment TEXT never moves.  Not two crc32 lanes: CRC is
+  linear over GF(2), so such a pair carries ~32 bits, and at 6.75M
+  segments it wrongly emptied 44 docs of a 200k-page corpus;
 * per-doc stats reduce through ``ops/exchange.grouped_sum`` (partial
   per block → keyed exchange → vectorized fold).
 
@@ -35,30 +38,7 @@ import pandas as pd
 import ray.data
 
 from valere_ocr_ray.ops.exchange import grouped_sum, hash_exchange
-
-
-def _seg_hash64(segs: pd.Series) -> np.ndarray:
-    """Genuinely 64-bit-entropy per-segment hashes: the first 8 md5
-    digest bytes.  NOT two crc32 lanes — CRC is linear over GF(2), so
-    ``crc32(m)`` and ``crc32(m ⊕ salt)``/``crc32(m || salt)`` are
-    affinely related within a length class and the pair carries only
-    ~32 bits; at 6.75M segments that produced thousands of spurious
-    keep-first collisions (measured: 44 docs wrongly emptied on the
-    200k-page corpus).  md5 costs ~1 µs/segment — noise next to the
-    exchange."""
-    import hashlib
-
-    n = len(segs)
-    if not n:
-        return np.zeros(0, dtype=np.uint64)
-    return np.fromiter(
-        (
-            int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "little")
-            for s in segs
-        ),
-        dtype=np.uint64,
-        count=n,
-    )
+from valere_ocr_ray.ops.hashing import distinct, md5_upper
 
 
 def _doc_segments(txt: str, window: int) -> list[str]:
@@ -169,7 +149,7 @@ def segment_dedup_flags(
                 {
                     id_col: df[id_col].astype("int64"),
                     "seg_idx": df["seg_idx"].astype("int64"),
-                    "h64": _seg_hash64(df["seg"]).view(np.int64),
+                    "h64": md5_upper(df["seg"]).view(np.int64),
                     "n_toks": df["n_toks"].astype("int64"),
                 }
             )
@@ -179,10 +159,10 @@ def segment_dedup_flags(
     ex = hash_exchange(segs, [key], num_partitions)
 
     def mark(df: pd.DataFrame) -> pd.DataFrame:
-        # factorize → int codes so the keep-first ordering sort never
-        # compares strings (exact mode would otherwise lexicographic-
-        # sort millions of segment texts)
-        codes, _ = pd.factorize(df[key], sort=False)
+        # int codes so the keep-first ordering sort never compares
+        # strings (exact mode would otherwise lexicographic-sort
+        # millions of segment texts)
+        codes, _ = distinct(df[key])
         order = np.lexsort(
             (df["seg_idx"].to_numpy(), df[id_col].to_numpy(), codes)
         )

@@ -15,7 +15,7 @@ fixed-size-per-block combine).
 
 Public scheme (Bar-Yossef et al., "Counting distinct elements in a
 data stream", RANDOM 2002).  Hashing uses the TRUE-64-bit token hash
-(``ops/dedup._token_hashes64`` — first 8 md5 digest bytes; a crc32
+(``ops/hashing.md5_upper`` — first 8 md5 digest bytes; a crc32
 pair was rejected because CRC's GF(2)-linearity leaves it ~32 bits of
 entropy): the estimator assumes uniform
 63-bit hashes, and a 32-bit base space would undercount past ~10^8
@@ -30,13 +30,8 @@ import numpy as np
 import pandas as pd
 import ray.data
 
-from valere_ocr_ray.ops.dedup import _token_hashes64
-from valere_ocr_ray.ops.exchange import (
-    _mix64,
-    partition_map,
-    reduced_row,
-    tree_reduce,
-)
+from valere_ocr_ray.ops.exchange import partition_map, reduced_row, tree_reduce
+from valere_ocr_ray.ops.hashing import md5_upper, mix64
 
 _HASH_SPACE = float(1 << 63)  # hashes are right-shifted to 63-bit below
 
@@ -83,7 +78,7 @@ def distinct_tokens_kmv(
         toks = set()
         for t in df[col]:
             toks.update(w for w in alpha.findall(t.lower()) if len(w) >= 3)
-        sk = kmv_from_hashes(_token_hashes64(sorted(toks)), k)
+        sk = kmv_from_hashes(md5_upper(list(toks)), k)
         return pd.DataFrame({"sketch": [sk.tolist()]})
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
@@ -103,9 +98,8 @@ def _value_hashes64(values: pd.Series) -> np.ndarray:
     entropy, same construction the KMV module header documents)."""
     v = values.to_numpy()
     if np.issubdtype(v.dtype, np.integer):
-        with np.errstate(over="ignore"):
-            return _mix64(v.astype(np.int64).view(np.uint64))
-    return _token_hashes64([str(x) for x in values])
+        return mix64(v.astype(np.int64).view(np.uint64))
+    return md5_upper([str(x) for x in values])
 
 
 def grouped_distinct_kmv(

@@ -42,13 +42,14 @@ import numpy as np
 import pandas as pd
 import ray.data
 
-from valere_ocr_ray.ops.mixing import SCALE, _hash64_str
+from valere_ocr_ray.ops.hashing import distinct, md5_lower
+from valere_ocr_ray.ops.mixing import SCALE
 
 
 def _assign_side(
     keys: pd.Series, *, threshold: int, salt: str
 ) -> np.ndarray:
-    h = _hash64_str(salt + ":" + keys.astype(str))
+    h = md5_lower(salt + ":" + keys.astype(str))
     return np.where(h % np.uint64(SCALE) < threshold, "holdout", "train")
 
 
@@ -95,8 +96,8 @@ def holdout_split(
         if not len(df):
             return df.assign(**{out_col: pd.Series([], dtype=object)})
         # content key = md5 hex of the text (unique-only hashing: dup
-        # texts are the POINT of this op, so factorize pays for itself)
-        codes, uniques = pd.factorize(df[text_col].astype(str), sort=False)
+        # texts are the POINT of this op, so the dedupe pays for itself)
+        codes, uniques = distinct(df[text_col].astype(str))
         hexes = np.array(
             [hashlib.md5(u.encode()).hexdigest() for u in uniques], dtype=object
         )[codes]

@@ -32,7 +32,7 @@ import pandas as pd
 import ray
 import ray.data
 
-from valere_ocr_ray.ops.dedup import _token_hashes64
+from valere_ocr_ray.ops.hashing import md5_upper
 
 
 def hashed_features(texts: list[str], dim: int, *, bigrams: bool = False) -> np.ndarray:
@@ -42,7 +42,7 @@ def hashed_features(texts: list[str], dim: int, *, bigrams: bool = False) -> np.
         toks = str(t).split()
         if not toks:
             continue
-        h = _token_hashes64(toks)
+        h = md5_upper(toks)
         if bigrams and len(toks) > 1:
             with np.errstate(over="ignore"):
                 bg = h[:-1] * np.uint64(0x9E3779B97F4A7C15) ^ h[1:]

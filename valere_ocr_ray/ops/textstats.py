@@ -98,22 +98,29 @@ def _fnv1a(data: bytes) -> int:
     return h
 
 
+def _shingle_min(text: str, window: int, hashes) -> int:
+    """Min of ``hashes`` (a list of strings → uint64 array) over the
+    ``window``-token shingles of ``text``, the whole token stream when
+    it has at most ``window`` tokens; 0 for a text without tokens."""
+    toks = text.split()
+    if not toks:
+        return 0
+    n = max(len(toks) - window + 1, 1)
+    return int(hashes([" ".join(toks[i : i + window]) for i in range(n)]).min())
+
+
+def _fnv1a_many(strs: list[str]) -> np.ndarray:
+    return np.fromiter(
+        (_fnv1a(s.encode()) for s in strs), dtype=np.uint64, count=len(strs)
+    )
+
+
 def fingerprint_text(text: str, window: int = 8) -> int:
     """Deterministic 63-bit doc fingerprint: min FNV-1a over
     ``window``-token shingles (rolling-hash winnowing, public
     Rabin/winnowing scheme).  Equal fingerprints ⇒ near-identical
     token streams with high probability."""
-    toks = text.split()
-    if not toks:
-        return 0
-    if len(toks) <= window:
-        return _fnv1a(" ".join(toks).encode()) >> 1
-    best = _MASK
-    for i in range(len(toks) - window + 1):
-        h = _fnv1a(" ".join(toks[i : i + window]).encode())
-        if h < best:
-            best = h
-    return best >> 1
+    return _shingle_min(text, window, _fnv1a_many) >> 1
 
 
 def fingerprint_batch(df: pd.DataFrame, col: str = "text") -> pd.DataFrame:

@@ -20,7 +20,7 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
-from valere_ocr_ray.ops import dedup, similarity, textstats
+from valere_ocr_ray.ops import dedup, hashing, similarity, textstats
 from valere_ocr_ray.pipelines.extract import build_extraction_ds
 from valere_ocr_ray.sources.synth import ensure_pages
 
@@ -922,29 +922,27 @@ def doc_minhash_sig_md5(sf_dir: str):
     the doc's DISTINCT whitespace tokens, emitted as one row per
     (doc_id, perm) with the 16-hex-char minimum.  Equal signature rows
     across docs estimate token-set Jaccard — the LSH banding input."""
-    from valere_ocr_ray.ops.dsir import _hash64
-
     P = 8
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
 
     def f(df: pd.DataFrame) -> pd.DataFrame:
-        dids: list[int] = []
-        perms: list[int] = []
-        mins: list[str] = []
-        for did, t in zip(df["doc_id"].to_numpy(dtype=np.int64), df["text"].astype(str)):
-            toks = set(t.split())
-            if not toks:
-                continue  # token-less docs have no signature (SQL mirror)
-            for p in range(P):
-                v = min(_hash64(f"{tok}#{p}") for tok in toks)
-                dids.append(int(did))
-                perms.append(p)
-                mins.append(format(v, "016x"))
+        sets = [list(set(t.split())) for t in df["text"].astype(str)]
+        codes, uniq = hashing.distinct([tok for s in sets for tok in s])
+        # (distinct token of the batch, perm) hashes, each computed once
+        h = np.stack(
+            [hashing.md5_lower([f"{u}#{p}" for u in uniq]) for p in range(P)], axis=1
+        )
+        lens = np.asarray([len(s) for s in sets], dtype=np.int64)
+        has = lens > 0  # token-less docs have no signature (SQL mirror)
+        mins = [
+            h[codes[e - n : e]].min(axis=0)
+            for n, e in zip(lens[has], np.cumsum(lens)[has])
+        ]
         return pd.DataFrame(
             {
-                "doc_id": np.asarray(dids, np.int64),
-                "perm": np.asarray(perms, np.int64),
-                "min_hash_hex": mins,
+                "doc_id": np.repeat(df["doc_id"].to_numpy(dtype=np.int64)[has], P),
+                "perm": np.tile(np.arange(P, dtype=np.int64), int(has.sum())),
+                "min_hash_hex": [format(int(v), "016x") for m in mins for v in m],
             }
         )
 
@@ -958,30 +956,16 @@ def doc_fingerprint_md5(sf_dir: str):
     shingles (whole-text hash when a doc has ≤8 tokens), emitted as a
     16-hex-char string.  Equal fingerprints ⇒ near-identical token
     streams with high probability."""
-    from valere_ocr_ray.ops.dsir import _hash64
-
-    W = 8
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
 
     def f(df: pd.DataFrame) -> pd.DataFrame:
-        out: list[str] = []
-        for t in df["text"].astype(str):
-            toks = t.split()
-            if not toks:
-                out.append(format(0, "016x"))
-                continue
-            if len(toks) <= W:
-                out.append(format(_hash64(" ".join(toks)), "016x"))
-                continue
-            best = min(
-                _hash64(" ".join(toks[i : i + W]))
-                for i in range(len(toks) - W + 1)
-            )
-            out.append(format(best, "016x"))
         return pd.DataFrame(
             {
                 "doc_id": df["doc_id"].to_numpy(dtype=np.int64),
-                "fingerprint_hex": out,
+                "fingerprint_hex": [
+                    format(textstats._shingle_min(t, 8, hashing.md5_lower), "016x")
+                    for t in df["text"].astype(str)
+                ],
             }
         )
 
@@ -991,33 +975,14 @@ def doc_fingerprint_md5(sf_dir: str):
 def doc_simhash_md5(sf_dir: str):
     """SimHash-64 with md5-derived token hashes — the SQL-ORACLED
     member of the SimHash family (``doc_simhash`` keeps the faster
-    crc+splitmix hash for production; same bit-vote algorithm).  Token
-    hash == DuckDB ``md5_number_lower``; output is a 16-hex-char string
-    (a full uint64 doesn't round-trip losslessly through the driver's
-    float-tolerant compare).  Per-batch vectorized: one factorize +
-    hash per unique token, one ``np.add.at`` over (doc, bit)."""
-    from valere_ocr_ray.ops.dsir import _hash64
-
+    crc+splitmix hash for production; both run the bit-vote kernel
+    ``ops/dedup._simhash``).  Token hash == DuckDB ``md5_number_lower``;
+    output is a 16-hex-char string (a full uint64 doesn't round-trip
+    losslessly through a float-tolerant compare)."""
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
 
     def f(df: pd.DataFrame) -> pd.DataFrame:
-        toks = df["text"].astype(str).str.split()
-        lens = toks.map(len).to_numpy(dtype=np.int64)
-        doc_idx = np.repeat(np.arange(len(df)), lens)
-        flat = [t for lst in toks for t in lst]
-        if flat:
-            codes, uniq = pd.factorize(pd.Series(flat), sort=False)
-            uh = np.fromiter(
-                (_hash64(g) for g in uniq), dtype=np.uint64, count=len(uniq)
-            )
-            hv = uh[codes]
-        else:
-            hv = np.zeros(0, np.uint64)
-        shifts = np.arange(64, dtype=np.uint64)
-        bits = ((hv[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.int64)
-        votes = np.zeros((len(df), 64), np.int64)
-        np.add.at(votes, doc_idx, 2 * bits - 1)
-        sim = ((votes > 0).astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
+        sim = dedup._simhash(df["text"].astype(str), hashing.md5_lower)
         return pd.DataFrame(
             {
                 "doc_id": df["doc_id"].to_numpy(dtype=np.int64),
@@ -3271,7 +3236,6 @@ def doc_ngram_novelty(sf_dir: str):
     wire; collision contract ≈ n²/2^65), ONE exchange by hash,
     partition-level transform marks df==1 grams, keyed sum per doc."""
     from valere_ocr_ray.ops.exchange import grouped_sum, partition_map
-    from valere_ocr_ray.ops.segdedup import _seg_hash64
 
     docs = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
 
@@ -3295,7 +3259,7 @@ def doc_ngram_novelty(sf_dir: str):
         out = pd.DataFrame(
             {
                 "doc_id": e["doc_id"].to_numpy()[ok],
-                "gram": _seg_hash64(gram[ok]).view(np.int64),
+                "gram": hashing.md5_upper(gram[ok]).view(np.int64),
             }
         )
         return out.drop_duplicates()
@@ -3685,7 +3649,7 @@ def doc_dup_clusters_verified(sf_dir: str):
 
 
 def doc_simhash_pairs(sf_dir: str):
-    """Near-dup pairs at hamming(simhash64) <= 3 via 4×16-bit band
+    """Near-dup pairs at hamming(simhash) <= 3 via 4×16-bit band
     buckets (pigeonhole-exact at this radius)."""
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
     return dedup.simhash_pairs(ds, max_hamming=3)
@@ -3776,7 +3740,8 @@ def lineitem_distinct_parts(sf_dir: str):
 def events_distinct_users_kmv_est(sf_dir: str):
     """KMV distinct estimate in its SATURATED regime, SQL-ORACLED: the
     sketch hash is ``md5_number_upper(CAST(user_id AS VARCHAR)) >> 1``
-    (bit-identical to ``ops/sketch._value_hashes64``), so DuckDB can
+    (``ops/hashing.md5_upper``, the string lane of
+    ``ops/sketch._value_hashes64``), so DuckDB can
     rebuild the bottom-k and reproduce the ``(k-1)·2^63/h_k`` estimate
     EXACTLY — the approximate path itself is driver-verifiable, not
     just its exact-regime twin.  k=64 < the corpus's user cardinality,
@@ -3789,8 +3754,8 @@ def events_distinct_users_kmv_est(sf_dir: str):
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         # hash the STRING form: integer columns would otherwise take
-        # _value_hashes64's splitmix64 fast path, which SQL can't
-        # reproduce — the md5 string path IS md5_number_upper
+        # _value_hashes64's splitmix64 lane, which SQL can't reproduce;
+        # the string lane is hashing.md5_upper == md5_number_upper
         sk = sketch.kmv_from_hashes(
             sketch._value_hashes64(df["user_id"].astype(str).drop_duplicates()), k
         )
@@ -4542,16 +4507,12 @@ def pages_url_canonical(sf_dir: str):
     planted deterministically (``md5_number_lower(url) % 4 == 0`` gets
     ``?utm_source=...``, ``% 5 == 0`` gets ``#frag`` — the same hash
     the SQL oracle computes) so the strip fires on >0 urls."""
-    import hashlib
-
     pages_dir = ensure_pages(sf_dir)
     ds = rd.read_parquet(pages_dir, columns=["url"])
 
     def canon(df: pd.DataFrame) -> pd.DataFrame:
         urls = df["url"].astype(str)
-        h = urls.map(
-            lambda u: int.from_bytes(hashlib.md5(u.encode()).digest()[8:16], "little")
-        )
+        h = pd.Series(hashing.md5_lower(urls), index=urls.index)
         aug = urls + (h % 4 == 0).map({True: "?utm_source=feed&utm_campaign=x", False: ""})
         aug = aug + (h % 5 == 0).map({True: "#frag", False: ""})
         canonical = aug.str.replace(r"[?#].*$", "", regex=True).str.lower()
@@ -4745,7 +4706,7 @@ def doc_domain_mix_audit(sf_dir: str):
     sample so downstream consumers can see realized (not just target)
     rates."""
     from valere_ocr_ray.ops.exchange import grouped_sum
-    from valere_ocr_ray.ops.mixing import SCALE, _hash64_str
+    from valere_ocr_ray.ops.mixing import SCALE
 
     tiers = [1_000_000, 500_000, 250_000, 125_000]
 
@@ -4753,7 +4714,7 @@ def doc_domain_mix_audit(sf_dir: str):
         df = df.assign(
             n_tokens=df["text"].str.count(textstats.TOKEN_RE).astype("int64")
         )
-        h = _hash64_str("mix:" + df["doc_id"].astype(str)) % SCALE
+        h = hashing.md5_lower("mix:" + df["doc_id"].astype(str)) % SCALE
         thr = df["source"].map(lambda s: tiers[int(s[3:]) % 4]).to_numpy(np.int64)
         kept = (h.astype(np.int64) < thr).astype(np.int64)
         toks = df["n_tokens"].to_numpy(np.int64)

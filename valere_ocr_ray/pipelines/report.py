@@ -40,7 +40,7 @@ from valere_ocr_ray.ops.exchange import grouped_sum
 
 
 def _signals(df: pd.DataFrame, text_col: str) -> pd.DataFrame:
-    from valere_ocr_ray.ops.mixing import _hash64_str
+    from valere_ocr_ray.ops.hashing import md5_lower
 
     text = df[text_col].astype(str)
     qual = textstats.quality_batch(df[[text_col]], text_col)
@@ -66,7 +66,7 @@ def _signals(df: pd.DataFrame, text_col: str) -> pd.DataFrame:
             "n_tokens": text.str.count(r"\S+").to_numpy(np.int64),
             "n_chars": text.str.len().to_numpy(np.int64),
             # uint64 -> int64 view: a bijection, fine as a group key
-            "h": _hash64_str(text).view(np.int64),
+            "h": md5_lower(text).view(np.int64),
         }
     )
 
