@@ -114,8 +114,8 @@ def test_grouped_sum_fuzz_matches_pandas(ray_session):
     from hypothesis import strategies as st
 
     @settings(max_examples=20, deadline=None)
-    # pandas ends a string key at its first NUL, so '' and '\x00' are
-    # one group: the split must send them to one partition
+    # the split places string keys by their NUL prefix, so '' and '\x00'
+    # meet in one partition; the fold must still keep them apart
     @example(keys=["", "\x00"], nparts=2, nblocks=2)
     @given(
         keys=st.lists(
@@ -143,15 +143,54 @@ def test_grouped_sum_fuzz_matches_pandas(ray_session):
             .sort_values("k")
             .reset_index(drop=True)
         )
+        # the oracle groups whole strings: pandas' object-string groupby
+        # ends a key at its first NUL, Arrow-backed strings do not
+        whole = df.astype({"k": "string[pyarrow]"}) if df["k"].dtype == object else df
         want = (
-            df.groupby("k", as_index=False)[["v"]]
+            whole.groupby("k", as_index=False)[["v"]]
             .sum()
+            .astype({"k": df["k"].dtype})
             .sort_values("k")
             .reset_index(drop=True)
         )
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
     check()
+
+
+def test_grouped_agg_nul_string_keys_match_duckdb(ray_session):
+    """String keys that differ only after a NUL are distinct groups, as
+    in DuckDB's ``GROUP BY``, also when the split places them in one
+    partition and they arrive in different blocks; a null key drops
+    out.  pandas' object-string groupby, the fold's engine, ends a key
+    at its first NUL: over 'x', 'x\\x00y', 'x\\x00z' (1, 2, 4) it
+    returned the one group ``['x', 7]``."""
+    import duckdb
+    import pyarrow as pa
+
+    from valere_ocr_ray.ops.exchange import grouped_agg
+
+    rows = [
+        ("x", 1, 1), ("x\x00y", 2, 1), ("x\x00z", 4, 2), (None, 8, 2),
+        ("", 16, 1), ("\x00", 32, 1), ("x\x00y", 64, 2),
+    ]
+    blocks = [
+        pa.table({"k": pa.array([k], pa.string()), "j": [j], "v": [v]})
+        for k, v, j in rows
+    ]
+    every = pa.concat_tables(blocks)
+    aggs = {"v": "sum", "j": "max"}
+    for keys, groups in ((["k"], 5), (["k", "j"], 6)):
+        got = grouped_agg(rd.from_arrow(blocks), keys, aggs, num_partitions=2).to_pandas()
+        cols = ", ".join(keys)
+        sel = ", ".join(f"{how}({c}) AS {c}" for c, how in aggs.items() if c not in keys)
+        sql = f"SELECT {cols}, {sel} FROM every WHERE k IS NOT NULL GROUP BY {cols}"
+        want = duckdb.connect().execute(sql).arrow().to_pandas()
+        order = [*keys, *(c for c in aggs if c not in keys)]
+        assert len(got) == len(want) == groups, keys
+        assert sorted(got[order].itertuples(index=False)) == sorted(
+            want[order].itertuples(index=False)
+        ), keys
 
 
 def test_exchange_tolerates_schema_drift(ray_session):

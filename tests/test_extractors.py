@@ -2,7 +2,9 @@
 normalization rules N1-N13 (§2.8), confidence A1/A2."""
 
 import json
+import re
 
+from valere_ocr_ray.registry import extractors as ex
 from valere_ocr_ray.registry.extractors import (
     _apply_rule_battery,
     extract_agreement,
@@ -236,3 +238,148 @@ def test_generic_contacts_no_false_phone():
 
     got = extract_contacts("order 12345 qty 99 code A12.3 total 1234567")
     assert got["phone_numbers"] == []
+
+
+# -- anchor prefilter: the reference battery is the oracle ----------------
+# The reference's patient battery, pump probe and generic ICD step,
+# frozen verbatim: extract_medical skips a pattern whose anchor literal
+# is absent from the folded text, and must return what running every
+# pattern returns.
+_REF_PATIENT_PATTERNS = [
+    (re.compile(r"(?:Mother|Patient)\s*Name[:\s]+([^:\n]+)", re.IGNORECASE), "Patient Name"),
+    (re.compile(r"(?:Mother|Patient)?\s*Date of [Bb]irth[:\s]+([^:\n]+)", re.IGNORECASE), "Date of Birth"),
+    (re.compile(r"(?:Mother|Patient)?\s*DOB[:\s]+([^:\n]+)", re.IGNORECASE), "DOB"),
+    (re.compile(r"(?:Mother|Patient)?\s*Phone\s*(?:Number)?[:\s]+([^:\n]+)", re.IGNORECASE), "Phone Number"),
+    (re.compile(r"(?:Infant|Baby)\s*Name[:\s]+([^:\n]+)", re.IGNORECASE), "Infant Name"),
+    (re.compile(r"(?:Infant|Baby)\s*Date of [Bb]irth[:\s]+([^:\n]+)", re.IGNORECASE), "Infant Date of Birth"),
+    (re.compile(r"EDD[:\s]+([^:\n]+)", re.IGNORECASE), "EDD"),
+]
+_REF_PUMP_RE = re.compile(r"breast pump|double electric|double-electric|electric breast pump", re.IGNORECASE)
+_REF_ICD_RE = re.compile(r"[A-Z]\d+\.\d+")
+
+
+def _reference_medical(text):
+    """extract_medical of a text without the brand markers, every
+    pattern run on every text."""
+    assert "Texas Children's Hospital" not in text
+    assert "The Breast Pump Depot" not in text
+    patient, doctor, prescription, spans = {}, {}, {}, []
+    for key, (value, start, end) in parse_kv_lines(text).items():
+        low = key.lower()
+        if "icd" in low or "z39" in low or "lactating" in low:
+            continue
+        if any(t in low for t in ex._PATIENT_KEY_TERMS):
+            patient[key] = value
+            spans.append((key, value, start, end))
+        elif any(t in low for t in ex._DOCTOR_KEY_TERMS):
+            doctor[key] = value
+            spans.append((key, value, start, end))
+    for pattern, field in _REF_PATIENT_PATTERNS:
+        m = pattern.search(text)
+        if m:
+            patient[field] = m.group(1).strip()
+            spans.append((field, patient[field], m.start(1), m.end(1)))
+    codes = _REF_ICD_RE.findall(text)
+    if codes:
+        prescription["ICD-10 Code"] = codes[0]
+    if _REF_PUMP_RE.search(text):
+        prescription["Prescription"] = "Double Electric Breast Pump"
+    patient, doctor = _apply_rule_battery(ex._clean_map(patient), ex._clean_map(doctor))
+    prescription = ex._clean_map(prescription)
+    leaves = [*patient.values(), *doctor.values(), *prescription.values()]
+    confidence = round(sum(1 for v in leaves if v) / len(leaves), 2) if leaves else 0.0
+    data = {"patient": patient, "doctor": doctor, "prescription": prescription}
+    return data, confidence, spans
+
+
+# anchors, their prefixes, the letters IGNORECASE matches to ASCII, and
+# the separators the patterns read
+_TOKENS = (
+    "Name", "Date of Birth", "Date of birth", "DOB", "Phone", "Number", "EDD",
+    "Mother", "Patient", "Infant", "Baby", "breast pump", "double electric",
+    "double-electric", "electric breast pump", "Z39.1", "A12.3", "Ana Diaz",
+    "01/02/2003", "İ", "ı", "ſ", "K", " ", "\t", ":", "\n",
+)
+# per letter: itself, its case flip, and the non-ASCII letters
+# re.IGNORECASE matches to it
+_VARIANTS = {"i": "İı", "s": "ſ", "k": "K"}
+
+
+def _texts():
+    from hypothesis import strategies as st
+
+    def variant(tok):
+        return st.tuples(
+            *(st.sampled_from((c, c.swapcase(), *_VARIANTS.get(c.lower(), ""))) for c in tok)
+        ).map("".join)
+
+    return st.lists(st.sampled_from(_TOKENS).flatmap(variant), max_size=24).map("".join)
+
+
+def test_prefilter_equals_reference_battery():
+    """extract_medical == the reference battery on generated texts: the
+    data with its key order, the confidence and every span offset.  The
+    example defeats a casefold prefilter: ``'BİRTH'.casefold()`` is
+    ``'bi\\u0307rth'``, yet ``re.IGNORECASE`` matches ``'İ'`` to ``'i'``."""
+    from hypothesis import example, given, settings
+
+    @settings(max_examples=600, deadline=None)
+    @example("Mother  DATE OF BİRTH: 01/02/2003")
+    @given(_texts())
+    def check(text):
+        data, confidence, spans = extract_medical(text)
+        want_data, want_confidence, want_spans = _reference_medical(text)
+        assert json.dumps(data) == json.dumps(want_data)
+        assert confidence == want_confidence
+        assert spans == want_spans
+
+    check()
+
+
+def test_fold_table_is_re_ignorecase_table():
+    """``_FOLD`` holds exactly the non-ASCII code points that
+    ``re.IGNORECASE`` matches to an ASCII letter, each mapped to that
+    letter.  Should a Python release widen sre's case table, this fails
+    rather than the prefilter dropping a match."""
+    letter = re.compile("[a-z]", re.IGNORECASE).fullmatch
+    hits = {chr(c) for c in range(0x80, 0x110000) if letter(chr(c))}
+    assert hits == set(ex._FOLD)
+    for src, dst in ex._FOLD.items():
+        assert dst.isascii() and dst.islower()
+        assert re.fullmatch(dst, src, re.IGNORECASE)
+
+
+class _CountingSearch:
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def search(self, text):
+        self.calls += 1
+        return self.pattern.search(text)
+
+
+def test_anchorless_page_skips_the_battery(monkeypatch):
+    """Work guard by call count, not time: a 60 KB page with no anchor
+    runs no patient pattern and no pump probe, and at most one ICD
+    search; a page holding the anchors runs them."""
+    patients = [(_CountingSearch(p), f, a) for p, f, a in ex._PATIENT_PATTERNS]
+    pump = _CountingSearch(ex._PUMP_RE)
+    icd = _CountingSearch(ex._GENERIC_ICD_RE)
+    monkeypatch.setattr(ex, "_PATIENT_PATTERNS", patients)
+    monkeypatch.setattr(ex, "_PUMP_RE", pump)
+    monkeypatch.setattr(ex, "_GENERIC_ICD_RE", icd)
+
+    def calls():
+        return sum(p.calls for p, _, _ in patients), pump.calls, icd.calls
+
+    text = "lorem ipsum dolor sit amet " * 2300
+    assert len(text) > 60_000
+    rec = extract_document("https://x/article/1.html", text)
+    assert rec["doc_type"] == "UNKNOWN"
+    patient_calls, pump_calls, icd_calls = calls()
+    assert (patient_calls, pump_calls) == (0, 0)
+    assert icd_calls <= 1
+
+    extract_medical("Mother Name: Ana\nDOB: 01/02/2003\nbreast pump")
+    assert calls() == (patient_calls + 3, pump_calls + 1, icd_calls + 1)

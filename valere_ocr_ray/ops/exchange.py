@@ -402,7 +402,13 @@ def grouped_agg(
     keys = list(keys)
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(keys, as_index=False).agg(aggs)
+        # pandas' object-string groupby ends a key at its first NUL
+        # ('x' and 'x\x00y' fold together); Arrow-backed strings compare
+        # whole, as SQL's GROUP BY does.  Null keys still drop out.
+        strs = [k for k in keys if pd.api.types.infer_dtype(df[k]) == "string"]
+        out = df.astype(dict.fromkeys(strs, "string[pyarrow]"))
+        out = out.groupby(keys, as_index=False).agg(aggs)
+        return out.astype(dict.fromkeys(strs, object))
 
     pre = ds.map_batches(fold, batch_format="pandas")
     return partition_map(pre, keys, fold, num_partitions=num_partitions)

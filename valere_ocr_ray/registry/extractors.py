@@ -2,10 +2,15 @@
 
 All functions here are pure (text in → field structures out) and run
 per row inside the Ray actor stages; every regex is compiled at module
-import (once per worker process).  The normalization battery is the
-reference's order-sensitive cleanup (``Ethan_PDFandJPG3.py:276-417``)
-re-implemented as an ordered pure-function pipeline — rule order is
-golden-relevant.
+import (once per worker process).  Fields is a row-at-a-time Python UDF,
+so its cost is regex work per row: the medical path folds each text
+once (``_fold``) and runs a patient pattern or the pump probe only when
+its literal anchor is in the folded text, so a long page without those
+literals no longer pays a full scan per pattern.
+
+The normalization battery is the reference's order-sensitive cleanup
+(``Ethan_PDFandJPG3.py:276-417``) re-implemented as an ordered
+pure-function pipeline — rule order is golden-relevant.
 
 JSON byte format: ``json.dumps(obj, indent=4)`` with insertion order —
 the reference's persisted byte format (``InsuranceCard1.py:144-146``).
@@ -107,22 +112,46 @@ def extract_query_fields(
 # Prescription/medical extraction (F11/F12 + §2.8 rule battery)
 # ---------------------------------------------------------------------------
 
-# F11 patient-pattern battery (Ethan_PDFandJPG3.py:242-256), first match wins
-_PATIENT_PATTERNS: list[tuple[re.Pattern[str], str]] = [
-    (re.compile(r"(?:Mother|Patient)\s*Name[:\s]+([^:\n]+)", re.IGNORECASE), "Patient Name"),
-    (re.compile(r"(?:Mother|Patient)?\s*Date of [Bb]irth[:\s]+([^:\n]+)", re.IGNORECASE), "Date of Birth"),
-    (re.compile(r"(?:Mother|Patient)?\s*DOB[:\s]+([^:\n]+)", re.IGNORECASE), "DOB"),
-    (re.compile(r"(?:Mother|Patient)?\s*Phone\s*(?:Number)?[:\s]+([^:\n]+)", re.IGNORECASE), "Phone Number"),
-    (re.compile(r"(?:Infant|Baby)\s*Name[:\s]+([^:\n]+)", re.IGNORECASE), "Infant Name"),
-    (re.compile(r"(?:Infant|Baby)\s*Date of [Bb]irth[:\s]+([^:\n]+)", re.IGNORECASE), "Infant Date of Birth"),
-    (re.compile(r"EDD[:\s]+([^:\n]+)", re.IGNORECASE), "EDD"),
+# F11 patient-pattern battery (Ethan_PDFandJPG3.py:242-256), first match
+# wins.  Each pattern carries its anchor: the lowercase literal every match
+# holds, so a pattern whose anchor is absent from the folded text cannot
+# match and is not run.  The reference's optional ``(?:Mother|Patient)?\s*``
+# lead on Date of Birth / DOB / Phone is dropped: it can only consume text
+# just before the literal, so group(1) and its offsets are unchanged.
+_PATIENT_PATTERNS: list[tuple[re.Pattern[str], str, str]] = [
+    (re.compile(r"(?:Mother|Patient)\s*Name[:\s]+([^:\n]+)", re.IGNORECASE), "Patient Name", "name"),
+    (re.compile(r"Date of [Bb]irth[:\s]+([^:\n]+)", re.IGNORECASE), "Date of Birth", "date of birth"),
+    (re.compile(r"DOB[:\s]+([^:\n]+)", re.IGNORECASE), "DOB", "dob"),
+    (re.compile(r"Phone\s*(?:Number)?[:\s]+([^:\n]+)", re.IGNORECASE), "Phone Number", "phone"),
+    (re.compile(r"(?:Infant|Baby)\s*Name[:\s]+([^:\n]+)", re.IGNORECASE), "Infant Name", "name"),
+    (re.compile(r"(?:Infant|Baby)\s*Date of [Bb]irth[:\s]+([^:\n]+)", re.IGNORECASE), "Infant Date of Birth", "date of birth"),
+    (re.compile(r"EDD[:\s]+([^:\n]+)", re.IGNORECASE), "EDD", "edd"),
 ]
+
+# The non-ASCII characters that ``re.IGNORECASE`` matches to an ASCII
+# letter, each mapped to that letter.  Folding them and then lowering
+# the text keeps every ASCII literal an IGNORECASE pattern can match, so
+# an anchor test on the folded text never drops a match.  ``casefold()``
+# would not: ``'BİRTH'.casefold()`` is ``'bi\u0307rth'`` and ``'ı'`` stays
+# ``'ı'``.  ``tests/test_extractors.py`` pins this table to ``re`` itself.
+_FOLD = {"\u0130": "i", "\u0131": "i", "\u017f": "s", "\u212a": "k"}
+
+
+def _fold(text: str) -> str:
+    # str.replace, not str.translate: translate walks a non-ASCII text
+    # one code point at a time (~25× slower on a 7k-character page)
+    for src, dst in _FOLD.items():
+        text = text.replace(src, dst)
+    return text.lower()
+
 
 _PATIENT_KEY_TERMS = ("mother", "infant", "patient", "name", "dob", "date of birth", "phone")
 _DOCTOR_KEY_TERMS = ("physician", "doctor", "md", "prescribing")
 
-# generic pump probe (Ethan_PDFandJPG3.py:258-269)
+# generic pump probe (Ethan_PDFandJPG3.py:258-269); every match holds one
+# of the anchors
 _PUMP_RE = re.compile(r"breast pump|double electric|double-electric|electric breast pump", re.IGNORECASE)
+_PUMP_ANCHORS = ("breast pump", "double electric", "double-electric")
 
 # F12 — Texas Children's patterns (Lauren_RX__JPG_Reader.py:255-277)
 _TCH_ICD_BULLET_RE = re.compile(r"ICD-10 Code\(?s?\)?.*?[•❖★✦●■▪]\s*([A-Z]\d+\.\d+)", re.IGNORECASE | re.DOTALL)
@@ -281,6 +310,7 @@ def extract_medical(text: str) -> tuple[dict[str, Any], float, list[Span]]:
     (``Ethan_PDFandJPG3.py:158-418`` + brand battery
     ``Lauren_RX__JPG_Reader.py:254-329``)."""
     kvs = parse_kv_lines(text)
+    folded = _fold(text)
     is_tch = "Texas Children's Hospital" in text
     is_bpd = "The Breast Pump Depot" in text
 
@@ -302,7 +332,9 @@ def extract_medical(text: str) -> tuple[dict[str, Any], float, list[Span]]:
             spans.append((key, value, start, end))
 
     # F11 pattern battery, first match wins (Ethan:242-256)
-    for pattern, field in _PATIENT_PATTERNS:
+    for pattern, field, anchor in _PATIENT_PATTERNS:
+        if anchor not in folded:
+            continue
         m = pattern.search(text)
         if m:
             patient[field] = m.group(1).strip()
@@ -336,10 +368,10 @@ def extract_medical(text: str) -> tuple[dict[str, Any], float, list[Span]]:
             if items:
                 prescription["Medical Necessity"] = [i.strip() for i in items]
     else:
-        codes = _GENERIC_ICD_RE.findall(text)
-        if codes:
-            prescription["ICD-10 Code"] = codes[0]
-        if _PUMP_RE.search(text):
+        m = _GENERIC_ICD_RE.search(text)
+        if m:
+            prescription["ICD-10 Code"] = m.group(0)
+        if any(a in folded for a in _PUMP_ANCHORS) and _PUMP_RE.search(text):
             prescription["Prescription"] = "Double Electric Breast Pump"
 
     patient = _clean_map(patient)
