@@ -512,6 +512,128 @@ def test_exchange_reads_input_once(ray_session, tmp_path):
     ) == 8
 
 
+def _dedup_ops() -> dict:
+    from valere_ocr_ray.ops.dedup import exact_dedup
+    from valere_ocr_ray.ops.linededup import strip_repeated_lines_exchange
+    from valere_ocr_ray.ops.segdedup import segment_dedup_stats
+
+    return {
+        "exact_dedup": lambda ds: exact_dedup(ds, text_col="text", id_col="doc_id"),
+        "strip_repeated_lines_exchange": lambda ds: strip_repeated_lines_exchange(
+            ds, min_docs=2, text_col="text", id_col="doc_id"
+        ),
+        "segment_dedup_stats": lambda ds: segment_dedup_stats(
+            ds, id_col="doc_id", text_col="text", window=3
+        ),
+    }
+
+
+def test_dedup_ops_start_no_execution_on_materialized_input(ray_session, monkeypatch):
+    """Over a materialized input the three dedup ops run every per-block
+    and per-partition map inside the exchange's own tasks: they start
+    no Ray Data execution until the result is read.  A lazy input
+    starts exactly one, into which the per-block map fuses; both give
+    the same rows."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    starts = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        starts.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    texts = ["a b c d e f g\nfoo bar\nbaz", "x y z\nfoo bar", "a b c d e f g\nfoo bar"]
+    df = pd.DataFrame({"doc_id": np.arange(12), "text": texts * 4})
+
+    def rows(ds) -> pd.DataFrame:
+        out = ds.to_pandas()
+        return out.sort_values(list(out.columns)).reset_index(drop=True)
+
+    for name, op in _dedup_ops().items():
+        materialized = rd.from_pandas(np.array_split(df, 5)).materialize()
+        lazy = rd.from_pandas(np.array_split(df, 5)).map_batches(
+            lambda b: b, batch_format="pandas"
+        )
+        starts.clear()
+        got = op(materialized)
+        assert len(starts) == 0, name
+        want = op(lazy)
+        assert len(starts) == 1, name
+        pd.testing.assert_frame_equal(rows(got), rows(want))
+        assert len(rows(got)) == (3 if name == "exact_dedup" else 12), name
+
+
+def test_dedup_ops_on_all_empty_materialized_input(ray_session):
+    """On a materialized input whose every block is empty, each dedup op
+    returns 0 rows with the columns it returns on rows: the exchange
+    hands its fold the per-block map's columns, not the input's."""
+    import pyarrow as pa
+    import ray
+
+    def columns(ds) -> list[str]:
+        tables = ray.get(list(ds.to_arrow_refs()))
+        assert sum(t.num_rows for t in tables) == 0
+        return sorted({c for t in tables for c in t.column_names})
+
+    want = {
+        "exact_dedup": ["content_hash", "doc_id", "n_copies"],
+        "strip_repeated_lines_exchange": ["doc_id", "n_dropped", "text"],
+        "segment_dedup_stats": ["doc_id", "kept_tokens", "n_kept", "n_segs"],
+    }
+    empty = pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())})
+    for name, op in _dedup_ops().items():
+        for n_blocks in (1, 3):
+            ds = rd.from_arrow([empty] * n_blocks).materialize()
+            assert columns(op(ds)) == want[name], (name, n_blocks)
+
+
+def test_exchange_width_follows_mapped_bytes(ray_session):
+    """``partition_map``'s size-derived width counts the bytes ``pre``
+    leaves, not the input's: ~8 MiB in 8 materialized blocks gives 4
+    partitions on this 4-CPU session, and a ``pre`` that keeps one row
+    per block gives 2."""
+    from valere_ocr_ray.ops.exchange import _auto_partitions, partition_map
+
+    df = pd.DataFrame({"k": np.arange(2**20, dtype="int64")})
+    ds = rd.from_pandas(np.array_split(df, 8)).materialize()
+    assert _auto_partitions(ds.size_bytes()) == 4
+
+    def fn(part: pd.DataFrame) -> pd.DataFrame:
+        return part
+
+    assert partition_map(ds, ["k"], fn).num_blocks() == 4
+    out = partition_map(ds, ["k"], fn, pre=lambda b: b.head(1))
+    assert out.num_blocks() == 2
+    assert sorted(out.to_pandas()["k"]) == [i * 2**17 for i in range(8)]
+
+
+def test_grouped_agg_fold_output_is_sized_without_error(caplog):
+    """The keyed-aggregate fold over a block whose keys are all null
+    returns 0 rows that Ray sizes without an error: an empty pandas
+    object key column made Ray's size estimate log ``Error calculating
+    size for column 'k'``."""
+    import logging
+
+    from ray.data.block import BlockAccessor
+
+    from valere_ocr_ray.ops.exchange import _agg_fold
+
+    out = _agg_fold(["k"], {"v": "sum"}, pd.DataFrame({"k": [None, None], "v": [1, 2]}))
+    # Ray's block loggers do not propagate to the root logger
+    ray_log = logging.getLogger("ray.data._internal.pandas_block")
+    ray_log.addHandler(caplog.handler)
+    try:
+        with caplog.at_level(logging.WARNING):
+            BlockAccessor.for_block(out).size_bytes()
+    finally:
+        ray_log.removeHandler(caplog.handler)
+    assert not [r for r in caplog.records if "Error calculating size" in r.getMessage()]
+    assert BlockAccessor.for_block(out).num_rows() == 0
+    assert BlockAccessor.for_block(out).to_pandas().columns.tolist() == ["k", "v"]
+
+
 def test_ref_bundle_metadata_pinned(ray_session):
     """The exchange sizes its width and drops empty blocks from
     ``Dataset.iter_internal_ref_bundles()`` (a Ray DeveloperAPI): after

@@ -1134,15 +1134,17 @@ def test_tree_topk_matches_pandas(ray_session):
 
 
 def test_global_merges_on_empty_input(ray_session):
-    """Each op that merges through ``tree_reduce`` or the per-key KMV
-    returns, on an input without rows, what it returned on the
-    repartition trees it replaced — for an empty block with a schema
-    and for the column-less blocks a filter leaves."""
+    """Each op that merges through ``tree_reduce``, the per-key KMV or
+    the keyed sum returns, on an input without rows, what it returned
+    on the repartition trees it replaced — for an empty block with a
+    schema and for the column-less blocks a filter leaves, lazy or
+    materialized."""
     import ray
     import ray.data as rd
 
     from valere_ocr_ray.ops.bloom import bloom_bits, bloom_semi_join, build_bloom
     from valere_ocr_ray.ops.combine import tree_topk
+    from valere_ocr_ray.ops.exchange import grouped_sum
     from valere_ocr_ray.ops.sketch import (
         column_quantiles_sketch,
         distinct_tokens_kmv,
@@ -1151,20 +1153,23 @@ def test_global_merges_on_empty_input(ray_session):
     )
 
     def empty(kind: str, **cols: str) -> rd.Dataset:
-        if kind == "columnless":
-            return rd.range(30, override_num_blocks=3).filter(lambda r: False)
+        if kind.startswith("columnless"):
+            ds = rd.range(30, override_num_blocks=3).filter(lambda r: False)
+            return ds.materialize() if kind.endswith("materialized") else ds
         return rd.from_pandas(
             pd.DataFrame({c: pd.Series([], dtype=t) for c, t in cols.items()})
         )
 
     left = pd.DataFrame({"k": np.arange(10), "x": np.arange(10) * 2})
-    for kind in ("schema", "columnless"):
+    for kind in ("schema", "columnless", "columnless_materialized"):
         assert distinct_tokens_kmv(empty(kind, text="object"), k=64) == 0
         q = column_quantiles_sketch(empty(kind, x="float64"), "x", [0.5, 0.9])
         assert q["prob"].tolist() == [0.5, 0.9]
         assert q["quantile_est"].isna().all()
         regs = grouped_hll(empty(kind, u="int64"), "u")
         assert regs.dtype == np.int64 and regs.tolist() == [0] * 64
+        summed = grouped_sum(empty(kind, k="int64", v="int64"), ["k"], ["v"])
+        assert len(summed.to_pandas()) == 0
         g = grouped_distinct_kmv(empty(kind, g="object", v="int64"), ["g"], "v")
         g = g.to_pandas()
         assert len(g) == 0 and list(g.columns) == []
@@ -1370,18 +1375,12 @@ def test_segment_dedup_planted(ray_session):
         assert reb["n_kept"].tolist() == [2, 1, 0], wire
 
 
-def test_segment_dedup_short_tail(ray_session):
-    import ray.data as rd
-
-    from valere_ocr_ray.ops.segdedup import explode_segments
+def test_segment_dedup_short_tail():
+    from valere_ocr_ray.ops.segdedup import _segment_rows
 
     # 13 tokens at window 5 -> segments of 5, 5, 3
     df = pd.DataFrame({"doc_id": [7], "text": [" ".join(map(str, range(13)))]})
-    out = (
-        explode_segments(rd.from_pandas(df), window=5)
-        .to_pandas()
-        .sort_values("seg_idx")
-    )
+    out = _segment_rows(df, "doc_id", "text", 5).sort_values("seg_idx")
     assert out["n_toks"].tolist() == [5, 5, 3]
     assert out["seg"].tolist()[2] == "10 11 12"
 

@@ -55,10 +55,14 @@ _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
 
 
-def _add_md5(batch: pa.Table, col: str) -> pa.Table:
-    vals = batch[col].to_pylist()
-    hashes = [hashlib.md5((v or "").encode()).hexdigest() for v in vals]
-    return batch.append_column("content_hash", pa.array(hashes, pa.string()))
+def _md5_partial(text_col: str, id_col: str, df: pd.DataFrame) -> pd.DataFrame:
+    """One block's (content_hash → min id, copies) partial; a missing
+    text hashes as the empty string."""
+    hashes = [hashlib.md5(v.encode()).hexdigest() for v in df[text_col].fillna("")]
+    hashed = pd.DataFrame({"content_hash": hashes, id_col: df[id_col].to_numpy()})
+    return hashed.groupby("content_hash", as_index=False).agg(
+        **{id_col: (id_col, "min"), "n_copies": (id_col, "size")}
+    )
 
 
 def exact_dedup(
@@ -70,28 +74,18 @@ def exact_dedup(
     (``S3LookThrough_Final.py:40-46``).  Columns: content_hash, doc_id,
     n_copies.  content_hash cardinality ≈ corpus size, so the combine
     runs over the custom hash exchange (ops/exchange.py) — per-block
-    partials, keyed exchange, vectorized final fold.
+    md5 partials, keyed exchange, vectorized final fold, all inside
+    the exchange's own tasks (``partition_map`` with ``pre``).
     """
-    from valere_ocr_ray.ops.exchange import hash_exchange
-
-    hashed = ds.map_batches(
-        lambda b: _add_md5(b, text_col), batch_format="pyarrow"
-    ).select_columns(["content_hash", id_col])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("content_hash", as_index=False).agg(
-            **{id_col: (id_col, "min"), "n_copies": (id_col, "size")}
-        )
-        return g
+    from valere_ocr_ray.ops.exchange import partition_map
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("content_hash", as_index=False).agg(
             **{id_col: (id_col, "min"), "n_copies": ("n_copies", "sum")}
         )
 
-    pre = hashed.map_batches(partial, batch_format="pandas")
-    ex = hash_exchange(pre, ["content_hash"])  # size-derived width
-    return ex.map_batches(combine, batch_format="pandas", batch_size=None)
+    pre = functools.partial(_md5_partial, text_col, id_col)
+    return partition_map(ds, ["content_hash"], combine, pre=pre)  # size-derived width
 
 
 # ---------------------------------------------------------------------------

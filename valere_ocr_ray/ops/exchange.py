@@ -8,13 +8,28 @@ LSH bucket pairing, big keyed aggregates — shuffle-bound.  This module
 implements the keyed exchange directly, as ONE core (``_exchange``):
 
     sides:     each side is ``(src, keys)``.  ``src`` is a Dataset
-               (materialized once; empty blocks drop out) or a list of
-               table refs (split ref by ref, no Dataset round trip);
-               ``keys=None`` marks ``src`` as already partitioned —
-               entry i is partition i's ref(s), never split
+               (its blocks mapped by the caller's ``pre``, if any;
+               empty blocks drop out) or a list of table refs (split
+               ref by ref, no Dataset round trip); ``keys=None`` marks
+               ``src`` as already partitioned — entry i is partition
+               i's ref(s), never split
+    pre:       ``_mapped_refs`` — a per-block pandas map before the
+               split (``partition_map(pre=...)``, ``grouped_agg``'s
+               pre-fold, ``tree_reduce``'s partial).  A materialized
+               Dataset (its blocks exist: ``from_arrow_refs``,
+               ``.materialize()``) gets one raw task per non-empty
+               block, returning the mapped table and its metadata; any
+               other Dataset runs ``pre`` as a ``map_batches`` stage
+               that fuses into its own plan, so only mapped rows reach
+               the object store.  Either way the exchange starts no Ray
+               Data execution of its own: one ``map_batches(...)
+               .materialize()`` over 5 tiny blocks costs ~100 ms wall
+               and ~200 ms of session CPU, five raw tasks ~15 ms and
+               ~30 ms (4 cores)
     width:     fixed by a pre-partitioned side, else the caller's, else
-               derived from the Datasets' block metadata that holds
-               (rows, bytes) — no probe task, no driver barrier
+               derived from the mapped blocks' metadata that holds
+               (rows, bytes) — no probe task; a ``pre`` that shrinks
+               rows narrows the exchange
     per block: ``_split`` — split the block (as Arrow) into P
                sub-tables by key hash
     per part:  ``_fold`` — concat each side's sub-tables and run the
@@ -22,7 +37,8 @@ implements the keyed exchange directly, as ONE core (``_exchange``):
                (``hash_exchange``) or a pandas fn converted both ways
                (``partition_map`` and the ``grouped_map`` /
                ``grouped_agg`` built on it; ``cogroup_exchange``,
-               each side keeping its own schema)
+               each side keeping its own schema), so a per-partition
+               map after the exchange is the fold, not a stage
     result:    the P fold refs; the public entry points wrap them in
                ``from_arrow_refs``, and a round loop
                (``dedup.cluster_labels``) feeds them straight back in
@@ -48,10 +64,10 @@ hashes a string key only up to its first NUL, where pandas' groupby
 ends it), so results are reproducible and partition-count-invariant;
 an integer key hashes by its int64 value whatever its width, so the
 two sides of a co-group may key on differently typed integer columns.
-Memory: the exchange materializes the input (it IS a barrier); each
-fold holds one partition, which must fit a worker (salt hot keys
+Memory: the exchange materializes the mapped input (it IS a barrier);
+each fold holds one partition, which must fit a worker (salt hot keys
 upstream).  The DEFAULT (``num_partitions=None``) derives the width
-from the input's block bytes (of both sides for a co-group) with a
+from the mapped block bytes (of both sides for a co-group) with a
 CPU-count parallelism floor, so the same caller code is scale-safe
 from sf0.01 to 100 TB.
 
@@ -73,6 +89,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data.block import BlockAccessor
+from ray.data.dataset import MaterializedDataset
 
 from valere_ocr_ray.ops.hashing import mix64
 
@@ -193,25 +210,57 @@ def _block_refs(ds: ray.data.Dataset) -> list[tuple[ray.ObjectRef, object]]:
     return [b for bundle in bundles for b in bundle.blocks]
 
 
+@ray.remote(num_returns=2)
+def _map_block(pre: Callable[[pd.DataFrame], pd.DataFrame], block):
+    """One block of a per-block map: ``pre``'s table and its metadata
+    (a column-less empty block passes through unseen)."""
+    table = BlockAccessor.for_block(block).to_arrow()
+    out = _pandas_fold(pre, table) if table.num_columns else table
+    return out, BlockAccessor.for_block(out).get_metadata()
+
+
+def _mapped_refs(
+    ds: ray.data.Dataset, pre: Callable[[pd.DataFrame], pd.DataFrame] | None
+) -> list[tuple[ray.ObjectRef, object]]:
+    """``(ref, metadata)`` per block of ``pre`` mapped over ``ds``'s
+    blocks.  A materialized ``ds`` (its blocks exist) runs one raw task
+    per non-empty block, or on its first block when all are empty, so
+    the fold gets the mapped columns; any other ``ds`` runs ``pre`` as a
+    ``map_batches`` stage that fuses into its plan, so only mapped rows
+    reach the object store.  Either way the metadata is the mapped
+    blocks'."""
+    if pre is None:
+        return _block_refs(ds)
+    if not isinstance(ds, MaterializedDataset):
+        return _block_refs(ds.map_batches(pre, batch_format="pandas", batch_size=None))
+    blocks = _block_refs(ds)
+    live = [r for r, m in blocks if m.num_rows] or [r for r, _ in blocks[:1]]
+    pre = ray.put(pre)
+    outs = [_map_block.remote(pre, r) for r in live]
+    metas = ray.get([m for _, m in outs])
+    return [(t, m) for (t, _), m in zip(outs, metas)]
+
+
 def _exchange(
     sides: Sequence[tuple[ray.data.Dataset | Sequence, Sequence[str] | None]],
     fn: Callable[..., pa.Table],
     num_partitions: int | None,
+    pre: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
 ) -> list[ray.ObjectRef]:
     """The one exchange core: run ``fn(*side_tables)`` once per
     partition (one task per partition) and return the p refs of its
     tables.  A side ``(src, keys)`` is split by key hash, one task per
-    block: a Dataset is materialized once and its empty blocks drop
-    out; a list of table refs is split ref by ref, with no Dataset in
-    between.  A side ``(src, None)`` is already partitioned: entry i is
-    partition i's ref(s), it is not split, and ``len(src)`` fixes the
-    width.  Otherwise the width is ``num_partitions``, or derived from
-    the Dataset sides' block metadata (``p >= 2``)."""
+    block: a Dataset's blocks are mapped by ``pre`` (``_mapped_refs``)
+    and its empty blocks drop out; a list of table refs is split ref by
+    ref, with no Dataset in between.  A side ``(src, None)`` is already
+    partitioned: entry i is partition i's ref(s), it is not split, and
+    ``len(src)`` fixes the width.  Otherwise the width is ``num_partitions``, or derived from
+    the Dataset sides' mapped block metadata (``p >= 2``)."""
     widths = {len(src) for src, keys in sides if keys is None}
     if len(widths) > 1 or widths and num_partitions not in (None, *widths):
         raise ValueError(f"pre-partitioned widths {widths} vs {num_partitions}")
     blocks = [
-        _block_refs(src) if isinstance(src, ray.data.Dataset)
+        _mapped_refs(src, pre) if isinstance(src, ray.data.Dataset)
         else [(r, None) for r in src]
         for src, keys in sides
     ]
@@ -270,18 +319,23 @@ def partition_map(
     keys: Sequence[str],
     fn: Callable[[pd.DataFrame], pd.DataFrame],
     *,
+    pre: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """One-sided fused fold: hash-partition ``ds`` by ``keys`` and run
     ``fn`` once per partition, inside the partition's own task — what
-    ``hash_exchange(ds, keys).map_batches(fn, batch_format="pandas",
-    batch_size=None)`` computes, without the second stage.  As under
+    ``hash_exchange(ds.map_batches(pre), keys).map_batches(fn,
+    batch_format="pandas", batch_size=None)`` computes, without the
+    stages around the exchange.  ``pre`` (optional) maps each input
+    block before the split, on the ``_mapped_refs`` rule, and must take
+    an empty frame; the width follows its output bytes.  As under
     ``map_batches``, an empty partition passes through unchanged and
     ``fn`` never sees it; ``fn`` must return a frame Arrow can hold.
     ``(ds, keys)`` is one ``_exchange`` side, so ``(refs, None)`` runs
     ``fn`` once per given partition, with no split."""
     fold = functools.partial(_pandas_fold, functools.partial(_skip_empty, fn))
-    return ray.data.from_arrow_refs(_exchange([(ds, keys)], fold, num_partitions))
+    refs = _exchange([(ds, keys)], fold, num_partitions, pre)
+    return ray.data.from_arrow_refs(refs)
 
 
 def tree_reduce(
@@ -290,10 +344,11 @@ def tree_reduce(
     merge: Callable[[pd.DataFrame], pd.DataFrame],
 ) -> ray.ObjectRef:
     """Global merge of a mergeable summary: ``partial`` once per block
-    (a ``map_batches(batch_size=None)`` stage, so it fuses with the
-    caller's), then a tree of pre-partitioned exchanges in which each
-    node is one ``_fold`` task running ``merge`` over the concat of at
-    most ``TREE_FANIN`` blocks.  Returns the ref of the final table.
+    (``_mapped_refs``: raw tasks over a materialized ``ds``, else a
+    stage that fuses with the caller's), then a tree of pre-partitioned
+    exchanges in which each node is one ``_fold`` task running
+    ``merge`` over the concat of at most ``TREE_FANIN`` blocks.
+    Returns the ref of the final table.
 
     ``merge`` must be associative over re-grouping: its output rows are
     fed back to it at the next level.  It runs at least once (one level
@@ -301,10 +356,8 @@ def tree_reduce(
     under ``map_batches``, neither fn sees an empty frame: when no
     partial has rows, the result is an empty, column-less table."""
     fold = functools.partial(_pandas_fold, functools.partial(_skip_empty, merge))
-    pre = ds.map_batches(
-        functools.partial(_skip_empty, partial), batch_format="pandas", batch_size=None
-    )
-    refs = [r for r, m in _block_refs(pre) if m.num_rows != 0]
+    pre = functools.partial(_skip_empty, partial)
+    refs = [r for r, m in _mapped_refs(ds, pre) if m.num_rows != 0]
     while True:
         nodes = [refs[i : i + TREE_FANIN] for i in range(0, len(refs), TREE_FANIN)]
         refs = _exchange([(nodes or [[]], None)], fold, None)
@@ -380,38 +433,43 @@ def grouped_map(
     return partition_map(ds, keys, per_partition, num_partitions=num_partitions)
 
 
+def _agg_fold(keys: list[str], aggs: Mapping[str, str], df: pd.DataFrame) -> pa.Table:
+    """``grouped_agg``'s fold, per input block and per partition.  The
+    output is Arrow: Ray sizes it by its buffers, where an empty pandas
+    output's object key column (all keys null) failed Ray's size
+    estimate."""
+    # pandas' object-string groupby ends a key at its first NUL
+    # ('x' and 'x\x00y' fold together); Arrow-backed strings compare
+    # whole, as SQL's GROUP BY does.  Null keys still drop out.
+    strs = [k for k in keys if pd.api.types.infer_dtype(df[k]) == "string"]
+    out = df.astype(dict.fromkeys(strs, "string[pyarrow]"))
+    out = out.groupby(keys, as_index=False).agg(aggs)
+    return BlockAccessor.for_block(out.astype(dict.fromkeys(strs, object))).to_arrow()
+
+
 def grouped_agg(
     ds: ray.data.Dataset,
     keys: Sequence[str],
     aggs: Mapping[str, str],
     *,
+    pre: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Exact keyed algebraic aggregate, one fold per column
     (``{"col": "sum"|"min"|"max"}``) — the one keyed-aggregate
     primitive, and the high-cardinality alternative to
     ``Dataset.groupby()`` (measured 145 s → 1.2 s on a 147k-key sum of
-    600k rows).  The same pandas fold per input block (a Dataset stage
-    that fuses with the caller's), then per partition after the
-    exchange; every fold is idempotent over re-grouping, so input rows
-    may be partials (decompose mean/nunique into sums).
+    600k rows).  The same fold per input block (after the caller's
+    ``pre``, as ``partition_map`` runs it), then per partition after
+    the exchange; every fold is idempotent over re-grouping, so input
+    rows may be partials (decompose mean/nunique into sums).
     Output: every key in exactly one block, no global order."""
     for how in aggs.values():
         if how not in ("sum", "min", "max"):
             raise ValueError(f"unsupported agg {how!r}")
-    keys = list(keys)
-
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        # pandas' object-string groupby ends a key at its first NUL
-        # ('x' and 'x\x00y' fold together); Arrow-backed strings compare
-        # whole, as SQL's GROUP BY does.  Null keys still drop out.
-        strs = [k for k in keys if pd.api.types.infer_dtype(df[k]) == "string"]
-        out = df.astype(dict.fromkeys(strs, "string[pyarrow]"))
-        out = out.groupby(keys, as_index=False).agg(aggs)
-        return out.astype(dict.fromkeys(strs, object))
-
-    pre = ds.map_batches(fold, batch_format="pandas")
-    return partition_map(pre, keys, fold, num_partitions=num_partitions)
+    fold = functools.partial(_agg_fold, list(keys), aggs)
+    first = fold if pre is None else lambda df: fold(pre(df))
+    return partition_map(ds, keys, fold, pre=first, num_partitions=num_partitions)
 
 
 def grouped_sum(
@@ -419,7 +477,8 @@ def grouped_sum(
     keys: Sequence[str],
     sums: Sequence[str],
     *,
+    pre: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     aggs = dict.fromkeys(sums, "sum")
-    return grouped_agg(ds, keys, aggs, num_partitions=num_partitions)
+    return grouped_agg(ds, keys, aggs, pre=pre, num_partitions=num_partitions)

@@ -8,10 +8,11 @@ line that appears in ≥ ``min_docs`` distinct documents corpus-wide
 dedup).  Scale shape, zero driver state:
 
     read once:  ds → (id, text) projection, materialized — both passes
-        consume it, so an upstream extraction runs once, not twice
-    pass 1 (count):  map_batches → per-line (doc_id, line_idx,
-        line_hash) (md5-derived 64-bit, ints on the wire) → ONE hash
-        exchange on line_hash → per-partition distinct-doc count →
+        consume it, so an upstream extraction runs once, not twice (an
+        input already materialized as (id, text) is used as it is)
+    pass 1 (count):  ONE ``partition_map`` on line_hash: per block,
+        per-line (doc_id, line_idx, line_hash) (md5-derived 64-bit,
+        ints on the wire); per partition, the distinct-doc count →
         drop markers = the occurrences whose hash is in ≥ K docs (ints,
         sized by the BOILERPLATE OCCURRENCES, not the corpus)
     pass 2 (rewrite):  markers co-group with the text rows by doc_id
@@ -34,8 +35,13 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
-from valere_ocr_ray.ops.exchange import cogroup_exchange, hash_exchange
+from valere_ocr_ray.ops.exchange import cogroup_exchange, partition_map
+
+# not called here: perfbench/layers.traced_exchanges patches this name in
+# this module, until the tracer wraps ``exchange._exchange`` instead
+from valere_ocr_ray.ops.exchange import hash_exchange  # noqa: F401
 from valere_ocr_ray.ops.hashing import md5_upper
 
 
@@ -78,15 +84,13 @@ def strip_repeated_lines_exchange(
     Every input row is kept and drops exactly its own frequent lines (a
     fully-boilerplate doc comes back empty, not missing; rows sharing
     an id are rewritten one by one).  The input is read once: the
-    ``(id, text)`` projection is materialized, then the line count and
-    the co-group both consume it.  Zero driver state: the drop markers
-    (ints) co-group with the text rows by doc id on
-    ``cogroup_exchange``."""
-    ds = ds.select_columns([id_col, text_col]).materialize()
-    lf = ds.map_batches(
-        lambda df: _line_frame(df, id_col, text_col), batch_format="pandas"
-    )
-    ex1 = hash_exchange(lf, ["line_hash"], num_partitions)
+    ``(id, text)`` projection is materialized (unless the input already
+    is one), then the line count and the co-group both consume it.
+    Zero driver state: the drop markers (ints) co-group with the text
+    rows by doc id on ``cogroup_exchange``."""
+    cols = [id_col, text_col]
+    if not isinstance(ds, MaterializedDataset) or set(ds.columns() or ()) != set(cols):
+        ds = ds.select_columns(cols).materialize()
 
     def markers(df: pd.DataFrame) -> pd.DataFrame:
         nd = df.drop_duplicates(["line_hash", "doc_id"]).groupby("line_hash").size()
@@ -94,7 +98,13 @@ def strip_repeated_lines_exchange(
         out = df.loc[df["line_hash"].isin(hot), ["doc_id", "line_idx", "line_hash"]]
         return out.astype({"line_idx": "int64"})
 
-    drops = ex1.map_batches(markers, batch_format="pandas", batch_size=None)
+    drops = partition_map(
+        ds,
+        ["line_hash"],
+        markers,
+        pre=lambda df: _line_frame(df, id_col, text_col),
+        num_partitions=num_partitions,
+    )
 
     # co-group by doc id: per id, the marked line indices and hashes;
     # each text row hashes only the lines at its id's marked indices.
