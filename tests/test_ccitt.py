@@ -110,7 +110,7 @@ def test_scanned_pdf_ccitt_ocr():
     pdf = build_scanned_pdf_bytes(CARD_LINES, codec="ccitt")
     imgs = extract_pdf_images(pdf)
     assert len(imgs) == 1 and imgs[0] is not None
-    text, n_found, n_decoded = ocr_pdf_images(pdf, ocr_image)
+    text, n_found, n_decoded = ocr_pdf_images(pdf)
     assert (n_found, n_decoded) == (1, 1)
     assert text == canonical_text(CARD_LINES)
 
@@ -127,7 +127,7 @@ def test_mixed_g3_pdf_xobject_ocr():
     pdf = build_scanned_pdf_bytes(CARD_LINES, codec="ccitt_mixed")
     imgs = extract_pdf_images(pdf)
     assert len(imgs) == 1 and imgs[0] is not None
-    text, n_found, n_decoded = ocr_pdf_images(pdf, ocr_image)
+    text, n_found, n_decoded = ocr_pdf_images(pdf)
     assert (n_found, n_decoded) == (1, 1)
     assert text == canonical_text(CARD_LINES)
 

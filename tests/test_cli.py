@@ -70,7 +70,7 @@ def test_db_sink_class_tables(ray_session, tmp_path):
     pages = str(tmp_path / "pages")
     out = str(tmp_path / "out")
     synth_pages(pages, 200)
-    run_resumable(pages, out, concurrency=2, group_size=4)
+    run_resumable(pages, out, group_size=4)
     db = str(tmp_path / "classes.duckdb")
     counts = write_class_tables(out, db)
     assert sum(counts.values()) == 200

@@ -61,11 +61,19 @@ def test_image_rows_route_to_ocr_seam():
     assert out["extracted_text"].to_pylist()[0] == ""
 
 
-def test_image_rows_use_plugged_ocr():
-    from valere_ocr_ray.stages.extractor import PageExtractor
+def test_image_rows_use_plugged_ocr(monkeypatch):
+    """The parse stage looks its OCR kernels up on ``glyph_font`` per
+    call, so a kernel swapped onto the module (a real OCR model, or a
+    tracer's wrapper) serves image rows and images inside PDFs."""
+    from valere_ocr_ray.extract import glyph_font
+    from valere_ocr_ray.sources.synth import build_scanned_pdf_bytes
+    from valere_ocr_ray.stages.extractor import extract_pages_batch
 
-    batch = docmeta_batch(_batch([b"BM-fake-bitmap-bytes"]))
-    ex = PageExtractor(ocr_seam=lambda payload: "ocr text here")
-    out = ex(batch)
-    assert out["status"].to_pylist() == ["ok"]
-    assert out["extracted_text"].to_pylist() == ["ocr text here"]
+    monkeypatch.setattr(glyph_font, "ocr_image_bytes", lambda payload: "ocr text here")
+    monkeypatch.setattr(glyph_font, "ocr_image", lambda pixels: "scan text here")
+    scanned = build_scanned_pdf_bytes(["SCAN"], codec="flate")
+    batch = docmeta_batch(_batch([b"BM-fake-bitmap-bytes", scanned]))
+    out = extract_pages_batch(batch)
+    assert out["status"].to_pylist() == ["ok", "ok"]
+    assert out["extracted_text"].to_pylist() == ["ocr text here", "scan text here"]
+    assert out["ocr_used"].to_pylist() == [True, True]

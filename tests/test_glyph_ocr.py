@@ -1,8 +1,9 @@
 """Glyph-template OCR kernel (``extract/glyph_font``): the raster leg
 of the extraction stage.  Contract: ``ocr_image(render_text_image(L))
 == canonical_text(L)`` byte-for-byte, for any margin/placement — and
-the ``PageExtractor`` seam flips decodable image rows to ``status='ok'``
-while codec-less formats still route to ``skipped_image_no_ocr``."""
+the parse stage (``extract_pages_batch``) flips decodable image rows to
+``status='ok'`` while codec-less formats still route to
+``skipped_image_no_ocr``."""
 
 import numpy as np
 import pyarrow as pa
@@ -80,12 +81,12 @@ def test_all_font_patterns_distinct():
 
 
 def test_extractor_ocr_seam(ray_session):
-    """Image rows through PageExtractor: BMP/PPM/PNG/JPEG -> status ok +
+    """Image rows through extract_pages_batch: BMP/PPM/PNG/JPEG -> status ok +
     the printed text; a corrupt PNG (undecodable) ->
     skipped_image_no_ocr."""
     from valere_ocr_ray.extract.image_decode import encode_png
     from valere_ocr_ray.extract.jpeg import encode_jpeg
-    from valere_ocr_ray.stages.extractor import PageExtractor
+    from valere_ocr_ray.stages.extractor import extract_pages_batch
 
     lines = ["MEMBER ID: A12345"]
     img = render_text_image(lines)
@@ -106,7 +107,7 @@ def test_extractor_ocr_seam(ray_session):
             "status": ["ok"] * 5,
         }
     )
-    out = PageExtractor()(batch)
+    out = extract_pages_batch(batch)
     texts = out["extracted_text"].to_pylist()
     statuses = out["status"].to_pylist()
     want = canonical_text(lines)

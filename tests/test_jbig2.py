@@ -16,11 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from valere_ocr_ray.extract.glyph_font import (
-    canonical_text,
-    ocr_image,
-    render_text_image,
-)
+from valere_ocr_ray.extract.glyph_font import canonical_text, render_text_image
 from valere_ocr_ray.extract.image_decode import ImageFormatError
 from valere_ocr_ray.extract.jbig2 import (
     MQDecoder,
@@ -114,7 +110,7 @@ def test_scanned_pdf_jbig2_ocr():
     pdf = build_scanned_pdf_bytes(CARD_LINES, codec="jbig2")
     imgs = extract_pdf_images(pdf)
     assert len(imgs) == 1 and imgs[0] is not None
-    text, n_found, n_decoded = ocr_pdf_images(pdf, ocr_image)
+    text, n_found, n_decoded = ocr_pdf_images(pdf)
     assert (n_found, n_decoded) == (1, 1)
     assert text == canonical_text(CARD_LINES)
 
@@ -375,7 +371,7 @@ def test_scanned_pdf_symbol_jbig2_ocr():
     from valere_ocr_ray.sources.synth import build_scanned_pdf_bytes
 
     pdf = build_scanned_pdf_bytes(CARD_LINES, codec="jbig2_sym")
-    text, n_found, n_decoded = ocr_pdf_images(pdf, ocr_image)
+    text, n_found, n_decoded = ocr_pdf_images(pdf)
     assert (n_found, n_decoded) == (1, 1)
     assert text == canonical_text(CARD_LINES)
 

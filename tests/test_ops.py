@@ -1409,6 +1409,27 @@ def test_segment_dedup_exact_wire_keeps_nul_segments(ray_session):
     pd.testing.assert_frame_equal(got["exact"], got["hash"])
 
 
+def test_segment_dedup_rebuild_on_empty_materialized_input(ray_session):
+    """An all-empty materialized corpus (1 or 3 empty blocks) rebuilds to
+    0 rows with the output columns on both wires."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from valere_ocr_ray.ops.segdedup import segment_dedup_rebuild
+
+    empty = pa.table(
+        {"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())}
+    )
+    for n_blocks in (1, 3):
+        ds = rd.from_arrow([empty] * n_blocks)
+        assert ds.num_blocks() == n_blocks
+        for wire in ("exact", "hash"):
+            got = segment_dedup_rebuild(ds, window=10, wire=wire)
+            assert got.count() == 0, (n_blocks, wire)
+            names = got.schema().names if got.schema() else []
+            assert sorted(names) == ["clean_text", "doc_id", "n_kept"], (n_blocks, wire)
+
+
 def test_pack_sequences_semantics(ray_session):
     import ray.data as rd
 

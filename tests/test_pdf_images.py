@@ -5,11 +5,11 @@ reference's async-Textract case (``IDD/finalcodes/SignedAgreement.py:
 import pyarrow as pa
 import pytest
 
-from valere_ocr_ray.extract.glyph_font import canonical_text, ocr_image
+from valere_ocr_ray.extract.glyph_font import canonical_text
 from valere_ocr_ray.extract.pdf_images import extract_pdf_images, ocr_pdf_images
 from valere_ocr_ray.extract.pdf_text import extract_pdf_text
 from valere_ocr_ray.sources.synth import build_pdf_bytes, build_scanned_pdf_bytes
-from valere_ocr_ray.stages.extractor import PageExtractor
+from valere_ocr_ray.stages.extractor import extract_pages_batch
 
 LINES = ["SCAN TEST PAGE", "MEMBER: A100", "signature"]
 
@@ -20,7 +20,7 @@ def test_scanned_pdf_ocr_byte_stable(codec):
     assert extract_pdf_text(pdf) == ""  # no text objects
     imgs = extract_pdf_images(pdf)
     assert len(imgs) == 1 and imgs[0] is not None
-    text, n_found, n_dec = ocr_pdf_images(pdf, ocr_image)
+    text, n_found, n_dec = ocr_pdf_images(pdf)
     assert (n_found, n_dec) == (1, 1)
     assert text == canonical_text(LINES)
 
@@ -38,7 +38,7 @@ def test_undecodable_embedded_image_is_found_not_decoded():
     pdf = pdf.replace(b" /BitsPerComponent 8", b" /BitsPerComponent 8 /Filter /CCITTFaxDecode")
     imgs = extract_pdf_images(pdf)
     assert imgs == [None]
-    text, n_found, n_dec = ocr_pdf_images(pdf, ocr_image)
+    text, n_found, n_dec = ocr_pdf_images(pdf)
     assert (text, n_found, n_dec) == ("", 1, 0)
 
 
@@ -51,7 +51,7 @@ def _run_extractor(payloads):
             "status": pa.array(["ok"] * len(payloads)),
         }
     )
-    return PageExtractor()(batch)
+    return extract_pages_batch(batch)
 
 
 def test_extractor_routes_scanned_and_undecodable_pdfs():

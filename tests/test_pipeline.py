@@ -17,7 +17,7 @@ def extracted_out(ray_session, pages_500, tmp_path_factory):
     from valere_ocr_ray.pipelines.extract import run_resumable
 
     out = str(tmp_path_factory.mktemp("out") / "extracted")
-    summary = run_resumable(pages_500, out, concurrency=2, group_size=2)
+    summary = run_resumable(pages_500, out, group_size=2)
     return out, summary
 
 
@@ -75,7 +75,7 @@ def test_resume_skips_completed_partitions(ray_session, pages_500, tmp_path):
     assert len(shards) >= 4
 
     # first run: only first group completes (simulated crash after group 0)
-    s1 = run_resumable(pages_500, out, concurrency=2, group_size=2)
+    s1 = run_resumable(pages_500, out, group_size=2)
     assert s1["n_skipped_complete"] == 0
 
     # wipe one manifest + leave its partial data → must be cleared and redone
@@ -85,12 +85,12 @@ def test_resume_skips_completed_partitions(ray_session, pages_500, tmp_path):
     with open(os.path.join(part_dir, "junk.parquet"), "w") as f:
         f.write("partial garbage")
 
-    s2 = run_resumable(pages_500, out, concurrency=2, group_size=2)
+    s2 = run_resumable(pages_500, out, group_size=2)
     assert s2["n_skipped_complete"] == len(shards) - 1
     assert not os.path.exists(os.path.join(part_dir, "junk.parquet"))
 
     # third run: everything complete, no work
-    s3 = run_resumable(pages_500, out, concurrency=2, group_size=2)
+    s3 = run_resumable(pages_500, out, group_size=2)
     assert s3["n_skipped_complete"] == len(shards)
     assert s3["groups"] == []
 
@@ -105,8 +105,8 @@ def test_partition_count_invariance(ray_session, tmp_path):
     synth_pages(a_in, 120, n_shards=1)
     synth_pages(b_in, 120, n_shards=8)
     a_out, b_out = str(tmp_path / "a_out"), str(tmp_path / "b_out")
-    run_resumable(a_in, a_out, concurrency=2)
-    run_resumable(b_in, b_out, concurrency=2, group_size=3)
+    run_resumable(a_in, a_out)
+    run_resumable(b_in, b_out, group_size=3)
     a = _read_sorted(a_out)
     b = _read_sorted(b_out)
     for col in ["url", "extracted_text", "doc_type", "fields_json", "status"]:
@@ -116,9 +116,9 @@ def test_partition_count_invariance(ray_session, tmp_path):
 def test_rerun_is_idempotent_bytes(ray_session, pages_500, tmp_path):
     from valere_ocr_ray.pipelines.extract import run_resumable
 
-    # actor-pool mode vs task-pool mode must produce identical bytes
+    # two fresh runs over the same input must produce identical bytes
     o1, o2 = str(tmp_path / "o1"), str(tmp_path / "o2")
-    run_resumable(pages_500, o1, concurrency=2)
+    run_resumable(pages_500, o1)
     run_resumable(pages_500, o2)
     a, b = _read_sorted(o1), _read_sorted(o2)
     assert a["extracted_text"].tolist() == b["extracted_text"].tolist()
@@ -134,7 +134,7 @@ def test_size_cap_routes_not_drops(ray_session, tmp_path):
     synth_pages(d, 60, n_shards=1)
     out = str(tmp_path / "out")
     # cap below the normal template size → most rows route to skipped
-    run_resumable(d, out, concurrency=1, max_doc_bytes=400)
+    run_resumable(d, out, max_doc_bytes=400)
     df = _read_sorted(out)
     assert len(df) == 60
     skipped = df[df["status"] == "skipped_too_large"]
@@ -527,7 +527,7 @@ def test_build_training_shards_from_extracted(ray_session, tmp_path):
     pages = str(tmp_path / "pages")
     synth_pages(pages, 300)
     run_dir = str(tmp_path / "run")
-    run_resumable(pages, run_dir, concurrency=2, group_size=4)
+    run_resumable(pages, run_dir, group_size=4)
 
     s_pages = build_training_shards(pages, str(tmp_path / "from_pages"))
     s_ext = build_training_shards(

@@ -12,6 +12,8 @@ Usage (owns its own Ray session — run standalone, never from tests):
 
     python tools/selfcheck.py [sf_dir] > SELFCHECK_rN.json
 
+Stdout carries only the JSON record; Ray's own output goes to stderr.
+
 ``--against=<record.json>`` compares this run with a saved record (e.g.
 the parent commit's): every query whose ``value_hash`` or ``rows``
 differs is printed to stderr, and the exit status is non-zero if any
@@ -95,6 +97,13 @@ def _values_equal(a, b) -> bool:
 
 
 def main() -> None:
+    # stdout holds the record alone: Ray (the raylet, its workers and the
+    # driver's log echo) writes warnings to fd 1, so point fd 1 at stderr
+    # for the run — child processes inherit that — and write the record
+    # to a copy of the original stdout
+    sys.stdout.flush()
+    record_out = os.fdopen(os.dup(1), "w")
+    os.dup2(2, 1)
     args = [a for a in sys.argv[1:] if not a.startswith("--")]
     oracled_only = "--oracled-only" in sys.argv  # e.g. the sf0.1 sweep,
     # where the engine-synthesized pages_* pipelines would re-extract
@@ -195,7 +204,8 @@ def main() -> None:
     record["n_oracled"] = sum(
         1 for e in record["queries"].values() if e.get("oracle")
     )
-    print(json.dumps(record, indent=1, sort_keys=True))
+    print(json.dumps(record, indent=1, sort_keys=True), file=record_out)
+    record_out.flush()
     ray.shutdown()
     n_diff = len(_diff_records(saved, record["queries"])) if saved is not None else 0
     sys.exit(1 if n_fail or n_diff else 0)

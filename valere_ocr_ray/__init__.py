@@ -4,8 +4,9 @@ A from-scratch engine with the query/extraction capabilities of the
 reference repo (kjustin2016/Valere-OCR, surveyed in /root/repo/SURVEY.md),
 re-expressed Ray-Data-first: ``ray.data.read_parquet`` over a
 Common-Crawl-style ``pages(url, warc_ts, html, text, lang)`` table,
-staged ``map_batches`` over zero-copy Arrow batches, actor pools for
-stateful parse stages, explicit url-hash partitioning, and resumable
+staged ``map_batches`` over zero-copy Arrow batches (task-pool parse
+stages; actors only where a stage holds per-actor state), explicit
+url-hash partitioning, and resumable
 per-partition checkpointed output.
 
 Nothing here calls ``ray.init()`` — sessions are owned by the caller

@@ -1,7 +1,7 @@
 """CLI: run the engine's pipelines from the command line.
 
     python -m valere_ocr_ray extract --input PAGES_DIR --out OUT_DIR
-        [--num-cpus N] [--group-size G] [--actor-pool N] [--no-quarantine]
+        [--num-cpus N] [--group-size G] [--no-quarantine]
     python -m valere_ocr_ray dedup --input PAGES_DIR --out OUT_DIR
         [--num-cpus N] [--threshold T]
     python -m valere_ocr_ray summary --out OUT_DIR
@@ -43,8 +43,6 @@ def main(argv: list[str] | None = None) -> int:
     ex.add_argument("--out", required=True)
     ex.add_argument("--num-cpus", type=int, default=None)
     ex.add_argument("--group-size", type=int, default=16)
-    ex.add_argument("--actor-pool", type=int, default=None,
-                    help="use an actor pool of this size (default: task pool)")
     ex.add_argument("--no-quarantine", action="store_true")
 
     dd = sub.add_parser("dedup", help="extract → dedup corpus run")
@@ -200,7 +198,6 @@ def main(argv: list[str] | None = None) -> int:
                 a.input,
                 a.out,
                 group_size=a.group_size,
-                concurrency=a.actor_pool,
                 quarantine=not a.no_quarantine,
             )
             print(json.dumps(s, indent=2, sort_keys=True))

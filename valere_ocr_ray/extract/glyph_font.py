@@ -22,8 +22,10 @@ GIF decoders (``extract/image_decode.py``, ``extract/jpeg.py``,
 byte-identity contract (``canonical`` upcases and maps chars outside
 the font's charset to ``?``); it holds for any margin/placement, not
 just the renderer's defaults, because the phase search is part of the
-reader.  A real Tesseract-class model slots into the same
-``PageExtractor`` seam without touching the Ray plumbing.
+reader.  ``stages/extractor.extract_pages_batch`` calls
+``ocr_image_bytes`` for image rows, and ``extract/pdf_images`` calls
+``ocr_image`` for images inside PDFs; a real Tesseract-class model
+replaces these two kernels without touching the Ray plumbing.
 """
 
 from __future__ import annotations
@@ -249,7 +251,7 @@ def ocr_image(pixels: np.ndarray) -> str:
 
 
 def ocr_image_bytes(payload: bytes) -> str:
-    """The ``PageExtractor`` OCR seam: image bytes -> text.  Raises
+    """The image-row OCR kernel: image bytes -> text.  Raises
     :class:`ImageFormatError` for formats without a decoder (lossy
     VP8 WebP — lossless VP8L decodes), which the extractor routes to
     ``skipped_image_no_ocr`` rather than an error."""

@@ -7,7 +7,7 @@ uploads the PDF and lets Textract rasterize + OCR it;
 async by payload kind.  Locally the equivalent is: pull the page's
 image XObjects out of the PDF container, decode them with the repo's
 from-scratch codecs, and feed the pixels to the glyph-OCR kernel
-(``extract/glyph_font.ocr_image``) via the extraction stage's seam.
+(``extract/glyph_font.ocr_image``) in ``ocr_pdf_images``.
 
 Supported XObject subset (the scanner-output shapes):
 
@@ -23,7 +23,7 @@ Supported XObject subset (the scanner-output shapes):
 * ``/Filter /JBIG2Decode`` — embedded-organization JBIG2 segment
   streams (``extract/jbig2``): arithmetic generic regions (MQ coder,
   template 0) and MMR regions both decode; symbol/text/halftone
-  segments raise and route to the seam;
+  segments raise and route to the skip status;
 * anything else (JPX, indexed color) comes back as
   ``None`` — *found but undecodable* — so the caller can route the
   row to ``skipped_image_no_ocr`` instead of silently pretending the
@@ -37,6 +37,7 @@ import zlib
 
 import numpy as np
 
+from valere_ocr_ray.extract import glyph_font
 from valere_ocr_ray.extract.image_decode import ImageFormatError
 from valere_ocr_ray.extract.pdf_text import _IMAGE_SUBTYPE_RE, iter_streams
 
@@ -128,7 +129,7 @@ def _decode_xobject(dct: bytes, body: bytes) -> np.ndarray:
 
 def extract_pdf_images(pdf_bytes: bytes) -> list[np.ndarray | None]:
     """All image XObjects in document order; ``None`` marks an image
-    that was FOUND but has no local decoder (the seam status), so
+    that was FOUND but has no local decoder (the skip status), so
     "scanned page we couldn't read" is distinguishable from "page with
     no images at all" (empty list)."""
     out: list[np.ndarray | None] = []
@@ -142,12 +143,12 @@ def extract_pdf_images(pdf_bytes: bytes) -> list[np.ndarray | None]:
     return out
 
 
-def ocr_pdf_images(pdf_bytes: bytes, ocr_pixels) -> tuple[str, int, int]:
-    """OCR every decodable embedded image → ``(text, n_found,
-    n_decoded)``; pages join with ``"\\n"`` per the pinned flat-text
-    contract."""
+def ocr_pdf_images(pdf_bytes: bytes) -> tuple[str, int, int]:
+    """OCR every decodable embedded image with ``glyph_font.ocr_image``
+    (looked up per call) → ``(text, n_found, n_decoded)``; pages join
+    with ``"\\n"`` per the pinned flat-text contract."""
     imgs = extract_pdf_images(pdf_bytes)
-    texts = [ocr_pixels(im) for im in imgs if im is not None]
+    texts = [glyph_font.ocr_image(im) for im in imgs if im is not None]
     n_decoded = sum(1 for im in imgs if im is not None)
     return "\n".join(t for t in texts if t), len(imgs), n_decoded
 

@@ -5,8 +5,8 @@ Replaces the reference's PDF paths — PyPDF2 page-loop text reads
 Textract document-analysis flow
 (``IDD/finalcodes/SignedAgreement.py:124-156``) — with a minimal,
 dependency-free parser over PDF content streams (pdfminer/PyPDF2 are
-not available in this environment; an OCR engine for scanned pages
-plugs in through ``stages/extractor.PageExtractor(ocr_seam=…)``).
+not available in this environment; scanned pages, which carry no
+text objects, go to the OCR kernel in ``extract/pdf_images``).
 
 Supported subset (sufficient for the synthetic corpus and any
 uncompressed text-object PDF):

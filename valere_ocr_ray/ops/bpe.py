@@ -276,7 +276,7 @@ def bpe_token_counts(
         fn_constructor_args=(ref,),
         fn_constructor_kwargs={"text_col": text_col, "emit_tokens": emit_tokens},
         batch_format="pandas",
-        # callable-class UDF => actor pool; the merge table is resolved
+        # callable-class UDF => pooled actors; the merge table is resolved
         # once per actor in __init__, the word→subwords cache amortizes
         # across every batch the actor sees.  The pool AUTOSCALES from
         # one actor: a fixed pool of N pins N CPUs for the dataset's

@@ -125,9 +125,9 @@ def dsir_weights(
     counts = grouped_sum(partials, ["bucket"], ["c_target", "c_raw"]).to_pandas()
     # the log-ratio table is K int64s (8 KB at the default K) — small
     # enough to ship inside the task closure itself: task pools reuse
-    # the session's warm workers (no actor-pool process spin-up), and
-    # the table serializes once per task submission, not per row.  For
-    # a large K (≥1M buckets) switch to ray.put + an actor pool.
+    # the session's warm workers (no actor process spin-up), and the
+    # table serializes once per task submission, not per row.  For a
+    # large K (≥1M buckets) switch to ray.put + a pool of actors.
     lrs = log_ratio_table(counts, k)
 
     def score(df: pd.DataFrame) -> pd.DataFrame:

@@ -9,7 +9,7 @@ from-scratch fixed/LPC/Rice decode) both parse into the same waveform
 envelope feature.  Formats needing PIL/ffmpeg-class libraries (which
 don't ship in this container) still route through ``_decode_stub`` —
 lossy audio codecs, unknown containers — but everything
-Ray-side is real and tested either way: schemas, actor-pool
+Ray-side is real and tested either way: schemas, pooled-actor
 signatures, batch sizing for large binary rows, status routing, output
 layout.  Swap ``_decode_stub`` for a real decoder and nothing else
 changes.

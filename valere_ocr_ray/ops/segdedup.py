@@ -23,8 +23,8 @@ Scale shape (100 TB):
 Collision contract (hash mode): two distinct segments colliding on the
 64-bit hash would wrongly drop one — P(any collision) ≈ n²/2^65, about
 1e-7 at 10^9 distinct segments.  ``exact=True`` exchanges the segment
-string itself for a collision-free run and enables
-:func:`segment_dedup_rebuild` (clean-text reassembly).
+string itself for a collision-free run, as
+``segment_dedup_rebuild(wire='exact')`` does.
 
 Reference parity: the reference has no segment-level dedup (its corpus
 is per-document OCR calls); this op belongs to the training-data suite
@@ -39,7 +39,11 @@ import numpy as np
 import pandas as pd
 import ray.data
 
-from valere_ocr_ray.ops.exchange import grouped_sum, hash_exchange, partition_map
+from valere_ocr_ray.ops.exchange import cogroup_exchange, grouped_sum, partition_map
+
+# not called here: perfbench/layers.traced_exchanges patches this name in
+# this module, until the tracer wraps ``exchange._exchange`` instead
+from valere_ocr_ray.ops.exchange import hash_exchange  # noqa: F401
 from valere_ocr_ray.ops.hashing import distinct, md5_upper
 
 
@@ -199,105 +203,67 @@ def segment_dedup_rebuild(
     ``clean_text == ''`` rather than vanishing — the caller decides
     the drop policy.
 
-    ``wire='hash'`` (default): keep flags computed on the 64-bit-hash
-    exchange (ints only), then ONLY the dropped ``(id, seg_idx)`` pairs
-    — the minority — cogroup with the docs and each doc re-segments
-    locally.  Inherits hash mode's collision contract; output verified
-    identical to exact wire on the 200k-page corpus, walls within 10%
-    there (the hash wire's byte advantage grows with segment length).
-    ``wire='exact'``: segment text travels the exchange — collision-
-    free, used by byte-for-byte oracles."""
+    Both wires compute the keep flags, then cogroup ONLY the dropped
+    ``(id, seg_idx)`` pairs — the minority — with the docs, and each
+    doc re-segments locally.  They differ in the flags' exchange:
+    ``wire='hash'`` (default) keys it on the 64-bit segment hash (ints
+    only) and inherits hash mode's collision contract (output verified
+    identical to the exact wire on the 200k-page corpus);
+    ``wire='exact'`` keys it on the segment text — collision-free, used
+    by byte-for-byte oracles."""
     if wire not in ("hash", "exact"):
         raise ValueError(f"unsupported wire={wire!r}")
-    if wire == "hash":
-        from valere_ocr_ray.ops.exchange import cogroup_exchange
-
-        flags = segment_dedup_flags(
-            ds,
-            id_col=id_col,
-            text_col=text_col,
-            window=window,
-            exact=False,
-            num_partitions=num_partitions,
-        )
-        dropped = flags.map_batches(
-            lambda df: df.loc[~df["keep"], [id_col, "seg_idx"]],
-            batch_format="pandas",
-        )
-
-        def fold(docs_df: pd.DataFrame, drop_df: pd.DataFrame) -> pd.DataFrame:
-            if not len(docs_df):
-                return pd.DataFrame(
-                    {
-                        id_col: pd.Series([], dtype="int64"),
-                        "clean_text": pd.Series([], dtype="object"),
-                        "n_kept": pd.Series([], dtype="int64"),
-                    }
-                )
-            drop_by_id = (
-                drop_df.groupby(id_col)["seg_idx"].agg(set).to_dict()
-                if len(drop_df)
-                else {}
-            )
-            ids, cleans, kepts = [], [], []
-            for i, txt in zip(
-                docs_df[id_col].to_numpy(), docs_df[text_col].to_numpy()
-            ):
-                i = int(i)
-                d = drop_by_id.get(i)
-                if not d:
-                    segs = _doc_segments(txt, window)
-                    ids.append(i)
-                    cleans.append(txt)
-                    kepts.append(len(segs))
-                    continue
-                segs = _doc_segments(txt, window)
-                keep = [s for k, s in enumerate(segs) if k not in d]
-                ids.append(i)
-                cleans.append(" ".join(keep))
-                kepts.append(len(keep))
-            return pd.DataFrame(
-                {
-                    id_col: pd.Series(ids, dtype="int64"),
-                    "clean_text": pd.Series(cleans, dtype="object"),
-                    "n_kept": pd.Series(kepts, dtype="int64"),
-                }
-            )
-
-        return cogroup_exchange(
-            ds.select_columns([id_col, text_col]),
-            dropped,
-            [id_col],
-            [id_col],
-            fold,
-            num_partitions=num_partitions,
-        )
-
     flags = segment_dedup_flags(
         ds,
         id_col=id_col,
         text_col=text_col,
         window=window,
-        exact=True,
+        exact=wire == "exact",
         num_partitions=num_partitions,
     )
-    ex = hash_exchange(flags, [id_col], num_partitions)
+    dropped = flags.map_batches(
+        lambda df: df.loc[~df["keep"], [id_col, "seg_idx"]],
+        batch_format="pandas",
+    )
 
-    # partition-level vectorized rebuild: one sort + one groupby-join
-    # per PARTITION, not a Python fn per doc group
-    def rebuild_block(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([id_col, "seg_idx"], kind="mergesort")
-        kept = df[df["keep"]]
-        g = kept.groupby(id_col, sort=True)["seg"]
-        joined = g.agg(" ".join)
-        counts = g.size()
-        out = pd.DataFrame({id_col: np.sort(df[id_col].unique())})
-        out["clean_text"] = out[id_col].map(joined).fillna("")
-        out["n_kept"] = (
-            out[id_col].map(counts).fillna(0).astype("int64")
+    def fold(docs_df: pd.DataFrame, drop_df: pd.DataFrame) -> pd.DataFrame:
+        if not len(docs_df):
+            return pd.DataFrame(
+                {
+                    id_col: pd.Series([], dtype="int64"),
+                    "clean_text": pd.Series([], dtype="object"),
+                    "n_kept": pd.Series([], dtype="int64"),
+                }
+            )
+        drop_by_id = (
+            drop_df.groupby(id_col)["seg_idx"].agg(set).to_dict()
+            if len(drop_df)
+            else {}
         )
-        return out
+        ids, cleans, kepts = [], [], []
+        for i, txt in zip(docs_df[id_col].to_numpy(), docs_df[text_col].to_numpy()):
+            i = int(i)
+            segs = _doc_segments(txt, window)
+            d = drop_by_id.get(i)
+            # segments are cut at single spaces, so an untouched doc's
+            # survivors re-join to its own text
+            keep = [s for k, s in enumerate(segs) if k not in d] if d else segs
+            ids.append(i)
+            cleans.append(" ".join(keep) if d else txt)
+            kepts.append(len(keep))
+        return pd.DataFrame(
+            {
+                id_col: pd.Series(ids, dtype="int64"),
+                "clean_text": pd.Series(cleans, dtype="object"),
+                "n_kept": pd.Series(kepts, dtype="int64"),
+            }
+        )
 
-    return ex.map_batches(
-        rebuild_block, batch_format="pandas", batch_size=None
+    return cogroup_exchange(
+        ds.select_columns([id_col, text_col]),
+        dropped,
+        [id_col],
+        [id_col],
+        fold,
+        num_partitions=num_partitions,
     )

@@ -5,7 +5,7 @@ the reference's E1/E2/E3 entry points collapse into this):
 
     read_parquet(pages shards, include_paths)        # prune at read
       → map_batches(docmeta_batch)                   # stateless: sniff/size/hash/filters
-      → map_batches(PageExtractor, concurrency=…)    # actor pool: DOM/PDF parse
+      → map_batches(extract_pages_batch)             # task pool: DOM/PDF parse + OCR
       → map_batches(extract_fields_batch)            # classify + field batteries
       → write_parquet(out, partition_cols=[part_id]) # resumable partitioned sink
 
@@ -30,11 +30,7 @@ import ray.data
 
 from valere_ocr_ray import MAX_DOC_BYTES
 from valere_ocr_ray.stages.docmeta import docmeta_batch
-from valere_ocr_ray.stages.extractor import (
-    PageExtractor,
-    extract_fields_batch,
-    extract_pages_batch,
-)
+from valere_ocr_ray.stages.extractor import extract_fields_batch, extract_pages_batch
 from valere_ocr_ray.state.manifest import (
     pending_shards,
     read_quarantine,
@@ -63,8 +59,6 @@ def build_extraction_ds(
     paths: list[str] | str,
     *,
     max_doc_bytes: int = MAX_DOC_BYTES,
-    concurrency: int | tuple[int, int] | None = None,
-    batch_size: int | None = None,
     extra_columns: tuple[str, ...] = (),
 ) -> ray.data.Dataset:
     """Lazy Dataset of extracted rows for the given pages parquet paths.
@@ -80,31 +74,13 @@ def build_extraction_ds(
         lambda b: docmeta_batch(b, max_doc_bytes=max_doc_bytes),
         batch_format="pyarrow",
     )
-    if concurrency is None:
-        # default: task pool — parser state is module-level (built once
-        # per worker process), warm workers are reused across executions.
-        # batch_size=None → whole blocks as batches: blocks are BYTE-
-        # bounded (DataContext.target_max_block_size), so a run of
-        # 10 MiB heavy blobs can't assemble a multi-GB batch the way a
-        # fixed row-count batch would (skew/memory guard, SURVEY §4.2)
-        ds = ds.map_batches(
-            extract_pages_batch, batch_format="pyarrow", batch_size=batch_size
-        )
-    else:
-        # actor pool: for stages with heavy per-actor state (OCR seam).
-        # An int becomes an AUTOSCALING (1, N) pool: a fixed pool of N
-        # pins N CPUs for the dataset's lifetime, and N == cluster CPUs
-        # starves the upstream read tasks (livelock — reproduced with
-        # the BPE encode pool on a 4-cpu cluster).
-        ds = ds.map_batches(
-            PageExtractor,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=(
-                (1, concurrency) if isinstance(concurrency, int) else concurrency
-            ),
-            num_cpus=1,
-        )
+    # task pool: parser state is module-level (built once per worker
+    # process), warm workers are reused across executions.
+    # batch_size=None → whole blocks as batches: blocks are BYTE-bounded
+    # (DataContext.target_max_block_size), so a run of 10 MiB heavy
+    # blobs can't assemble a multi-GB batch the way a fixed row-count
+    # batch would (skew/memory guard, SURVEY §4.2)
+    ds = ds.map_batches(extract_pages_batch, batch_format="pyarrow", batch_size=None)
     ds = ds.map_batches(extract_fields_batch, batch_format="pyarrow")
     return ds
 
@@ -124,8 +100,6 @@ def run_resumable(
     *,
     group_size: int = 16,
     max_doc_bytes: int = MAX_DOC_BYTES,
-    concurrency: int | tuple[int, int] | None = None,
-    batch_size: int | None = None,
     quarantine: bool = True,
 ) -> dict:
     """Process all pending input shards; returns a run summary.
@@ -173,8 +147,6 @@ def run_resumable(
         ds = build_extraction_ds(
             [by_part[p] for p in parts],
             max_doc_bytes=max_doc_bytes,
-            concurrency=concurrency,
-            batch_size=batch_size,
         )
         # S5 per-class sink layout (reference per-class tables,
         # IDD/finalcodes/Facesheet.py:195-196): part_id keeps resume

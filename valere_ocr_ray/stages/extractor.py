@@ -1,9 +1,9 @@
-"""Extraction stages: text parse (actor pool) + field extraction.
+"""Extraction stages: text parse + field extraction.
 
-``PageExtractor`` is the stateful stage of the north-star — the HTML
-DOM walker / PDF parser held in an actor pool via
-``map_batches(PageExtractor, concurrency=N, batch_format="pyarrow")``.
-It replaces the reference's per-document Textract calls (sync
+``extract_pages_batch`` is the parse stage of the north-star — the HTML
+DOM walker, PDF parser and raster OCR run as one task-pool
+``map_batches(extract_pages_batch, batch_format="pyarrow")``.  It
+replaces the reference's per-document Textract calls (sync
 ``analyze_document``, ``IDD/finalcodes/InsuranceCard1.py:89-109``; async
 ``start_document_analysis`` + poll, ``SignedAgreement.py:124-156``)
 with deterministic local parsing.  Per-row data errors become
@@ -12,9 +12,9 @@ semantics (``InsuranceCard2.py:164-172``) — never task failures, so Ray
 retries stay idempotent.
 
 ``extract_fields_batch`` (classification C1-C3 + field batteries
-F9-F13 + rules §2.8 + confidence A1/A2) is a plain function: its
-regexes compile at module import, once per worker process, so it needs
-no actor state.
+F9-F13 + rules §2.8 + confidence A1/A2) is a plain function too: its
+regexes compile at module import, once per worker process, so neither
+stage needs actor state.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import json
 
 import pyarrow as pa
 
+from valere_ocr_ray.extract import glyph_font
 from valere_ocr_ray.extract.html_text import extract_main_text_meta
 from valere_ocr_ray.extract.image_decode import ImageFormatError
 from valere_ocr_ray.extract.pdf_images import ocr_pdf_images
@@ -37,7 +38,7 @@ from valere_ocr_ray.stages.docmeta import (
 
 STATUS_ERROR_PARSE = "error_parse"
 # image payload admitted but its FORMAT has no decoder behind the OCR
-# seam (inside PDFs: JPX/JPEG2000 only) — routed, not dropped.  All
+# kernel (inside PDFs: JPX/JPEG2000 only) — routed, not dropped.  All
 # eight raster containers (BMP/PPM/PNG/JPEG baseline+progressive/TIFF/
 # GIF/WebP VP8L+lossy-VP8, ``extract/image_decode.py`` dispatch) and
 # PDF-embedded DCTDecode/Flate/CCITT-G3-G4/JBIG2 scans
@@ -57,134 +58,83 @@ SPAN_TYPE = pa.list_(
 )
 
 
-class PageExtractor:
-    """html/pdf binary → ``extracted_text`` (large_string) + parse status.
-
-    One instance per pool actor; routing on ``doc_kind`` happens per
-    row *inside* the batch (single pass over the input — splitting into
-    two filtered sub-pipelines would re-execute the upstream read per
-    branch).  Oversized-but-admitted rows ("heavy") share the batch but
-    are the reason ``batch_size`` stays modest for this stage.
-    """
-
-    def __init__(self, ocr_seam=None, ocr_pixels=None) -> None:
-        # scanned-page OCR seam.  Default: the deterministic 5x7
-        # glyph-template reader over the dependency-free
-        # BMP/PPM/PNG/TIFF/GIF/JPEG (baseline + progressive) and
-        # WebP (VP8L lossless AND lossy VP8) decoders (the Textract
-        # analog, ``IDD/finalcodes/InsuranceCard1.py:89-109``); it
-        # raises ImageFormatError for a genuinely codec-less payload,
-        # which routes to 'skipped_image_no_ocr'.
-        # ``ocr_pixels`` is the decoded-raster flavor of the same seam
-        # (ndarray → text) used for images embedded INSIDE PDFs — the
-        # reference's async-Textract scanned-PDF case
-        # (``IDD/finalcodes/SignedAgreement.py:124-156``).  A
-        # Tesseract-class model drops into either seam without touching
-        # the Ray plumbing.
-        if ocr_seam is None:
-            from valere_ocr_ray.extract.glyph_font import ocr_image_bytes
-
-            ocr_seam = ocr_image_bytes
-        if ocr_pixels is None:
-            from valere_ocr_ray.extract.glyph_font import ocr_image
-
-            ocr_pixels = ocr_image
-        self._ocr = ocr_seam
-        self._ocr_pixels = ocr_pixels
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        html = batch["html"].combine_chunks()
-        kinds = batch["doc_kind"].to_pylist()
-        statuses = batch["status"].to_pylist()
-
-        texts: list[str] = []
-        out_status: list[str] = []
-        sig_tiers: list[int] = []
-        ocr_used: list[bool] = []
-        for i, (kind, status) in enumerate(zip(kinds, statuses)):
-            if status != STATUS_OK:
-                texts.append("")
-                out_status.append(status)
-                sig_tiers.append(0)
-                ocr_used.append(False)
-                continue
-            payload = html[i].as_buffer().to_pybytes()
-            try:
-                sig_tier = 0
-                row_status = STATUS_OK
-                row_ocr = False
-                if kind == KIND_PDF:
-                    text = extract_pdf_text(payload)
-                    if not text:
-                        # scanned PDF: no text objects → OCR the
-                        # embedded image XObjects (the reference's
-                        # async-Textract path; DCT/Flate/CCITT/JBIG2
-                        # all decode).  Images found but none decodable
-                        # (JPX-class) routes to the skip status —
-                        # "couldn't read the scan" is not "blank page".
-                        text, n_found, n_decoded = ocr_pdf_images(
-                            payload, self._ocr_pixels
-                        )
-                        if n_found and not n_decoded:
-                            row_status = STATUS_SKIPPED_NO_OCR
-                        row_ocr = n_decoded > 0
-                elif kind == KIND_HTML:
-                    text, sig_tier = extract_main_text_meta(payload)
-                elif kind == KIND_IMAGE:
-                    # the OCR seam: decodable rasters come back as
-                    # text; codec-less formats carry a skip status,
-                    # never vanish
-                    if self._ocr is not None:
-                        try:
-                            text = self._ocr(payload)
-                            row_ocr = True
-                        except ImageFormatError:
-                            text = ""
-                            row_status = STATUS_SKIPPED_NO_OCR
-                    else:
-                        text = ""
-                        row_status = STATUS_SKIPPED_NO_OCR
-                else:
-                    text = ""
-                texts.append(text)
-                out_status.append(row_status)
-                sig_tiers.append(sig_tier)
-                ocr_used.append(row_ocr)
-            except Exception:
-                texts.append("")
-                out_status.append(STATUS_ERROR_PARSE)
-                sig_tiers.append(0)
-                ocr_used.append(False)
-
-        out = batch.drop_columns(["html", "status"])  # bytes stop here
-        return (
-            out.append_column("extracted_text", pa.array(texts, pa.large_string()))
-            .append_column("sig_tier", pa.array(sig_tiers, pa.int32()))
-            .append_column("ocr_used", pa.array(ocr_used, pa.bool_()))
-            .append_column("status", pa.array(out_status, pa.string()))
-        )
-
-
-_TASK_EXTRACTOR: PageExtractor | None = None
-
-
 def extract_pages_batch(batch: pa.Table) -> pa.Table:
-    """Task-pool form of ``PageExtractor`` (the default execution mode).
+    """html/pdf/image binary → ``extracted_text`` (large_string) +
+    ``sig_tier`` + ``ocr_used`` + parse status.
 
-    The parser "state" (walker tables, compiled regex battery) lives at
-    module level, so it is built once per *worker process* — the same
-    load-once semantics as an actor's ``__init__`` — while task-pool
-    scheduling reuses the session's warm workers.  Measured at the 50k-doc
-    bench scale this is ~2× faster end-to-end than an actor pool, whose
-    actors are fresh processes per dataset execution (~6 s spin-up);
-    for sustained 100 TB runs the pool amortizes, and stages with
-    genuinely heavy state (an OCR model via ``ocr_seam``) should use
-    ``PageExtractor`` with ``concurrency=N`` instead.
+    Routing on ``doc_kind`` happens per row *inside* the batch (single
+    pass over the input — splitting into filtered sub-pipelines would
+    re-execute the upstream read per branch).  The parser "state"
+    (walker tables, compiled regex battery, glyph templates) lives at
+    module level, so it is built once per worker process, and the
+    task pool reuses the session's warm workers.  Each parser and OCR
+    kernel is looked up when it is called (``glyph_font.ocr_image_bytes``
+    here, ``glyph_font.ocr_image`` inside ``ocr_pdf_images``), so a
+    wrapper swapped onto the module sees every call.
     """
-    global _TASK_EXTRACTOR
-    if _TASK_EXTRACTOR is None:
-        _TASK_EXTRACTOR = PageExtractor()
-    return _TASK_EXTRACTOR(batch)
+    html = batch["html"].combine_chunks()
+    kinds = batch["doc_kind"].to_pylist()
+    statuses = batch["status"].to_pylist()
+
+    texts: list[str] = []
+    out_status: list[str] = []
+    sig_tiers: list[int] = []
+    ocr_used: list[bool] = []
+    for i, (kind, status) in enumerate(zip(kinds, statuses)):
+        if status != STATUS_OK:
+            texts.append("")
+            out_status.append(status)
+            sig_tiers.append(0)
+            ocr_used.append(False)
+            continue
+        payload = html[i].as_buffer().to_pybytes()
+        try:
+            sig_tier = 0
+            row_status = STATUS_OK
+            row_ocr = False
+            if kind == KIND_PDF:
+                text = extract_pdf_text(payload)
+                if not text:
+                    # scanned PDF: no text objects → OCR the embedded
+                    # image XObjects (the reference's async-Textract
+                    # path; DCT/Flate/CCITT/JBIG2 all decode).  Images
+                    # found but none decodable (JPX-class) routes to the
+                    # skip status — "couldn't read the scan" is not
+                    # "blank page".
+                    text, n_found, n_decoded = ocr_pdf_images(payload)
+                    if n_found and not n_decoded:
+                        row_status = STATUS_SKIPPED_NO_OCR
+                    row_ocr = n_decoded > 0
+            elif kind == KIND_HTML:
+                text, sig_tier = extract_main_text_meta(payload)
+            elif kind == KIND_IMAGE:
+                # decodable rasters come back as text; codec-less
+                # formats carry a skip status, never vanish
+                try:
+                    text = glyph_font.ocr_image_bytes(payload)
+                    row_ocr = True
+                except ImageFormatError:
+                    text = ""
+                    row_status = STATUS_SKIPPED_NO_OCR
+            else:
+                text = ""
+            texts.append(text)
+            out_status.append(row_status)
+            sig_tiers.append(sig_tier)
+            ocr_used.append(row_ocr)
+        except Exception:
+            texts.append("")
+            out_status.append(STATUS_ERROR_PARSE)
+            sig_tiers.append(0)
+            ocr_used.append(False)
+
+    out = batch.drop_columns(["html", "status"])  # bytes stop here
+    return (
+        out.append_column("extracted_text", pa.array(texts, pa.large_string()))
+        .append_column("sig_tier", pa.array(sig_tiers, pa.int32()))
+        .append_column("ocr_used", pa.array(ocr_used, pa.bool_()))
+        .append_column("status", pa.array(out_status, pa.string()))
+    )
 
 
 def extract_fields_batch(batch: pa.Table) -> pa.Table:
@@ -192,10 +142,7 @@ def extract_fields_batch(batch: pa.Table) -> pa.Table:
     urls = batch["url"].to_pylist()
     texts = batch["extracted_text"].to_pylist()
     statuses = batch["status"].to_pylist()
-    if "sig_tier" in batch.column_names:
-        sig_tiers = batch["sig_tier"].to_pylist()
-    else:  # callers feeding bare (url, text) rows, e.g. tests
-        sig_tiers = [0] * len(urls)
+    sig_tiers = batch["sig_tier"].to_pylist()
 
     doc_types: list[str] = []
     fields_json: list[str] = []
