@@ -1,3 +1,6 @@
+import contextlib
+from unittest import mock
+
 import pytest
 
 
@@ -27,3 +30,13 @@ def pages_500(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("pages") / "sf0.001")
     synth_pages(out, 500)
     return out
+
+
+def exchange_width(n: int | None):
+    """Context manager: every exchange started inside it derives width
+    ``n`` (the exchange still clamps it to >= 2); ``None`` leaves the
+    derivation alone.  Not a fixture, so a hypothesis test can enter it
+    once per example."""
+    if n is None:
+        return contextlib.nullcontext()
+    return mock.patch("valere_ocr_ray.ops.exchange._auto_partitions", return_value=n)

@@ -5,6 +5,7 @@ invariance, and the encode actor stage."""
 import numpy as np
 import pandas as pd
 import pytest
+from conftest import exchange_width
 
 SF = "/root/testdata/sf0.001"
 
@@ -57,7 +58,8 @@ def test_word_counts_distributed_equals_local(ray_session):
     from valere_ocr_ray.ops.bpe import word_counts
 
     docs = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
-    wf = word_counts(docs, num_partitions=8)
+    with exchange_width(8):
+        wf = word_counts(docs)
     local = (
         pd.Series(
             " ".join(
@@ -70,7 +72,8 @@ def test_word_counts_distributed_equals_local(ray_session):
     assert len(got) == len(local)
     assert (got.sort_index() == local.sort_index()).all()
     # deterministic top-N cap: prefix of the (count desc, word asc) order
-    capped = word_counts(docs, num_partitions=3, max_words=100)
+    with exchange_width(3):
+        capped = word_counts(docs, max_words=100)
     assert capped["word"].tolist() == wf["word"].tolist()[:100]
 
 
@@ -83,8 +86,10 @@ def test_train_partition_invariance_and_counts(ray_session):
     from valere_ocr_ray.ops.bpe import bpe_token_counts, train_bpe
 
     docs = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
-    m1 = train_bpe(docs.repartition(2), num_merges=64, num_partitions=4)
-    m13 = train_bpe(docs.repartition(13), num_merges=64, num_partitions=7)
+    with exchange_width(4):
+        m1 = train_bpe(docs.repartition(2), num_merges=64)
+    with exchange_width(7):
+        m13 = train_bpe(docs.repartition(13), num_merges=64)
     assert m1 == m13
 
     out = (
@@ -113,7 +118,8 @@ def test_emit_tokens_roundtrip(ray_session):
     docs = rd.read_parquet(
         f"{SF}/documents.parquet", columns=["doc_id", "text"]
     ).limit(50)
-    m = train_bpe(docs, num_merges=32, num_partitions=2)
+    with exchange_width(2):
+        m = train_bpe(docs, num_merges=32)
     out = bpe_token_counts(docs, m, emit_tokens=True, concurrency=2).to_pandas()
     for _, row in out.iterrows():
         toks = row["bpe_tokens"].split(" ") if row["bpe_tokens"] else []
@@ -153,11 +159,11 @@ def test_bpe_fertility_matches_local_twin(ray_session):
     docs = pd.read_parquet(
         sf + "/documents.parquet", columns=["doc_id", "source", "text"]
     )
-    merges = train_bpe(
-        rd.read_parquet(sf + "/documents.parquet", columns=["doc_id", "text"]),
-        num_merges=64,
-        num_partitions=8,
-    )
+    with exchange_width(8):
+        merges = train_bpe(
+            rd.read_parquet(sf + "/documents.parquet", columns=["doc_id", "text"]),
+            num_merges=64,
+        )
     ranks = {tuple(p): i for i, p in enumerate(merges)}
     cache = {}
 

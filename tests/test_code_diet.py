@@ -191,3 +191,50 @@ def test_hash_copy_check_fires(tmp_path):
         "pkg/ops/a.py:4",
         "pkg/ops/a.py:5",
     }
+
+
+# defs outside ops/exchange.py that may take a ``*_partitions`` value,
+# and why: a layout at rest that the caller chooses, not an exchange width
+WIDTH_ALLOWED = {
+    "ops/ranged.py:write_ranged": "range partitions at rest (`__range=<i>` dirs)",
+}
+
+
+def _width_params(root: pathlib.Path = ROOT, pkg: str = PKG.name) -> set[str]:
+    """``path:def`` of every def under ``root/pkg`` outside
+    ``ops/exchange.py`` with a ``*_partitions`` parameter: the exchange
+    derives its own width, and a fixed layout goes straight to
+    ``partition_map``, ``grouped_map`` or ``cogroup_exchange``."""
+    found: set[str] = set()
+    for path in sorted((root / pkg).rglob("*.py")):
+        rel = path.relative_to(root / pkg).as_posix()
+        if rel == "ops/exchange.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = n.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs]
+                if any(p.arg.endswith("_partitions") for p in params):
+                    found.add(f"{rel}:{n.name}")
+    return found
+
+
+def test_exchange_width_is_not_a_parameter():
+    assert _width_params() == WIDTH_ALLOWED.keys(), "let the exchange pick its width"
+
+
+def test_width_param_check_fires(tmp_path):
+    """The check on a toy repo: a top-level def, a keyword-only and a
+    nested def's ``*_partitions`` parameter are found; ``ops/exchange.py``,
+    a call that passes ``num_partitions=`` and other names are not."""
+    ops = tmp_path / "pkg" / "ops"
+    ops.mkdir(parents=True)
+    (ops / "a.py").write_text(
+        "def f(ds, num_partitions=None):\n    return ds\n\n\n"
+        "def g(ds, *, num_label_partitions=None):\n"
+        "    def h(n_partitions):\n        return n_partitions\n"
+        "    return h(2)\n\n\n"
+        "def ok(ds, n_shards=8):\n    return grouped_map(ds, num_partitions=n_shards)\n"
+    )
+    (ops / "exchange.py").write_text("def grouped_map(ds, num_partitions=None):\n    return ds\n")
+    assert _width_params(tmp_path, "pkg") == {"ops/a.py:f", "ops/a.py:g", "ops/a.py:h"}

@@ -5,6 +5,7 @@ import numpy as np
 import pandas as pd
 import pytest
 import ray.data as rd
+from conftest import exchange_width
 
 from valere_ocr_ray.ops.exchange import grouped_map, grouped_sum, hash_exchange
 
@@ -39,12 +40,9 @@ def test_exchange_colocates_keys(ray_session, keyed_df):
 
 def test_grouped_sum_exact(ray_session, keyed_df):
     ds = rd.from_pandas(keyed_df).repartition(7)
-    got = (
-        grouped_sum(ds, ["k"], ["v"], num_partitions=8)
-        .to_pandas()
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
+    with exchange_width(8):
+        got = grouped_sum(ds, ["k"], ["v"]).to_pandas()
+    got = got.sort_values("k").reset_index(drop=True)
     want = (
         keyed_df.groupby("k", as_index=False)[["v"]]
         .sum()
@@ -56,12 +54,9 @@ def test_grouped_sum_exact(ray_session, keyed_df):
 
 def test_grouped_sum_string_keys(ray_session, keyed_df):
     ds = rd.from_pandas(keyed_df).repartition(5)
-    got = (
-        grouped_sum(ds, ["s"], ["v"], num_partitions=4)
-        .to_pandas()
-        .sort_values("s")
-        .reset_index(drop=True)
-    )
+    with exchange_width(4):
+        got = grouped_sum(ds, ["s"], ["v"]).to_pandas()
+    got = got.sort_values("s").reset_index(drop=True)
     want = (
         keyed_df.groupby("s", as_index=False)[["v"]]
         .sum()
@@ -102,7 +97,8 @@ def test_grouped_map_semantics_and_partition_invariance(ray_session, keyed_df):
 
 def test_single_partition_path(ray_session, keyed_df):
     ds = rd.from_pandas(keyed_df.head(100)).repartition(3)
-    got = grouped_sum(ds, ["k"], ["v"], num_partitions=1).to_pandas()
+    with exchange_width(1):
+        got = grouped_sum(ds, ["k"], ["v"]).to_pandas()
     want = keyed_df.head(100).groupby("k", as_index=False)[["v"]].sum()
     assert got.sort_values("k")["v"].tolist() == want.sort_values("k")["v"].tolist()
 
@@ -137,12 +133,9 @@ def test_grouped_sum_fuzz_matches_pandas(ray_session):
         if df.empty:
             return
         ds = rd.from_pandas(df).repartition(nblocks)
-        got = (
-            grouped_sum(ds, ["k"], ["v"], num_partitions=nparts)
-            .to_pandas()
-            .sort_values("k")
-            .reset_index(drop=True)
-        )
+        with exchange_width(nparts):
+            got = grouped_sum(ds, ["k"], ["v"]).to_pandas()
+        got = got.sort_values("k").reset_index(drop=True)
         # the oracle groups whole strings: pandas' object-string groupby
         # ends a key at its first NUL, Arrow-backed strings do not
         whole = df.astype({"k": "string[pyarrow]"}) if df["k"].dtype == object else df
@@ -181,7 +174,8 @@ def test_grouped_agg_nul_string_keys_match_duckdb(ray_session):
     every = pa.concat_tables(blocks)
     aggs = {"v": "sum", "j": "max"}
     for keys, groups in ((["k"], 5), (["k", "j"], 6)):
-        got = grouped_agg(rd.from_arrow(blocks), keys, aggs, num_partitions=2).to_pandas()
+        with exchange_width(2):
+            got = grouped_agg(rd.from_arrow(blocks), keys, aggs).to_pandas()
         cols = ", ".join(keys)
         sel = ", ".join(f"{how}({c}) AS {c}" for c, how in aggs.items() if c not in keys)
         sql = f"SELECT {cols}, {sel} FROM every WHERE k IS NOT NULL GROUP BY {cols}"
@@ -254,24 +248,17 @@ def test_exchange_property_random_frames(ray_session):
         ds = rd.from_pandas([p.reset_index(drop=True) for p in parts])
 
         want = df.groupby("k", as_index=False)[["v", "w"]].sum()
-        got = (
-            grouped_sum(ds, ["k"], ["v", "w"], num_partitions=npart)
-            .to_pandas()
-            .sort_values("k")
-            .reset_index(drop=True)
-        )
+        with exchange_width(npart):
+            got = grouped_sum(ds, ["k"], ["v", "w"]).to_pandas()
+        got = got.sort_values("k").reset_index(drop=True)
         pd.testing.assert_frame_equal(
             got, want.sort_values("k").reset_index(drop=True), obj=f"sum t{trial}"
         )
 
         want_min = df.groupby("k", as_index=False)[["v"]].min()
-        got_min = (
-            grouped_agg(ds.select_columns(["k", "v"]), ["k"], {"v": "min"},
-                        num_partitions=npart)
-            .to_pandas()
-            .sort_values("k")
-            .reset_index(drop=True)
-        )
+        with exchange_width(npart):
+            got_min = grouped_agg(ds.select_columns(["k", "v"]), ["k"], {"v": "min"})
+            got_min = got_min.to_pandas().sort_values("k").reset_index(drop=True)
         pd.testing.assert_frame_equal(
             got_min, want_min.sort_values("k").reset_index(drop=True),
             obj=f"min t{trial}",
@@ -281,12 +268,9 @@ def test_exchange_property_random_frames(ray_session):
         mixed = {"v": "min", "w": "max", "u": "sum"}
         want_mixed = df.assign(u=df["v"] // 7).groupby("k", as_index=False).agg(mixed)
         with_u = ds.map_batches(lambda b: b.assign(u=b["v"] // 7), batch_format="pandas")
-        got_mixed = (
-            grouped_agg(with_u, ["k"], mixed, num_partitions=npart)
-            .to_pandas()
-            .sort_values("k")
-            .reset_index(drop=True)
-        )
+        with exchange_width(npart):
+            got_mixed = grouped_agg(with_u, ["k"], mixed).to_pandas()
+        got_mixed = got_mixed.sort_values("k").reset_index(drop=True)
         pd.testing.assert_frame_equal(
             got_mixed, want_mixed.sort_values("k").reset_index(drop=True),
             obj=f"mixed t{trial}",
@@ -298,12 +282,9 @@ def test_exchange_property_random_frames(ray_session):
         prefolded = with_u.map_batches(
             lambda b: b.groupby("k", as_index=False).agg(mixed), batch_format="pandas"
         )
-        got_pre = (
-            grouped_agg(prefolded, ["k"], mixed, num_partitions=npart)
-            .to_pandas()
-            .sort_values("k")
-            .reset_index(drop=True)
-        )
+        with exchange_width(npart):
+            got_pre = grouped_agg(prefolded, ["k"], mixed).to_pandas()
+        got_pre = got_pre.sort_values("k").reset_index(drop=True)
         pd.testing.assert_frame_equal(got_pre, got_mixed, obj=f"prefold t{trial}")
 
         # every key lives in exactly ONE exchange block
@@ -372,7 +353,8 @@ def test_exchange_property_random_frames(ray_session):
             typed.to_pandas().groupby(["k"], as_index=False).agg(aggs),
             preserve_index=False,
         )
-        refs = grouped_agg(ds, ["k"], aggs, num_partitions=5).to_arrow_refs()
+        with exchange_width(5):
+            refs = grouped_agg(ds, ["k"], aggs).to_arrow_refs()
         got = pa.concat_tables(ray.get(refs))
         assert got.schema.remove_metadata() == want.schema.remove_metadata(), how
         pd.testing.assert_frame_equal(
@@ -702,7 +684,7 @@ def test_map_batches_skips_empty_blocks_pinned(ray_session):
 
 
 def test_auto_partitions_size_derived(ray_session):
-    """Default (num_partitions=None) width derives from input bytes:
+    """The exchange derives its width from input bytes:
     tiny inputs stay narrow, big inputs get ceil(bytes/128MiB), capped
     (VERDICT r4: a fixed default holds corpus/16 per gather at 100x)."""
     from valere_ocr_ray.ops.exchange import (
@@ -716,17 +698,16 @@ def test_auto_partitions_size_derived(ray_session):
     big = 64 * TARGET_PARTITION_BYTES
     assert _auto_partitions(big) == 64  # scale: one target-size gather each
     assert _auto_partitions(10**15) == MAX_PARTITIONS  # documented backstop
-    # medium inputs widen toward the CPU count but keep >= ~8 MiB each
+    # medium inputs widen toward the CPU count but keep >= ~2 MiB each
     med = _auto_partitions(40 * 2**20)
     assert 2 <= med <= 5
 
 
 def test_default_width_exchange_matches_explicit(ray_session, keyed_df):
     ds = rd.from_pandas(keyed_df).repartition(6)
-    want = (
-        grouped_sum(ds, ["k"], ["v"], num_partitions=8)
-        .to_pandas().sort_values("k").reset_index(drop=True)
-    )
+    with exchange_width(8):
+        want = grouped_sum(ds, ["k"], ["v"]).to_pandas()
+    want = want.sort_values("k").reset_index(drop=True)
     got = (
         grouped_sum(ds, ["k"], ["v"])  # size-derived default
         .to_pandas().sort_values("k").reset_index(drop=True)
@@ -797,3 +778,15 @@ def test_tree_reduce_bounded_fanin(ray_session, tmp_path):
             assert out.to_pylist() == [{"s": int(df["v"].sum())}], n_blocks
         else:
             assert out.num_rows == 0 and out.num_columns == 0
+
+
+def test_exchange_width_helper_fixes_every_width(ray_session, keyed_df):
+    """``exchange_width(n)`` reaches every exchange a call starts, with
+    the exchange's own ``p >= 2`` clamp; ``None`` leaves the derived
+    width, so the sweeps that moved onto it still sweep."""
+    ds = rd.from_pandas(keyed_df).repartition(4)
+    for n, want in ((5, 5), (3, 3), (1, 2)):
+        with exchange_width(n):
+            assert grouped_sum(ds, ["k"], ["v"]).num_blocks() == want
+    with exchange_width(None):
+        assert grouped_sum(ds, ["k"], ["v"]).num_blocks() == 2

@@ -188,3 +188,51 @@ def test_png_corrupt_and_unsupported_raise():
     bad = _PNG_SIG + _png_chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 2, 8, 2, 0, 0, 0)) + _png_chunk(b"IDAT", b"notdeflate") + _png_chunk(b"IEND", b"")
     with pytest.raises(ImageFormatError):
         decode_png(bad)
+
+
+def _fuzz_fixtures():
+    from valere_ocr_ray.extract.gif import encode_gif
+    from valere_ocr_ray.extract.image_decode import encode_png
+    from valere_ocr_ray.extract.tiff import encode_tiff
+    from valere_ocr_ray.extract.webp import encode_webp
+
+    yy, xx = np.mgrid[0:24, 0:32]
+    px = np.stack([(xx * 4) % 256, (yy * 6) % 256, ((xx + yy) * 3) % 256], axis=2)
+    px = px.astype(np.uint8)
+    return {
+        "png": lambda: encode_png(px),
+        "gif": lambda: encode_gif(px // 64 * 64),  # <= 64 colors
+        "tiff_raw": lambda: encode_tiff(px),
+        "tiff_lzw": lambda: encode_tiff(px, lzw=True),
+        "tiff_lzw_predictor": lambda: encode_tiff(px, lzw=True, predictor=True),
+        "webp": lambda: encode_webp(px),
+        "webp_predictor_subtract_green": lambda: encode_webp(
+            px, predictor=True, subtract_green=True
+        ),
+    }
+
+
+@pytest.mark.parametrize("fixture", list(_fuzz_fixtures()))
+def test_bit_flip_fuzz_raises_only_image_format_error(fixture):
+    """200 seeded 1-4 bit-flip mutants of one small RGB image per codec:
+    ``decode_image`` decodes each or raises ImageFormatError (the
+    extractor's skip status), never another exception type (which routes
+    to error_parse), and no decode takes more than 1 s."""
+    import random
+    import time
+
+    good = _fuzz_fixtures()[fixture]()
+    rng = random.Random(1)
+    n_raised = 0
+    for _ in range(200):
+        bad = bytearray(good)
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(bad))
+            bad[i] ^= 1 << rng.randrange(8)
+        t0 = time.perf_counter()
+        try:
+            decode_image(bytes(bad))
+        except ImageFormatError:
+            n_raised += 1
+        assert time.perf_counter() - t0 < 1.0
+    assert n_raised > 0  # the mutants do reach the error paths

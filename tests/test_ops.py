@@ -5,6 +5,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from conftest import exchange_width
 
 SF = "/root/testdata/sf0.001"
 
@@ -222,12 +223,9 @@ def test_cluster_labels_matches_union_find(ray_session):
 
     plist = [(1, 2), (2, 3), (3, 4), (7, 8), (10, 20), (10, 30), (10, 40)]
     pairs = rd.from_items([{"id_a": a, "id_b": b} for a, b in plist])
-    got = (
-        cluster_labels(pairs, num_partitions=4)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
+    with exchange_width(4):
+        got = cluster_labels(pairs).to_pandas().sort_values("doc_id")
+    got = got.reset_index(drop=True)
     want = connected_components(plist)
     assert dict(zip(got["doc_id"], got["cluster"])) == want
     # chain 1-2-3-4 collapses to min label 1 (needs >1 round)
@@ -242,7 +240,8 @@ def test_cluster_labels_matches_union_find(ray_session):
         b = rng.integers(0, n, n).tolist()
         plist = list(zip(a, b)) + list(zip(a[:5], b[:5])) + [(a[0], a[0])]
         pairs = rd.from_items([{"id_a": x, "id_b": y} for x, y in plist])
-        got = cluster_labels(pairs, num_partitions=nparts).to_pandas()
+        with exchange_width(nparts):
+            got = cluster_labels(pairs).to_pandas()
         assert len(got) == got["doc_id"].nunique(), nparts
         want = connected_components(plist)
         assert dict(zip(got["doc_id"], got["cluster"])) == want, nparts
@@ -261,7 +260,8 @@ def test_cluster_labels_empty(ray_session):
             }
         )
     )
-    assert cluster_labels(pairs, num_partitions=2).count() == 0
+    with exchange_width(2):
+        assert cluster_labels(pairs).count() == 0
     # no schema-carrying block: a filter that drops every pair leaves
     # column-less empty blocks, and a zero-block input has none at all
     dropped = rd.from_items([{"id_a": 1, "id_b": 2}]).filter(lambda r: False)
@@ -745,12 +745,9 @@ def test_asof_exchange_matches_broadcast(ray_session):
         "AS order_date_us FROM events e ASOF JOIN orders o "
         "ON e.user_id = o.o_custkey AND e.ts >= o.o_orderdate"
     )
-    b = (
-        asof_join_exchange(events, orders_ds, num_partitions=4, **kw)
-        .to_pandas()[["event_id", "order_date_us"]]
-        .sort_values("event_id")
-        .reset_index(drop=True)
-    )
+    with exchange_width(4):
+        b = asof_join_exchange(events, orders_ds, **kw).to_pandas()
+    b = b[["event_id", "order_date_us"]].sort_values("event_id").reset_index(drop=True)
     assert len(a) > 0
     pd.testing.assert_frame_equal(a, b)
 
@@ -778,12 +775,9 @@ def test_range_exchange_matches_broadcast(ray_session):
         "AND e.ts >= o.ts AND e.ts < o.ts + INTERVAL 1 HOUR "
         "GROUP BY e.event_id"
     )
-    b = (
-        range_count_join_exchange(events, right_ds, num_partitions=4, **kw)
-        .to_pandas()[["event_id", "n_windows"]]
-        .sort_values("event_id")
-        .reset_index(drop=True)
-    )
+    with exchange_width(4):
+        b = range_count_join_exchange(events, right_ds, **kw).to_pandas()
+    b = b[["event_id", "n_windows"]].sort_values("event_id").reset_index(drop=True)
     assert len(a) > 0
     pd.testing.assert_frame_equal(a, b)
 
@@ -829,16 +823,12 @@ def test_keyed_topn_matches_pandas_window(ray_session):
             "uid": np.arange(n, dtype="int64"),  # unique tiebreak
         }
     )
-    got = (
-        keyed_topn(
+    with exchange_width(5):
+        got = keyed_topn(
             rd.from_pandas(df).repartition(11),
-            ["k"], ["k", "v", "uid"], [True, False, True], 3,
-            rank_col="rnk", num_partitions=5,
-        )
-        .to_pandas()
-        .sort_values(["k", "rnk"])
-        .reset_index(drop=True)
-    )
+            ["k"], ["k", "v", "uid"], [True, False, True], 3, rank_col="rnk",
+        ).to_pandas()
+    got = got.sort_values(["k", "rnk"]).reset_index(drop=True)
     want = df.sort_values(["k", "v", "uid"], ascending=[True, False, True]).copy()
     want["rnk"] = (want.groupby("k").cumcount() + 1).astype("int64")
     want = want[want["rnk"] <= 3].reset_index(drop=True)
@@ -1411,7 +1401,7 @@ def test_segment_dedup_exact_wire_keeps_nul_segments(ray_session):
 
 def test_segment_dedup_rebuild_on_empty_materialized_input(ray_session):
     """An all-empty materialized corpus (1 or 3 empty blocks) rebuilds to
-    0 rows with the output columns on both wires."""
+    0 rows with the output columns on both wires, the int columns typed."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -1428,6 +1418,8 @@ def test_segment_dedup_rebuild_on_empty_materialized_input(ray_session):
             assert got.count() == 0, (n_blocks, wire)
             names = got.schema().names if got.schema() else []
             assert sorted(names) == ["clean_text", "doc_id", "n_kept"], (n_blocks, wire)
+            types = dict(zip(names, got.schema().types))
+            assert types["doc_id"] == types["n_kept"] == pa.int64(), (n_blocks, wire)
 
 
 def test_pack_sequences_semantics(ray_session):
@@ -2250,15 +2242,16 @@ def test_cluster_labels_long_chain_pointer_jumping(ray_session):
 
     from valere_ocr_ray.ops.dedup import cluster_labels, connected_components
 
-    def check(a, b, **kw):
+    def check(a, b, width=None):
         pairs = pd.DataFrame({"id_a": a, "id_b": b}).astype("int64")
-        got = cluster_labels(rd.from_pandas(pairs), **kw).to_pandas()
+        with exchange_width(width):
+            got = cluster_labels(rd.from_pandas(pairs)).to_pandas()
         want = connected_components(list(zip(a.tolist(), b.tolist())))
         assert len(got) == len(want)
         assert dict(zip(got["doc_id"], got["cluster"])) == want
 
     n = 1000
-    check(np.arange(n - 1), np.arange(1, n), num_partitions=4)
+    check(np.arange(n - 1), np.arange(1, n), width=4)
     ids = np.random.default_rng(3).permutation(n)
     check(ids[:-1], ids[1:])
     # 300 five-doc cliques, each linked to the next by one pair

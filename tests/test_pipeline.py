@@ -8,6 +8,7 @@ import shutil
 
 import pyarrow.parquet as pq
 import pytest
+from conftest import exchange_width
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "goldens", "golden_extracted.parquet")
 
@@ -259,12 +260,14 @@ def test_dedup_corpus_pipeline(ray_session, pages_500, tmp_path):
     # near-dup clustering found the template families (many non-canonical)
     assert counts["n_near_dup"] > 50
 
-    # determinism AND partition-invariance: rerun with a DIFFERENT
-    # label-exchange partition count (2 vs the default 8) gives the
-    # same annotations — the exchange-annotate (zero driver state) is
-    # a pure function of the corpus, not of the partitioning
+    # determinism AND partition-invariance: rerun with every exchange
+    # at width 2 (vs the size-derived default) gives the same
+    # annotations — exact dedup, the LSH pairing, the label rounds and
+    # the exchange-annotate (zero driver state) are pure functions of
+    # the corpus, not of the partitioning
     out2 = str(tmp_path / "corpus2")
-    run_dedup_corpus(pages_500, out2, num_label_partitions=2)
+    with exchange_width(2):
+        run_dedup_corpus(pages_500, out2)
     df2 = pd.concat(
         pq.read_table(f).to_pandas()
         for f in sorted(glob.glob(os.path.join(out2, "*.parquet")))

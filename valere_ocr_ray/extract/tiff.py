@@ -194,6 +194,8 @@ def decode_tiff(payload: bytes) -> np.ndarray:
             if default is None:
                 raise ImageFormatError(f"TIFF missing required tag {tag}")
             return default
+        if not v:
+            raise ImageFormatError(f"TIFF tag {tag} has no value")
         return v[0]
 
     w, h = one(_T_WIDTH), one(_T_HEIGHT)
@@ -265,6 +267,8 @@ def decode_tiff(payload: bytes) -> np.ndarray:
         if len(strip) < need:
             raise ImageFormatError("truncated TIFF strip")
         raw += strip[:need]
+    if len(raw) < h * row_bytes:
+        raise ImageFormatError("TIFF strips hold fewer rows than its height")
     arr = np.frombuffer(bytes(raw), dtype=np.uint8, count=h * row_bytes).reshape(
         h, w, spp
     )

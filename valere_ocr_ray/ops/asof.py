@@ -76,7 +76,6 @@ def _exchange_join(
     right_ts: str,
     out_col: str,
     kernel,
-    num_partitions: int | None,
 ) -> ray.data.Dataset:
     """Both sides co-grouped by key on ``cogroup_exchange``: the left
     side normalized to ``(__key, __ts_us, *carry)``, the right side to
@@ -140,7 +139,6 @@ def _exchange_join(
         ["__key"],
         ["__key"],
         fold,
-        num_partitions=num_partitions,
     )
 
 
@@ -153,7 +151,6 @@ def asof_join_exchange(
     right_key: str,
     right_ts: str,
     out_col: str = "matched_ts_us",
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Inner as-of join on ``cogroup_exchange``: rows of ``left`` that
     have a right row with the same key and ``right_ts <= left_ts`` get
@@ -170,7 +167,7 @@ def asof_join_exchange(
     """
     return _exchange_join(
         left, right, left_key, left_ts, right_key, right_ts, out_col,
-        _asof_kernel, num_partitions,
+        _asof_kernel,
     )
 
 
@@ -184,7 +181,6 @@ def range_count_join_exchange(
     right_ts: str,
     window_us: int,
     out_col: str = "n_windows",
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Range join (inner, counted) on ``cogroup_exchange``: per left
     row, the number of right rows of the same key whose window
@@ -199,5 +195,5 @@ def range_count_join_exchange(
     """
     return _exchange_join(
         left, right, left_key, left_ts, right_key, right_ts, out_col,
-        _range_kernel(window_us), num_partitions,
+        _range_kernel(window_us),
     )

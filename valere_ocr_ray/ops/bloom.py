@@ -113,7 +113,6 @@ def bloom_semi_join(
     anti: bool = False,
     num_bits: int = 1 << 23,
     num_hashes: int = 5,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """EXACT semi (``anti=False``) / anti (``anti=True``) join with a
     Bloom prefilter: only bloom-positive left rows enter the exchange.
@@ -136,10 +135,7 @@ def bloom_semi_join(
     maybe = left.map_batches(
         lambda t: t.filter(pa.array(_mask(t))), batch_format="pyarrow"
     )
-    checked = semi_join(
-        maybe, right, left_key, right_key, anti=anti,
-        num_partitions=num_partitions,
-    )
+    checked = semi_join(maybe, right, left_key, right_key, anti=anti)
     if not anti:
         return checked
     definite = left.map_batches(

@@ -56,7 +56,6 @@ def word_counts(
     ds: ray.data.Dataset,
     *,
     text_col: str = "text",
-    num_partitions: int | None = None,
     max_words: int | None = None,
 ) -> pd.DataFrame:
     """Global (word, count) table: per-batch ``Counter`` partials →
@@ -77,7 +76,7 @@ def word_counts(
         )
 
     pre = ds.map_batches(partial, batch_format="pandas")
-    agg = grouped_sum(pre, ["word"], ["count"], num_partitions=num_partitions)
+    agg = grouped_sum(pre, ["word"], ["count"])
     wf = agg.to_pandas()  # vocab-sized, not corpus-sized
     wf = wf.sort_values(
         ["count", "word"], ascending=[False, True], kind="mergesort"
@@ -161,7 +160,6 @@ def train_bpe(
     *,
     text_col: str = "text",
     num_merges: int = 512,
-    num_partitions: int | None = None,
     max_words: int | None = None,
     sample_rate: float | None = None,
     id_col: str = "doc_id",
@@ -182,9 +180,7 @@ def train_bpe(
             return df[h % np.uint64(SCALE) < thr]
 
         ds = ds.map_batches(keep, batch_format="pandas")
-    wf = word_counts(
-        ds, text_col=text_col, num_partitions=num_partitions, max_words=max_words
-    )
+    wf = word_counts(ds, text_col=text_col, max_words=max_words)
     return learn_merges(wf, num_merges)
 
 

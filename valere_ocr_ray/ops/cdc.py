@@ -25,8 +25,9 @@ Scale shape of ``cdc_dedup_stats``: chunking is per-row inside
 ``map_batches`` (embarrassingly parallel); per-block chunk hashes are
 pre-aggregated (hash → count, bytes) BEFORE the one hash exchange, so
 the wire carries ints only, one row per distinct chunk per block; each
-exchange partition reduces to a single stats row.  Driver state:
-``num_partitions`` stat rows, regardless of corpus size.
+exchange partition reduces to a single stats row.  Driver state: one
+stat row per partition of the exchange's derived width, regardless of
+corpus size.
 """
 
 from __future__ import annotations
@@ -116,7 +117,6 @@ def cdc_dedup_stats(
     min_size: int = 64,
     mask_bits: int = 8,
     max_size: int = 2048,
-    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """Corpus-level CDC dedup audit: one exact row
     ``{total_chunks, unique_chunks, dup_chunks, total_bytes, dup_bytes}``
@@ -169,7 +169,7 @@ def cdc_dedup_stats(
             }
         )
 
-    stats = partition_map(pre, ["h"], fold, num_partitions=num_partitions).to_pandas()
+    stats = partition_map(pre, ["h"], fold).to_pandas()
     # a corpus without chunks folds no partition: every total is 0
     cols = ["total_chunks", "unique_chunks", "total_bytes", "dup_bytes"]
     out = stats.reindex(columns=cols, fill_value=0).sum()

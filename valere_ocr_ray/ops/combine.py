@@ -49,7 +49,6 @@ def keyed_topn(
     n: int,
     *,
     rank_col: str | None = None,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Per-key top-n — the distributed
     ``ROW_NUMBER() OVER (PARTITION BY keys ORDER BY sort_cols) <= n``
@@ -76,4 +75,4 @@ def keyed_topn(
         return out
 
     pre = ds.map_batches(partial, batch_format="pandas")
-    return partition_map(pre, keys, final, num_partitions=num_partitions)
+    return partition_map(pre, keys, final)

@@ -442,7 +442,6 @@ def verify_pairs_exact_exchange(
     *,
     n: int = 3,
     threshold: float = 0.5,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Exact-Jaccard verify of candidate pairs with ZERO driver state:
     neither the pairs nor the candidate texts reach the driver, so the
@@ -500,7 +499,6 @@ def verify_pairs_exact_exchange(
         ["doc_id"],
         ["doc_id"],
         attach_text,
-        num_partitions=num_partitions,
     )
 
     def pair_jaccard(g: pd.DataFrame) -> pd.DataFrame:
@@ -521,9 +519,7 @@ def verify_pairs_exact_exchange(
             }
         )
 
-    return grouped_map(
-        attached, ["id_a", "id_b"], pair_jaccard, num_partitions=num_partitions
-    )
+    return grouped_map(attached, ["id_a", "id_b"], pair_jaccard)
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +811,6 @@ def _cl_round(first: bool, state: pa.Table, asks: pa.Table, edges: pa.Table):
 def cluster_labels(
     pairs: ray.data.Dataset,
     *,
-    num_partitions: int | None = None,
     max_rounds: int = 64,
 ) -> ray.data.Dataset:
     """Distributed connected components over a pair Dataset
@@ -863,7 +858,7 @@ def cluster_labels(
     edges_ds = pairs.select_columns(["id_a", "id_b"]).map_batches(
         both_ways, batch_format="pandas"
     )
-    edges = _exchange([(edges_ds, ["node"])], lambda t: t, num_partitions)
+    edges = _exchange([(edges_ds, ["node"])], lambda t: t, None)
     state = _exchange([(edges, None)], _cl_init, None)
     n_nodes = ray.data.from_arrow_refs(state).count()
     for r in range(max_rounds):
@@ -919,7 +914,6 @@ def shared_ngram_spans(
     text_col: str = "text",
     id_col: str = "doc_id",
     emit_text: bool = True,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Exact duplicate-SPAN detection (the core of substring-level
     dedup, Lee et al. 2022 "Deduplicating Training Data Makes Language
@@ -972,7 +966,4 @@ def shared_ngram_spans(
             return g.iloc[0:0][["gram"]].assign(n_docs=pd.Series([], dtype="int64"))
         return pd.DataFrame({"gram": [g["gram"].iloc[0]], "n_docs": [nd]})
 
-    return grouped_map(
-        pairs, ["gram"], count_docs,
-        min_group_size=min_docs, num_partitions=num_partitions,
-    )
+    return grouped_map(pairs, ["gram"], count_docs, min_group_size=min_docs)

@@ -26,7 +26,8 @@ implements the keyed exchange directly, as ONE core (``_exchange``):
                .materialize()`` over 5 tiny blocks costs ~100 ms wall
                and ~200 ms of session CPU, five raw tasks ~15 ms and
                ~30 ms (4 cores)
-    width:     fixed by a pre-partitioned side, else the caller's, else
+    width:     fixed by a pre-partitioned side, else by the caller's
+               ``num_partitions`` where a fixed layout needs one, else
                derived from the mapped blocks' metadata that holds
                (rows, bytes) — no probe task; a ``pre`` that shrinks
                rows narrows the exchange
@@ -66,10 +67,14 @@ an integer key hashes by its int64 value whatever its width, so the
 two sides of a co-group may key on differently typed integer columns.
 Memory: the exchange materializes the mapped input (it IS a barrier);
 each fold holds one partition, which must fit a worker (salt hot keys
-upstream).  The DEFAULT (``num_partitions=None``) derives the width
-from the mapped block bytes (of both sides for a co-group) with a
-CPU-count parallelism floor, so the same caller code is scale-safe
-from sf0.01 to 100 TB.
+upstream).  The width is this module's decision: ``_auto_partitions``
+derives it from the mapped block bytes (of both sides for a co-group)
+with a CPU-count parallelism floor, so the same caller code is
+scale-safe from sf0.01 to 100 TB, and no op or pipeline built on the
+exchange takes a width.  Only a caller that needs a fixed layout — a
+persisted bucket count (``ops/incremental``), one partition per output
+shard (``pipelines/curate``) — fixes it, through the ``num_partitions``
+of ``partition_map``, ``grouped_map`` or ``cogroup_exchange``.
 
 Contract: key columns must be NON-NULL (a null integer key turns the
 column float on the numpy path, and pandas ``groupby`` silently drops
@@ -295,9 +300,9 @@ def hash_exchange(
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Key-partitioned Dataset: every value of ``keys`` lands in exactly
-    one output block (block i = hash(key) % num_partitions == i).
-    ``num_partitions=None`` (the default) derives the width from the
-    input's block bytes — see ``_auto_partitions``."""
+    one output block (block i = hash(key) % width == i).  The width is
+    derived from the input's block bytes (``_auto_partitions``) unless
+    ``num_partitions`` fixes it."""
     refs = _exchange([(ds, keys)], lambda t: t, num_partitions)
     return ray.data.from_arrow_refs(refs)
 
@@ -306,6 +311,10 @@ def _pandas_fold(fn: Callable[..., pd.DataFrame], *tables: pa.Table) -> pa.Table
     """``fn`` over pandas frames; unlike ``map_batches``, which keeps a
     pandas output block, the output frame is converted to Arrow."""
     out = fn(*[BlockAccessor.for_block(t).to_pandas() for t in tables])
+    if isinstance(out, pd.DataFrame) and not len(out):
+        # Ray's conversion makes every column of an empty frame the null
+        # type; Arrow's own keeps the typed ones (an object column has none)
+        return pa.Table.from_pandas(out, preserve_index=False)
     return BlockAccessor.for_block(out).to_arrow()
 
 
@@ -453,7 +462,6 @@ def grouped_agg(
     aggs: Mapping[str, str],
     *,
     pre: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Exact keyed algebraic aggregate, one fold per column
     (``{"col": "sum"|"min"|"max"}``) — the one keyed-aggregate
@@ -463,13 +471,14 @@ def grouped_agg(
     ``pre``, as ``partition_map`` runs it), then per partition after
     the exchange; every fold is idempotent over re-grouping, so input
     rows may be partials (decompose mean/nunique into sums).
-    Output: every key in exactly one block, no global order."""
+    Output: every key in exactly one block, no global order; the width
+    is derived from the pre-folded bytes."""
     for how in aggs.values():
         if how not in ("sum", "min", "max"):
             raise ValueError(f"unsupported agg {how!r}")
     fold = functools.partial(_agg_fold, list(keys), aggs)
     first = fold if pre is None else lambda df: fold(pre(df))
-    return partition_map(ds, keys, fold, pre=first, num_partitions=num_partitions)
+    return partition_map(ds, keys, fold, pre=first)
 
 
 def grouped_sum(
@@ -478,7 +487,6 @@ def grouped_sum(
     sums: Sequence[str],
     *,
     pre: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
-    aggs = dict.fromkeys(sums, "sum")
-    return grouped_agg(ds, keys, aggs, pre=pre, num_partitions=num_partitions)
+    """``grouped_agg`` with a sum over each of ``sums``."""
+    return grouped_agg(ds, keys, dict.fromkeys(sums, "sum"), pre=pre)

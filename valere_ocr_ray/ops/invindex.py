@@ -49,7 +49,6 @@ def doc_frequency(
     id_col: str = "doc_id",
     text_col: str = "text",
     min_df: int = 1,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """(token, df): number of DISTINCT documents containing each token.
     Distinct pairs per batch → keyed exchange → vectorized count; the
@@ -66,7 +65,6 @@ def doc_frequency(
         pairs.map_batches(pre, batch_format="pandas"),
         ["token"],
         ["df"],
-        num_partitions=num_partitions,
     )
     if min_df > 1:
         counts = counts.filter(
@@ -81,7 +79,6 @@ def build_postings(
     id_col: str = "doc_id",
     text_col: str = "text",
     max_postings: int = 1000,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """(token, df, doc_ids, truncated): sorted (ascending id) postings
     list per token, capped at ``max_postings`` ids; ``df`` is always
@@ -108,7 +105,7 @@ def build_postings(
             }
         )
 
-    return grouped_map(pairs, ["token"], fold, num_partitions=num_partitions)
+    return grouped_map(pairs, ["token"], fold)
 
 
 def conjunctive_search(

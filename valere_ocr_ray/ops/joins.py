@@ -31,7 +31,6 @@ def semi_join(
     right_key: str | None = None,
     *,
     anti: bool = False,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Rows of ``left`` whose ``left_key`` appears (``anti=False``) or
     does not appear (``anti=True``) in ``right[right_key]`` — the
@@ -48,10 +47,7 @@ def semi_join(
         present = l[left_key].isin(r[right_key].to_numpy() if len(r) else [])
         return l[~present] if anti else l[present]
 
-    return cogroup_exchange(
-        left, keys_only, [left_key], [right_key], fold,
-        num_partitions=num_partitions,
-    )
+    return cogroup_exchange(left, keys_only, [left_key], [right_key], fold)
 
 
 def hash_join(
@@ -61,7 +57,6 @@ def hash_join(
     right_key: str | None = None,
     *,
     how: str = "inner",
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Equi-join (``how`` = 'inner' | 'left' | 'outer') with BOTH sides
     exchanged (the two-large-sides path).  Column collisions resolve
@@ -87,10 +82,7 @@ def hash_join(
             suffixes=("", "_r"),
         )
 
-    return cogroup_exchange(
-        left, right, [left_key], [right_key], fold,
-        num_partitions=num_partitions,
-    )
+    return cogroup_exchange(left, right, [left_key], [right_key], fold)
 
 
 def distinct_set_op(
@@ -100,7 +92,6 @@ def distinct_set_op(
     right_cols: list[str] | None = None,
     *,
     op: str = "intersect",
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """SQL ``INTERSECT`` / ``EXCEPT`` (distinct set semantics) on the
     cogroup exchange: both sides hash-partitioned by the full column
@@ -129,9 +120,7 @@ def distinct_set_op(
         keep = m["_merge"] == ("both" if op == "intersect" else "left_only")
         return m.loc[keep, cols]
 
-    return cogroup_exchange(
-        l_keys, r_keys, cols, rcols, fold, num_partitions=num_partitions
-    )
+    return cogroup_exchange(l_keys, r_keys, cols, rcols, fold)
 
 
 def skew_hash_join(
@@ -142,7 +131,6 @@ def skew_hash_join(
     *,
     num_salts: int = 8,
     hot_threshold: int = 50_000,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Inner equi-join with HOT-KEY SALTING: a plain hash join sends
     every row of a hot key to ONE partition, so a single skewed key
@@ -171,9 +159,7 @@ def skew_hash_join(
     ).to_pandas()
     hot_keys = hot[left_key].to_numpy()
     if not len(hot_keys):
-        return hash_join(
-            left, right, left_key, right_key, num_partitions=num_partitions
-        )
+        return hash_join(left, right, left_key, right_key)
     hot_ref = ray.put(hot_keys)
 
     def salt_left(df: pd.DataFrame) -> pd.DataFrame:
@@ -207,6 +193,5 @@ def skew_hash_join(
         return out.drop(columns=["_salt"])
 
     return cogroup_exchange(
-        lsalted, rsalted, [left_key, "_salt"], [right_key, "_salt"], fold,
-        num_partitions=num_partitions,
+        lsalted, rsalted, [left_key, "_salt"], [right_key, "_salt"], fold
     )

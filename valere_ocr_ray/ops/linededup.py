@@ -77,7 +77,6 @@ def strip_repeated_lines_exchange(
     min_docs: int = 5,
     text_col: str = "text",
     id_col: str = "doc_id",
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Rewrite every doc with the lines found in ≥ ``min_docs`` distinct
     docs removed.  Output columns: ``(id_col, text_col, n_dropped)``.
@@ -103,7 +102,6 @@ def strip_repeated_lines_exchange(
         ["line_hash"],
         markers,
         pre=lambda df: _line_frame(df, id_col, text_col),
-        num_partitions=num_partitions,
     )
 
     # co-group by doc id: per id, the marked line indices and hashes;
@@ -138,6 +136,4 @@ def strip_repeated_lines_exchange(
             }
         )
 
-    return cogroup_exchange(
-        ds, drops, [id_col], ["doc_id"], rebuild, num_partitions=num_partitions
-    )
+    return cogroup_exchange(ds, drops, [id_col], ["doc_id"], rebuild)

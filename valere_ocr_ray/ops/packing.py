@@ -40,7 +40,6 @@ def pack_sequences(
     text_col: str = "text",
     budget: int = 256,
     n_shards: int = 8,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Per-doc packing assignment: ``(id, shard, n_toks, seq_id,
     start_off)``.  Tokens are whitespace-split words (swap the counter
@@ -66,7 +65,7 @@ def pack_sequences(
             seq_id=(start.to_numpy() // budget).astype("int64"),
         )
 
-    return grouped_map(small, ["shard"], pack, num_partitions=num_partitions)
+    return grouped_map(small, ["shard"], pack)
 
 
 def pack_stats(
@@ -76,7 +75,6 @@ def pack_stats(
     text_col: str = "text",
     budget: int = 256,
     n_shards: int = 8,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Per-sequence fill audit: ``(shard, seq_id, n_docs, sum_tokens)``
     — the table you read to check packing efficiency (sequences per
@@ -87,7 +85,6 @@ def pack_stats(
         text_col=text_col,
         budget=budget,
         n_shards=n_shards,
-        num_partitions=num_partitions,
     )
 
     def pre(df: pd.DataFrame) -> pd.DataFrame:
@@ -104,7 +101,6 @@ def pack_stats(
         packed.map_batches(pre, batch_format="pandas"),
         ["shard", "seq_id"],
         ["n_docs", "sum_tokens"],
-        num_partitions=num_partitions,
     )
 
 
@@ -115,7 +111,6 @@ def pack_bins_ffd(
     tokens_col: str = "n_toks",
     budget: int = 256,
     n_shards: int = 8,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """NO-SPLIT packing: first-fit-decreasing bin assignment — every
     document lands whole in exactly one bin of capacity ``budget``
@@ -163,7 +158,7 @@ def pack_bins_ffd(
         bin_of, _, oversize = ffd_assign(g["n_toks"].to_numpy(), budget)
         return g.assign(bin_id=bin_of, oversize=oversize)
 
-    return grouped_map(small, ["shard"], ffd, num_partitions=num_partitions)
+    return grouped_map(small, ["shard"], ffd)
 
 
 def ffd_assign(

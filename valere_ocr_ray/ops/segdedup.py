@@ -119,7 +119,6 @@ def segment_dedup_flags(
     text_col: str = "text",
     window: int = 10,
     exact: bool = False,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Every segment row plus a ``keep`` bool: True iff this is the
     corpus-wide FIRST occurrence of the segment (ordered by
@@ -144,7 +143,7 @@ def segment_dedup_flags(
         df = df.iloc[order]
         return df.assign(keep=~pd.Series(codes[order]).duplicated().to_numpy())
 
-    return partition_map(ds, [key], mark, pre=pre, num_partitions=num_partitions)
+    return partition_map(ds, [key], mark, pre=pre)
 
 
 def segment_dedup_stats(
@@ -154,7 +153,6 @@ def segment_dedup_stats(
     text_col: str = "text",
     window: int = 10,
     exact: bool = False,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Per-doc rewrite stats: ``(id, n_segs, n_kept, kept_tokens)`` —
     the audit table a dedup run publishes (how much of each document
@@ -165,7 +163,6 @@ def segment_dedup_stats(
         text_col=text_col,
         window=window,
         exact=exact,
-        num_partitions=num_partitions,
     )
 
     def pre(df: pd.DataFrame) -> pd.DataFrame:
@@ -184,7 +181,6 @@ def segment_dedup_stats(
         [id_col],
         ["n_segs", "n_kept", "kept_tokens"],
         pre=pre,
-        num_partitions=num_partitions,
     )
 
 
@@ -194,7 +190,6 @@ def segment_dedup_rebuild(
     id_col: str = "doc_id",
     text_col: str = "text",
     window: int = 10,
-    num_partitions: int | None = None,
     wire: str = "hash",
 ) -> ray.data.Dataset:
     """The cleaned corpus: ``(id, clean_text, n_kept)`` with dropped
@@ -219,7 +214,6 @@ def segment_dedup_rebuild(
         text_col=text_col,
         window=window,
         exact=wire == "exact",
-        num_partitions=num_partitions,
     )
     dropped = flags.map_batches(
         lambda df: df.loc[~df["keep"], [id_col, "seg_idx"]],
@@ -265,5 +259,4 @@ def segment_dedup_rebuild(
         [id_col],
         [id_col],
         fold,
-        num_partitions=num_partitions,
     )

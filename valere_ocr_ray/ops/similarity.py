@@ -250,7 +250,6 @@ def kmeans_fit(
     iters: int = 5,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    num_partitions: int | None = None,
 ):
     """Full-corpus Lloyd k-means, the iterative-algorithm pattern on
     Ray Data: each round broadcasts the k×d centroid matrix once

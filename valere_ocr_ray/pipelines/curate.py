@@ -49,7 +49,6 @@ def build_training_shards(
     window: int = 10,
     budget: int = 512,
     n_shards: int = 8,
-    num_partitions: int | None = None,
     min_tokens: int = 15,
     min_alpha: int = 600,
     max_top2_per_mil: int = 200,
@@ -250,7 +249,6 @@ def build_training_shards(
             min_docs=boilerplate_min_docs,
             text_col="extracted_text",
             id_col="url_hash",
-            num_partitions=num_partitions,
         ).map_batches(
             # fully-boilerplate docs come back empty — drop them here so
             # the dedup/pack stages never see zero-token rows
@@ -348,9 +346,7 @@ def build_training_shards(
                 .select_columns(["url_hash", "extracted_text"])
                 .map_batches(add_hash, batch_format="pandas")
             )
-            h_uniq = partition_map(
-                hold, ["content_h"], keep_canonical, num_partitions=num_partitions
-            )
+            h_uniq = partition_map(hold, ["content_h"], keep_canonical)
             h_sharded = h_uniq.map_batches(
                 lambda df: df.assign(
                     shard=(df["url_hash"].astype("int64") % n_shards).astype(
@@ -376,9 +372,7 @@ def build_training_shards(
         )
 
     hashed = clean.map_batches(add_hash, batch_format="pandas")
-    uniq = partition_map(
-        hashed, ["content_h"], keep_canonical, num_partitions=num_partitions
-    )
+    uniq = partition_map(hashed, ["content_h"], keep_canonical)
 
     # 3. segment-level rewrite (exact mode; fully-duplicated docs drop)
     rebuilt = segment_dedup_rebuild(
@@ -386,7 +380,6 @@ def build_training_shards(
         id_col="url_hash",
         text_col="extracted_text",
         window=window,
-        num_partitions=num_partitions,
     ).map_batches(
         lambda df: df[df["clean_text"].str.len() > 0],
         batch_format="pandas",

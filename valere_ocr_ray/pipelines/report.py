@@ -75,7 +75,6 @@ def corpus_report(
     path: str | list[str],
     *,
     text_col: str = "text",
-    num_partitions: int | None = None,
 ) -> dict:
     """Audit the corpus at ``path`` (parquet file/dir) and return the
     datasheet dict.  Deterministic: pure functions of the corpus, no
@@ -106,7 +105,6 @@ def corpus_report(
         sig.map_batches(partial, batch_format="pandas"),
         ["lang", "tier", "gopher", "c4"],
         ["n_docs", "toks", "chars"],
-        num_partitions=num_partitions,
     ).to_pandas()
 
     n_docs = int(cells["n_docs"].sum())
@@ -137,7 +135,6 @@ def corpus_report(
             ),
             ["h"],
             ["n"],
-            num_partitions=num_partitions,
         ).count()
     )
 
@@ -180,7 +177,7 @@ def corpus_report(
     }
 
 
-def pages_report(run_dir: str, *, num_partitions: int | None = None) -> dict:
+def pages_report(run_dir: str) -> dict:
     """Datasheet over a ``run_resumable`` EXTRACTION output (the pages
     table, VERDICT r3 item 7): status mix, doc-kind mix, per-class doc
     counts + byte sizes, OCR rate — plus the lineage-manifest totals so
@@ -210,7 +207,6 @@ def pages_report(run_dir: str, *, num_partitions: int | None = None) -> dict:
         ds.map_batches(partial, batch_format="pandas"),
         ["doc_kind", "doc_type", "status"],
         ["n_docs", "n_ocr", "bytes"],
-        num_partitions=num_partitions,
     ).to_pandas()
 
     n_docs = int(cells["n_docs"].sum())
