@@ -1,4 +1,6 @@
 import contextlib
+import random
+import time
 from unittest import mock
 
 import pytest
@@ -40,3 +42,25 @@ def exchange_width(n: int | None):
     if n is None:
         return contextlib.nullcontext()
     return mock.patch("valere_ocr_ray.ops.exchange._auto_partitions", return_value=n)
+
+
+def bit_flip_fuzz(good: bytes, decode, error: type, *, n: int = 200) -> int:
+    """Run ``decode`` on ``n`` seeded 1-4 bit-flip mutants of ``good``:
+    each decodes or raises ``error`` (the codec's format error, which
+    the extractor routes to a skip status), never another exception
+    type (which routes to error_parse), and no decode takes more than
+    1 s.  Returns how many mutants raised."""
+    rng = random.Random(1)
+    n_raised = 0
+    for _ in range(n):
+        bad = bytearray(good)
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(bad))
+            bad[i] ^= 1 << rng.randrange(8)
+        t0 = time.perf_counter()
+        try:
+            decode(bytes(bad))
+        except error:
+            n_raised += 1
+        assert time.perf_counter() - t0 < 1.0
+    return n_raised

@@ -71,10 +71,9 @@ def test_word_counts_distributed_equals_local(ray_session):
     got = wf.set_index("word")["count"]
     assert len(got) == len(local)
     assert (got.sort_index() == local.sort_index()).all()
-    # deterministic top-N cap: prefix of the (count desc, word asc) order
+    # the (count desc, word asc) order does not depend on the width
     with exchange_width(3):
-        capped = word_counts(docs, max_words=100)
-    assert capped["word"].tolist() == wf["word"].tolist()[:100]
+        assert word_counts(docs)["word"].tolist() == wf["word"].tolist()
 
 
 def test_train_partition_invariance_and_counts(ray_session):

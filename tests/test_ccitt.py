@@ -17,7 +17,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from valere_ocr_ray.extract.ccitt import decode_g4, encode_g4
+from conftest import bit_flip_fuzz
+
+from valere_ocr_ray.extract.ccitt import decode_g3_1d, decode_g4, encode_g3_1d, encode_g4
 from valere_ocr_ray.extract.glyph_font import (
     canonical_text,
     ocr_image,
@@ -94,6 +96,19 @@ def test_malformed_rejected():
         decode_g4(b"\x20", 64, 4)
     with pytest.raises(ImageFormatError):
         decode_g4(b"", 0, 4)  # bad geometry
+
+
+@pytest.mark.parametrize(
+    "encode, decode",
+    [(encode_g3_1d, decode_g3_1d), (encode_g4, decode_g4)],
+    ids=["g3_1d", "g4"],
+)
+def test_bit_flip_fuzz_raises_only_image_format_error(encode, decode):
+    """200 seeded 1-4 bit-flip mutants of a 24×32 bilevel page: each
+    decodes or raises ImageFormatError within 1 s."""
+    yy, xx = np.mgrid[0:24, 0:32]
+    ink = (xx * 4) % 256 < (yy * 6) % 256  # the image fuzz fixture's R < G
+    assert bit_flip_fuzz(encode(ink), lambda b: decode(b, 32, 24), ImageFormatError) > 0
 
 
 # ------------------------------------------------- container integration

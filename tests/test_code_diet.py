@@ -238,3 +238,186 @@ def test_width_param_check_fires(tmp_path):
     )
     (ops / "exchange.py").write_text("def grouped_map(ds, num_partitions=None):\n    return ds\n")
     assert _width_params(tmp_path, "pkg") == {"ops/a.py:f", "ops/a.py:g", "ops/a.py:h"}
+
+
+# defaulted parameters that no call outside tests/ sets to another
+# value, and why each stays; keys are "<path under valere_ocr_ray/>:<def>.<param>"
+DEFAULTS_ALLOWED = {
+    # perfbench/ passes these (with their default values): its calls must keep running
+    "ops/dedup.py:exact_dedup.text_col": "perfbench/driver.py passes it",
+    "ops/dedup.py:exact_dedup.id_col": "perfbench/driver.py passes it",
+    "ops/segdedup.py:segment_dedup_stats.id_col": "perfbench/driver.py passes it",
+    "ops/segdedup.py:segment_dedup_stats.text_col": "perfbench/driver.py passes it",
+    "ops/exchange.py:hash_exchange.num_partitions": (
+        "perfbench/layers.traced_exchanges forwards it positionally; "
+        "test_exchange.py fixes widths with it"
+    ),
+    # values only tests set
+    "ops/bloom.py:bloom_semi_join.anti": "test_bloom_semi_join_exact_despite_false_positives",
+    "ops/bloom.py:bloom_semi_join.num_bits": "test_bloom_semi_join_exact_despite_false_positives",
+    "ops/bpe.py:bpe_token_counts.emit_tokens": "test_emit_tokens_roundtrip",
+    "ops/bpe.py:train_bpe.sample_rate": "test_sample_rate_trains_on_subset",
+    "ops/dedup.py:embedding_semdedup.threshold": "test_embedding_semdedup_survivors",
+    "ops/dedup.py:shared_ngram_spans.emit_text": "test_shared_ngram_spans_planted",
+    "ops/dsir.py:dsir_weights.k": "test_dsir_weights_match_local_numpy_and_partitioning",
+    "ops/heavyhitters.py:heavy_hitters.k": "test_heavy_hitters_rejects_unsound_denom",
+    "ops/heavyhitters.py:heavy_hitters.denom": "test_heavy_hitters_rejects_unsound_denom",
+    "ops/incremental.py:lsh_dedup_against_state.id_col": "test_lsh_dedup_against_state",
+    "ops/incremental.py:lsh_dedup_against_state.text_col": "test_lsh_dedup_against_state",
+    "ops/incremental.py:lsh_dedup_against_state.num_perm": "test_lsh_dedup_against_state",
+    "ops/mixing.py:mix_unimax.budget_tokens": "test_mix_unimax_epoch_repeats",
+    "ops/multimodal.py:extract_media_features.concurrency": "test_media_features_deterministic",
+    "ops/packing.py:pack_stats.budget": "test_pack_sequences_semantics",
+    "ops/packing.py:pack_stats.n_shards": "test_pack_sequences_semantics",
+    "ops/segdedup.py:segment_dedup_stats.exact": "test_segment_dedup_planted",
+    "ops/similarity.py:ivfpq_build.sample_size": "test_ivfpq_coarse_sample_bounded_on_driver",
+    "ops/similarity.py:kmeans_fit.iters": "test_kmeans_fit_matches_local_reference",
+    "ops/sketch.py:column_quantiles_sketch.q": "test_quantile_sketch_accuracy",
+    "ops/sketch.py:distinct_tokens_kmv.k": "test_kmv_sketch_exact_below_k_and_bounded_above",
+    "ops/textclf.py:fit_text_classifier.dim": "test_text_classifier_learns_and_is_partition_invariant",
+    "ops/textstats.py:tfidf_top_terms.k": "test_tfidf_top_terms_hand_computed",
+    "pipelines/curate.py:build_training_shards.min_tokens": "test_build_training_shards_all_filtered",
+    "pipelines/db_sink.py:write_class_tables.key_col": "test_db_sink_rejects_unsafe_column_names",
+    "pipelines/db_sink.py:write_class_tables.json_col": "test_db_sink_rejects_unsafe_column_names",
+    "pipelines/db_sink.py:write_class_tables.conf_col": "test_db_sink_rejects_unsafe_column_names",
+    "pipelines/extract.py:run_resumable.max_doc_bytes": "test_size_cap_routes_not_drops",
+}
+
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _literal(node: ast.AST) -> object:
+    """``node``'s value when it is a literal, else its AST dump, so two
+    spellings of one expression compare equal."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return ast.dump(node)
+
+
+def _call_args(call: ast.Call) -> tuple[str | None, list[ast.expr], list[ast.keyword]]:
+    """(called name, positional args, keywords); ``functools.partial(f,
+    ...)`` counts as a call to ``f``."""
+    f, args = call.func, call.args
+    if (
+        isinstance(f, ast.Attribute)
+        and f.attr == "partial"
+        and _names(f.value) == {"functools"}
+        and args
+    ):
+        f, args = args[0], args[1:]
+    if isinstance(f, ast.Name):
+        return f.id, args, call.keywords
+    return getattr(f, "attr", None), args, call.keywords
+
+
+def _unpassed_defaults(
+    root: pathlib.Path = ROOT, pkg: str = PKG.name, allowed=DEFAULTS_ALLOWED.keys()
+) -> set[str]:
+    """``path:def.param`` of each defaulted parameter of a public
+    top-level def under ``root/pkg`` (outside ``extract/`` and the defs
+    ``ALLOWED`` keeps) that no call outside ``tests/`` passes a value
+    other than the default.  A call forwarding a parameter of its own
+    enclosing def passes only when that parameter is passed itself, so
+    the walk repeats until nothing changes.  ``allowed`` counts as
+    passed."""
+    # "<path>:<def>" -> {param: (positional index or None, default)}
+    defaults: dict[str, dict[str, tuple[int | None, object]]] = {}
+    for path in sorted((root / pkg).rglob("*.py")):
+        rel = path.relative_to(root / pkg).as_posix()
+        if rel.startswith("extract/"):
+            continue
+        for st in ast.parse(path.read_text()).body:
+            if not isinstance(st, _FUNCS) or st.name.startswith("_"):
+                continue
+            d = f"{rel}:{st.name}"
+            if d in ALLOWED:
+                continue
+            a = st.args
+            pos = [*a.posonlyargs, *a.args]
+            first = len(pos) - len(a.defaults)
+            defaults[d] = {
+                p.arg: (first + i, _literal(v))
+                for i, (p, v) in enumerate(zip(pos[first:], a.defaults))
+            } | {
+                p.arg: (None, _literal(v))
+                for p, v in zip(a.kwonlyargs, a.kw_defaults)
+                if v is not None
+            }
+    by_name: dict[str, list[str]] = {}
+    for d in defaults:
+        by_name.setdefault(d.split(":")[1], []).append(d)
+    # (enclosing top-level def, "<path>:<def>.<param>", value; None for a spread)
+    passes = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root)
+        if rel.parts[0] == "tests" or any(p.startswith(".") for p in rel.parts):
+            continue
+        mod = rel.relative_to(pkg).as_posix() if rel.parts[0] == pkg else rel.as_posix()
+        for st in ast.parse(path.read_text()).body:
+            owner = f"{mod}:{st.name}" if isinstance(st, _FUNCS) else None
+            for n in ast.walk(st):
+                if not isinstance(n, ast.Call):
+                    continue
+                name, args, kws = _call_args(n)
+                given = {k.arg: k.value for k in kws if k.arg}
+                spread_kw = len(given) < len(kws)
+                star = next((i for i, v in enumerate(args) if isinstance(v, ast.Starred)), None)
+                for d in by_name.get(name, ()):
+                    for p, (i, default) in defaults[d].items():
+                        if spread_kw or (star is not None and i is not None and i >= star):
+                            value = None
+                        elif p in given:
+                            value = given[p]
+                        elif i is not None and i < len(args):
+                            value = args[i]
+                        else:
+                            continue
+                        if value is None or _literal(value) != default:
+                            passes.append((owner, f"{d}.{p}", value))
+    params = {f"{d}.{p}" for d, ps in defaults.items() for p in ps}
+    passed = params & set(allowed)
+    while True:
+        unpassed = params - passed
+        new = {
+            target
+            for owner, target, value in passes
+            if target in unpassed
+            and not (isinstance(value, ast.Name) and f"{owner}.{value.id}" in unpassed)
+        }
+        if not new:
+            return unpassed
+        passed |= new
+
+
+def test_every_default_is_passed():
+    assert _unpassed_defaults() == set(), "a value no caller sets: make it a constant"
+    stale = DEFAULTS_ALLOWED.keys() - _unpassed_defaults(allowed=())
+    assert stale == set(), "allowlisted parameters a caller now sets: unlist"
+
+
+def test_default_param_check_fires(tmp_path):
+    """The check on a toy repo: a parameter passed only with its
+    default, positionally or by keyword, or only by a test, is found,
+    as is one a caller forwards from an unpassed parameter of its own;
+    a non-default value, a ``**`` spread and ``extract/`` are not, and
+    an allowlisted parameter keeps what it forwards alive."""
+    (tmp_path / "pkg" / "extract").mkdir(parents=True)
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(
+        "def f(x, n=3, *, col='text', flag=False, used=1):\n"
+        "    return g(x, n=n)\n\n\n"
+        "def g(x, n=3):\n    return x\n\n\n"
+        "def h(x, k=2):\n    return x\n\n\n"
+        "def _private(x, k=2):\n    return x\n"
+    )
+    (tmp_path / "pkg" / "extract" / "e.py").write_text("def codec(x, q=1):\n    return x\n")
+    (tmp_path / "tools" / "run.py").write_text(
+        "from pkg.a import f, h\n\nf(1, 3, col='text', used=2)\nh(1, **{'k': 5})\n"
+    )
+    (tmp_path / "tests" / "test_a.py").write_text("from pkg.a import f\n\nf(1, flag=True)\n")
+    found = {"a.py:f.n", "a.py:f.col", "a.py:f.flag", "a.py:g.n"}
+    assert _unpassed_defaults(tmp_path, "pkg", allowed=()) == found
+    kept = _unpassed_defaults(tmp_path, "pkg", allowed={"a.py:f.n"})
+    assert kept == found - {"a.py:f.n", "a.py:g.n"}

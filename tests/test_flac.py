@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import bit_flip_fuzz
 
 from valere_ocr_ray.extract.flac import (
     FlacFormatError,
@@ -179,3 +180,13 @@ def test_escape_width_covers_order2_extremes():
     enc = encode_flac(pcm, 16000, escape=True, block_size=n)
     back, rate, _ = decode_flac_pcm(enc)
     assert (back[:, 0] == pcm).all()
+
+
+def test_bit_flip_fuzz_raises_only_flac_format_error():
+    """200 seeded 1-4 bit-flip mutants of a 2,000-sample mono stream in
+    512-sample frames: each decodes or raises FlacFormatError within
+    1 s."""
+    t = np.arange(2000)
+    pcm = np.round(9000 * np.sin(2 * np.pi * 440 * t / 8000)).astype(np.int64)
+    good = encode_flac(pcm, 8000, block_size=512)
+    assert bit_flip_fuzz(good, decode_flac, FlacFormatError) > 0

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import bit_flip_fuzz
 
 from valere_ocr_ray.extract.image_decode import (
     ImageFormatError,
@@ -190,15 +191,21 @@ def test_png_corrupt_and_unsupported_raise():
         decode_png(bad)
 
 
+def _fuzz_pixels() -> np.ndarray:
+    """The 24×32 RGB gradient every bit-flip fuzz fixture encodes."""
+    yy, xx = np.mgrid[0:24, 0:32]
+    px = np.stack([(xx * 4) % 256, (yy * 6) % 256, ((xx + yy) * 3) % 256], axis=2)
+    return px.astype(np.uint8)
+
+
 def _fuzz_fixtures():
     from valere_ocr_ray.extract.gif import encode_gif
     from valere_ocr_ray.extract.image_decode import encode_png
     from valere_ocr_ray.extract.tiff import encode_tiff
+    from valere_ocr_ray.extract.vp8 import encode_vp8
     from valere_ocr_ray.extract.webp import encode_webp
 
-    yy, xx = np.mgrid[0:24, 0:32]
-    px = np.stack([(xx * 4) % 256, (yy * 6) % 256, ((xx + yy) * 3) % 256], axis=2)
-    px = px.astype(np.uint8)
+    px = _fuzz_pixels()
     return {
         "png": lambda: encode_png(px),
         "gif": lambda: encode_gif(px // 64 * 64),  # <= 64 colors
@@ -209,6 +216,7 @@ def _fuzz_fixtures():
         "webp_predictor_subtract_green": lambda: encode_webp(
             px, predictor=True, subtract_green=True
         ),
+        "webp_vp8": lambda: encode_vp8(px),
     }
 
 
@@ -218,21 +226,48 @@ def test_bit_flip_fuzz_raises_only_image_format_error(fixture):
     ``decode_image`` decodes each or raises ImageFormatError (the
     extractor's skip status), never another exception type (which routes
     to error_parse), and no decode takes more than 1 s."""
-    import random
-    import time
-
     good = _fuzz_fixtures()[fixture]()
+    assert bit_flip_fuzz(good, decode_image, ImageFormatError) > 0
+
+
+def test_png_scanline_and_header_fuzz():
+    """Mutants past inflate: flip 1-4 bits of the fixture's inflated
+    scanlines (filter bytes included) or, one time in four, of its
+    IHDR, then recompress with valid CRCs, so unfiltering and the
+    header checks see the damage instead of zlib's Adler-32.  Each of
+    400 mutants decodes or raises ImageFormatError within 1 s."""
+    import random
+    import struct
+    import time
+    import zlib
+
+    from valere_ocr_ray.extract.image_decode import _PNG_SIG, _png_chunk, encode_png
+
+    good = encode_png(_fuzz_pixels())
+    chunks, pos = {}, len(_PNG_SIG)
+    while pos < len(good):
+        (n,) = struct.unpack(">I", good[pos : pos + 4])
+        chunks[good[pos + 4 : pos + 8]] = good[pos + 8 : pos + 8 + n]
+        pos += 12 + n
     rng = random.Random(1)
-    n_raised = 0
-    for _ in range(200):
-        bad = bytearray(good)
+    n_raised = n_decoded = 0
+    for _ in range(400):
+        ihdr, raw = bytearray(chunks[b"IHDR"]), bytearray(zlib.decompress(chunks[b"IDAT"]))
+        target = ihdr if rng.random() < 0.25 else raw
         for _ in range(rng.randint(1, 4)):
-            i = rng.randrange(len(bad))
-            bad[i] ^= 1 << rng.randrange(8)
+            i = rng.randrange(len(target))
+            target[i] ^= 1 << rng.randrange(8)
+        bad = (
+            _PNG_SIG
+            + _png_chunk(b"IHDR", bytes(ihdr))
+            + _png_chunk(b"IDAT", zlib.compress(bytes(raw)))
+            + _png_chunk(b"IEND", b"")
+        )
         t0 = time.perf_counter()
         try:
-            decode_image(bytes(bad))
+            decode_image(bad)
+            n_decoded += 1
         except ImageFormatError:
             n_raised += 1
         assert time.perf_counter() - t0 < 1.0
-    assert n_raised > 0  # the mutants do reach the error paths
+    assert n_raised > 0 and n_decoded > 0

@@ -16,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import bit_flip_fuzz
+
 from valere_ocr_ray.extract.glyph_font import canonical_text, render_text_image
 from valere_ocr_ray.extract.image_decode import ImageFormatError
 from valere_ocr_ray.extract.jbig2 import (
@@ -432,3 +434,12 @@ def test_hostile_region_geometry_bounded_work(monkeypatch):
     with pytest.raises(ImageFormatError):
         decode_jbig2_embedded(big, 1000, 1000)
     assert calls[0] <= 2 * w * h
+
+
+def test_bit_flip_fuzz_raises_only_image_format_error():
+    """200 seeded 1-4 bit-flip mutants of a 24×32 embedded generic
+    region: each decodes or raises ImageFormatError within 1 s."""
+    yy, xx = np.mgrid[0:24, 0:32]
+    ink = (xx * 4) % 256 < (yy * 6) % 256  # the image fuzz fixture's R < G
+    good = encode_jbig2_embedded(ink)
+    assert bit_flip_fuzz(good, lambda b: decode_jbig2_embedded(b, 32, 24), ImageFormatError) > 0

@@ -136,10 +136,8 @@ def test_minhash_lsh_two_seed_union(ray_session):
     assert one <= two
     assert one <= true_pairs and two <= true_pairs  # no false positives here
     assert len(two) > len(one)  # the union actually buys recall
-    # single-seed path unchanged: seeds=None ≡ seeds=(seed,)
-    legacy = minhash_lsh_pairs(
-        ds, num_perm=32, bands=8, threshold=0.45, seed=42
-    ).to_pandas()
+    # single-seed path unchanged: seeds=None ≡ seeds=(SEED,)
+    legacy = minhash_lsh_pairs(ds, num_perm=32, bands=8, threshold=0.45).to_pandas()
     got_legacy = {(int(a), int(b)) for a, b in zip(legacy["id_a"], legacy["id_b"])}
     assert got_legacy == one
 
@@ -157,7 +155,7 @@ def test_doc_lsh_union_recall_query(ray_session):
     assert row["recall_2seed_per_mil"] <= 1000
 
 
-def _verify_pairs_oracle(ds, pairs, threshold, n=3):
+def _verify_pairs_oracle(ds, pairs, threshold):
     """Exact-Jaccard verify as a pandas loop of ``ngram_jaccard`` over
     the distinct candidate pairs (a missing text is the empty string)."""
     from valere_ocr_ray.ops.dedup import ngram_jaccard
@@ -166,7 +164,7 @@ def _verify_pairs_oracle(ds, pairs, threshold, n=3):
     texts = dict(zip(docs["doc_id"], docs["text"]))
     cand = pairs.to_pandas()[["id_a", "id_b"]].drop_duplicates()
     cand["jaccard"] = [
-        ngram_jaccard(texts.get(a, ""), texts.get(b, ""), n)
+        ngram_jaccard(texts.get(a, ""), texts.get(b, ""))
         for a, b in zip(cand["id_a"], cand["id_b"])
     ]
     return cand[cand["jaccard"] >= threshold]
@@ -199,7 +197,7 @@ def test_verify_pairs_exact_jaccard(ray_session):
 def test_simhash_pairs(ray_session):
     from valere_ocr_ray.ops.dedup import simhash_pairs
 
-    pairs = simhash_pairs(_dup_corpus(ray_session), max_hamming=3).to_pandas()
+    pairs = simhash_pairs(_dup_corpus(ray_session)).to_pandas()
     got = {(int(a), int(b)) for a, b in zip(pairs["id_a"], pairs["id_b"])}
     assert (1, 2) in got
     assert all(4 not in p for p in got)
@@ -976,27 +974,17 @@ def test_distinct_set_op_intersect_except(ray_session):
 
     rng = np.random.default_rng(17)
     left = pd.DataFrame({"k": rng.integers(0, 80, 1000)})
-    right = pd.DataFrame({"rk": rng.integers(40, 120, 1000)})
+    right = pd.DataFrame({"k": rng.integers(40, 120, 1000)})
     lds = rd.from_pandas(left).repartition(5)
     rds = rd.from_pandas(right).repartition(4)
 
-    got_i = sorted(
-        distinct_set_op(lds, rds, ["k"], ["rk"], op="intersect")
-        .to_pandas()["k"]
-    )
-    want_i = sorted(set(left["k"]) & set(right["rk"]))
+    got_i = sorted(distinct_set_op(lds, rds, ["k"], op="intersect").to_pandas()["k"])
+    want_i = sorted(set(left["k"]) & set(right["k"]))
     assert got_i == want_i
 
-    got_e = sorted(
-        distinct_set_op(lds, rds, ["k"], ["rk"], op="except").to_pandas()["k"]
-    )
-    want_e = sorted(set(left["k"]) - set(right["rk"]))
+    got_e = sorted(distinct_set_op(lds, rds, ["k"], op="except").to_pandas()["k"])
+    want_e = sorted(set(left["k"]) - set(right["k"]))
     assert got_e == want_e
-
-    # same-named key columns
-    rds2 = rd.from_pandas(pd.DataFrame({"k": right["rk"]})).repartition(4)
-    got_s = sorted(distinct_set_op(lds, rds2, ["k"], op="intersect").to_pandas()["k"])
-    assert got_s == want_i
 
 
 def test_left_and_skew_hash_join(ray_session):
@@ -1223,7 +1211,7 @@ def test_tag_contamination_planted(ray_session):
     )
     ds = rd.from_pandas(docs).repartition(3)
     out = (
-        tag_contamination(ds, bench, n=8)
+        tag_contamination(ds, bench)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -1256,7 +1244,7 @@ def test_shared_ngram_spans_planted(ray_session):
         }
     )
     ds = rd.from_pandas(docs).repartition(2)
-    out = shared_ngram_spans(ds, n=8, min_docs=2).to_pandas()
+    out = shared_ngram_spans(ds).to_pandas()
     # the planted span is in 3 distinct docs (doc 3 counts once)
     row = out[out["gram"] == span]
     assert len(row) == 1 and int(row["n_docs"].iloc[0]) == 3
@@ -1264,7 +1252,7 @@ def test_shared_ngram_spans_planted(ray_session):
     assert (out["n_docs"] >= 2).all()
 
     # hash mode (the wire-thrifty scale path) agrees on counts
-    out_h = shared_ngram_spans(ds, n=8, min_docs=2, emit_text=False).to_pandas()
+    out_h = shared_ngram_spans(ds, emit_text=False).to_pandas()
     assert sorted(out_h["n_docs"]) == sorted(out["n_docs"])
 
 
@@ -1352,7 +1340,7 @@ def test_segment_dedup_planted(ray_session):
     # exact-wire paths agree byte-for-byte
     for wire in ("hash", "exact"):
         reb = (
-            segment_dedup_rebuild(ds, window=10, wire=wire)
+            segment_dedup_rebuild(ds, wire=wire)
             .to_pandas()
             .sort_values("doc_id")
             .reset_index(drop=True)
@@ -1388,7 +1376,7 @@ def test_segment_dedup_exact_wire_keeps_nul_segments(ray_session):
     df = pd.DataFrame({"doc_id": np.arange(4, dtype="int64"), "text": texts})
     ds = rd.from_pandas(df).repartition(2)
     got = {
-        wire: segment_dedup_rebuild(ds, window=10, wire=wire)
+        wire: segment_dedup_rebuild(ds, wire=wire)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -1414,7 +1402,7 @@ def test_segment_dedup_rebuild_on_empty_materialized_input(ray_session):
         ds = rd.from_arrow([empty] * n_blocks)
         assert ds.num_blocks() == n_blocks
         for wire in ("exact", "hash"):
-            got = segment_dedup_rebuild(ds, window=10, wire=wire)
+            got = segment_dedup_rebuild(ds, wire=wire)
             assert got.count() == 0, (n_blocks, wire)
             names = got.schema().names if got.schema() else []
             assert sorted(names) == ["clean_text", "doc_id", "n_kept"], (n_blocks, wire)

@@ -115,7 +115,7 @@ def _synth_bytes(n: int, seed: int) -> bytes:
 
 def test_chunk_spans_cover_exactly_with_bounds():
     data = _synth_bytes(20_000, 3)
-    spans = chunk_spans(data, min_size=64, mask_bits=8, max_size=2048)
+    spans = chunk_spans(data)
     assert spans[0][0] == 0 and spans[-1][1] == len(data)
     assert all(spans[i][1] == spans[i + 1][0] for i in range(len(spans) - 1))
     sizes = [b - a for a, b in spans]
@@ -163,7 +163,7 @@ def test_cdc_dedup_stats_exact_vs_local_and_partition_invariant(ray_session):
     exp_dup_bytes = int(sum((c - 1) * sizes[h] for h, c in vc.items()))
 
     for parts in (1, 7):
-        out = cdc_dedup_stats(rd.from_pandas(df).repartition(parts), "text")
+        out = cdc_dedup_stats(rd.from_pandas(df).repartition(parts))
         assert int(out["total_chunks"][0]) == exp_total
         assert int(out["unique_chunks"][0]) == exp_unique
         assert int(out["dup_chunks"][0]) == exp_total - exp_unique
@@ -171,5 +171,5 @@ def test_cdc_dedup_stats_exact_vs_local_and_partition_invariant(ray_session):
         assert int(out["dup_chunks"][0]) > 0  # the plant fired
 
     # no value yields a chunk: every partition is empty, every total 0
-    none = cdc_dedup_stats(rd.from_pandas(pd.DataFrame({"text": ["", ""]})), "text")
+    none = cdc_dedup_stats(rd.from_pandas(pd.DataFrame({"text": ["", ""]})))
     assert none.to_dict("records") == [dict.fromkeys(none.columns, 0)]

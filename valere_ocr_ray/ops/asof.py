@@ -180,7 +180,6 @@ def range_count_join_exchange(
     right_key: str,
     right_ts: str,
     window_us: int,
-    out_col: str = "n_windows",
 ) -> ray.data.Dataset:
     """Range join (inner, counted) on ``cogroup_exchange``: per left
     row, the number of right rows of the same key whose window
@@ -190,10 +189,10 @@ def range_count_join_exchange(
     Same co-group as :func:`asof_join_exchange`; each partition counts
     window membership with two partition-local searchsorted probes per
     key group, O(log n_right) per row.  Output: the left columns
-    (``left_ts`` as epoch-µs int64) + ``out_col``; zero-match rows drop
+    (``left_ts`` as epoch-µs int64) + ``n_windows``; zero-match rows drop
     (inner).
     """
     return _exchange_join(
-        left, right, left_key, left_ts, right_key, right_ts, out_col,
+        left, right, left_key, left_ts, right_key, right_ts, "n_windows",
         _range_kernel(window_us),
     )

@@ -37,6 +37,7 @@ from valere_ocr_ray.ops.exchange import _key_hash, tree_reduce
 from valere_ocr_ray.ops.hashing import mix64
 
 _U64_1 = np.uint64(1)
+NUM_HASHES = 5  # probe positions per key
 
 
 def _positions(h: np.ndarray, num_bits: int, num_hashes: int) -> np.ndarray:
@@ -76,7 +77,6 @@ def build_bloom(
     keys: Sequence[str],
     *,
     num_bits: int = 1 << 23,
-    num_hashes: int = 5,
 ) -> "ray.ObjectRef":
     """Distributed Bloom build over ``ds[keys]``: one partial filter per
     block, OR-ed through ``tree_reduce``.  Returns the **ObjectRef** of
@@ -91,7 +91,7 @@ def build_bloom(
     def block_bloom(table: pa.Table) -> pa.Table:
         bloom = _empty_bloom(num_bits)
         if table.num_rows:
-            _add_hashes(bloom, _key_hash(table, keys), num_hashes)
+            _add_hashes(bloom, _key_hash(table, keys), NUM_HASHES)
         return pa.table({"bloom": [bloom.tobytes()]})
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
@@ -112,7 +112,6 @@ def bloom_semi_join(
     *,
     anti: bool = False,
     num_bits: int = 1 << 23,
-    num_hashes: int = 5,
 ) -> ray.data.Dataset:
     """EXACT semi (``anti=False``) / anti (``anti=True``) join with a
     Bloom prefilter: only bloom-positive left rows enter the exchange.
@@ -122,15 +121,13 @@ def bloom_semi_join(
     from valere_ocr_ray.ops.joins import semi_join
 
     right_key = right_key or left_key
-    bloom_ref = build_bloom(
-        right, [right_key], num_bits=num_bits, num_hashes=num_hashes
-    )
+    bloom_ref = build_bloom(right, [right_key], num_bits=num_bits)
 
     def _mask(table: pa.Table) -> np.ndarray:
         if not table.num_rows:
             return np.zeros(0, dtype=bool)
         bloom = bloom_bits(ray.get(bloom_ref), num_bits)
-        return _contains_hashes(bloom, _key_hash(table, [left_key]), num_hashes)
+        return _contains_hashes(bloom, _key_hash(table, [left_key]), NUM_HASHES)
 
     maybe = left.map_batches(
         lambda t: t.filter(pa.array(_mask(t))), batch_format="pyarrow"

@@ -12,12 +12,10 @@ Data:
                  ONE hash exchange (``grouped_sum``) → the global
                  word-frequency table.  Only (word, count) pairs cross
                  the wire — the corpus itself never moves.  At 100 TB
-                 cap the table with ``max_words`` (frequency top-N via
-                 per-partition prune; rare-word tails don't change
-                 merges learned from frequency mass) and/or train on a
-                 deterministic hash sample (``ops/mixing.mix_by_rates``)
-                 — the industry-standard protocol (GPT-2's BPE was
-                 itself trained on a corpus subset).
+                 train on a deterministic hash sample (``train_bpe``'s
+                 ``sample_rate``, the ``ops/mixing`` threshold) — the
+                 industry-standard protocol (GPT-2's BPE was itself
+                 trained on a corpus subset).
     learn        the merge loop runs on the DRIVER over the word-freq
                  table (vocab-sized, not corpus-sized): incremental
                  pair-count maintenance, ``num_merges`` iterations,
@@ -52,21 +50,15 @@ _EOW = "</w>"
 # ---------------------------------------------------------------- stats
 
 
-def word_counts(
-    ds: ray.data.Dataset,
-    *,
-    text_col: str = "text",
-    max_words: int | None = None,
-) -> pd.DataFrame:
-    """Global (word, count) table: per-batch ``Counter`` partials →
-    one keyed exchange → exact sums.  ``max_words`` keeps the top-N by
-    (count desc, word asc) AFTER the exact global count — deterministic
-    whatever the partitioning."""
+def word_counts(ds: ray.data.Dataset) -> pd.DataFrame:
+    """Global (word, count) table of the ``text`` column: per-batch
+    ``Counter`` partials → one keyed exchange → exact sums, ordered by
+    (count desc, word asc) — deterministic whatever the partitioning."""
     from valere_ocr_ray.ops.exchange import grouped_sum
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         c: Counter = Counter()
-        for t in df[text_col]:
+        for t in df["text"]:
             c.update(_WORD_RE.findall(str(t)))
         return pd.DataFrame(
             {
@@ -81,8 +73,6 @@ def word_counts(
     wf = wf.sort_values(
         ["count", "word"], ascending=[False, True], kind="mergesort"
     ).reset_index(drop=True)
-    if max_words is not None:
-        wf = wf.iloc[:max_words].reset_index(drop=True)
     return wf
 
 
@@ -158,15 +148,13 @@ def learn_merges(
 def train_bpe(
     ds: ray.data.Dataset,
     *,
-    text_col: str = "text",
     num_merges: int = 512,
-    max_words: int | None = None,
     sample_rate: float | None = None,
-    id_col: str = "doc_id",
 ) -> list[tuple[str, str]]:
-    """Corpus → ordered merge list.  ``sample_rate`` trains on a
-    deterministic hash sample of the docs (``ops/mixing`` threshold —
-    reproducible, shuffle-free), the 100-TB protocol."""
+    """``(doc_id, text)`` corpus → ordered merge list.  ``sample_rate``
+    trains on a deterministic hash sample of the docs (``ops/mixing``
+    threshold over ``doc_id`` — reproducible, shuffle-free), the 100-TB
+    protocol."""
     if sample_rate is not None:
         from valere_ocr_ray.ops.hashing import md5_lower
         from valere_ocr_ray.ops.mixing import SCALE
@@ -176,11 +164,11 @@ def train_bpe(
         def keep(df: pd.DataFrame) -> pd.DataFrame:
             if not len(df):
                 return df
-            h = md5_lower("bpe-train:" + df[id_col].astype(str))
+            h = md5_lower("bpe-train:" + df["doc_id"].astype(str))
             return df[h % np.uint64(SCALE) < thr]
 
         ds = ds.map_batches(keep, batch_format="pandas")
-    wf = word_counts(ds, text_col=text_col, max_words=max_words)
+    wf = word_counts(ds)
     return learn_merges(wf, num_merges)
 
 
@@ -207,7 +195,8 @@ def encode_word(word: str, ranks: dict[tuple[str, str], int]) -> list[str]:
 class BpeEncoder:
     """Stateful encode stage for ``map_batches(BpeEncoder, ...)`` actor
     pools OR plain task pools (the merge table rides a ``ray.put`` ref,
-    resolved once per worker).  Emits ``n_bpe_tokens`` per row; with
+    resolved once per worker).  Emits ``n_bpe_tokens`` per row of the
+    ``text`` column; with
     ``emit_tokens=True`` also the space-joined subword string (for
     golden tests / downstream packing in true token units)."""
 
@@ -215,7 +204,6 @@ class BpeEncoder:
         self,
         merges_ref,
         *,
-        text_col: str = "text",
         emit_tokens: bool = False,
     ):
         merges = (
@@ -224,7 +212,6 @@ class BpeEncoder:
             else merges_ref
         )
         self._ranks = {tuple(p): i for i, p in enumerate(merges)}
-        self._text_col = text_col
         self._emit = emit_tokens
         self._cache: dict[str, list[str]] = {}
 
@@ -237,7 +224,7 @@ class BpeEncoder:
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         n = np.zeros(len(df), dtype=np.int64)
         toks_out: list[str] = [] if self._emit else None  # type: ignore[assignment]
-        for i, t in enumerate(df[self._text_col]):
+        for i, t in enumerate(df["text"]):
             words = _WORD_RE.findall(str(t))
             total = 0
             parts: list[str] = [] if self._emit else None  # type: ignore[assignment]
@@ -259,7 +246,6 @@ def bpe_token_counts(
     ds: ray.data.Dataset,
     merges: list[tuple[str, str]],
     *,
-    text_col: str = "text",
     emit_tokens: bool = False,
     concurrency: int | None = None,
 ) -> ray.data.Dataset:
@@ -270,7 +256,7 @@ def bpe_token_counts(
     return ds.map_batches(
         BpeEncoder,
         fn_constructor_args=(ref,),
-        fn_constructor_kwargs={"text_col": text_col, "emit_tokens": emit_tokens},
+        fn_constructor_kwargs={"emit_tokens": emit_tokens},
         batch_format="pandas",
         # callable-class UDF => pooled actors; the merge table is resolved
         # once per actor in __init__, the word→subwords cache amortizes

@@ -44,6 +44,12 @@ _GEAR = md5_upper([bytes([i]) for i in range(256)])
 
 _WINDOW = 64  # gear window = word width: older bytes have shifted out
 
+# chunk bounds and cut mask: a cut needs the hash's low MASK_BITS bits
+# zero (expected chunk ≈ 2^MASK_BITS bytes) and MIN_CHUNK..MAX_CHUNK bytes
+MIN_CHUNK = 64
+MASK_BITS = 8
+MAX_CHUNK = 2048
+
 
 def gear_hashes(data: np.ndarray) -> np.ndarray:
     """Rolling gear hash at every position of a uint8 buffer:
@@ -58,31 +64,25 @@ def gear_hashes(data: np.ndarray) -> np.ndarray:
     return h
 
 
-def chunk_spans(
-    data: bytes,
-    *,
-    min_size: int = 64,
-    mask_bits: int = 8,
-    max_size: int = 2048,
-) -> list[tuple[int, int]]:
+def chunk_spans(data: bytes) -> list[tuple[int, int]]:
     """Chunk boundaries of ``data``: cut AFTER position i when the
-    rolling hash has its low ``mask_bits`` bits zero (expected chunk
-    ≈ 2^mask_bits bytes), subject to ``min_size``/``max_size``.  The
-    min/max walk runs over the (sparse) candidate list, not the bytes.
+    rolling hash has its low ``MASK_BITS`` bits zero, subject to
+    ``MIN_CHUNK``/``MAX_CHUNK``.  The min/max walk runs over the
+    (sparse) candidate list, not the bytes.
     Returns [start, end) spans covering the buffer exactly."""
     n = len(data)
     if n == 0:
         return []
     buf = np.frombuffer(data, dtype=np.uint8)
-    mask = np.uint64((1 << mask_bits) - 1)
+    mask = np.uint64((1 << MASK_BITS) - 1)
     cand = np.flatnonzero((gear_hashes(buf) & mask) == 0) + 1  # cut AFTER i
     spans: list[tuple[int, int]] = []
     start, ci = 0, 0
     while start < n:
-        limit = min(start + max_size, n)
+        limit = min(start + MAX_CHUNK, n)
         cut = limit
         while ci < len(cand) and cand[ci] <= limit:
-            if cand[ci] - start >= min_size:
+            if cand[ci] - start >= MIN_CHUNK:
                 cut = int(cand[ci])
                 ci += 1
                 break
@@ -92,33 +92,18 @@ def chunk_spans(
     return spans
 
 
-def chunk_hashes(
-    data: bytes,
-    *,
-    min_size: int = 64,
-    mask_bits: int = 8,
-    max_size: int = 2048,
-) -> tuple[np.ndarray, np.ndarray]:
+def chunk_hashes(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     """(hashes int64[], sizes int64[]) of the CDC chunks of ``data`` —
     chunk identity = ``md5_number_upper`` of the chunk's bytes
     (signed view, matching the repo's 64-bit hash convention)."""
-    spans = chunk_spans(
-        data, min_size=min_size, mask_bits=mask_bits, max_size=max_size
-    )
+    spans = chunk_spans(data)
     hs = md5_upper([data[a:b] for a, b in spans]).view(np.int64)
     sizes = np.fromiter((b - a for a, b in spans), dtype=np.int64, count=len(spans))
     return hs, sizes
 
 
-def cdc_dedup_stats(
-    ds: ray.data.Dataset,
-    col: str = "text",
-    *,
-    min_size: int = 64,
-    mask_bits: int = 8,
-    max_size: int = 2048,
-) -> pd.DataFrame:
-    """Corpus-level CDC dedup audit: one exact row
+def cdc_dedup_stats(ds: ray.data.Dataset) -> pd.DataFrame:
+    """Corpus-level CDC dedup audit of the ``text`` column: one exact row
     ``{total_chunks, unique_chunks, dup_chunks, total_bytes, dup_bytes}``
     where dup_bytes = bytes a chunk-store would NOT store again
     (sum over distinct chunks of (count-1)·size).
@@ -130,11 +115,9 @@ def cdc_dedup_stats(
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         hs_all, sz_all = [], []
-        for v in df[col]:
+        for v in df["text"]:
             data = v.encode("utf-8", "surrogatepass") if isinstance(v, str) else bytes(v)
-            hs, sz = chunk_hashes(
-                data, min_size=min_size, mask_bits=mask_bits, max_size=max_size
-            )
+            hs, sz = chunk_hashes(data)
             hs_all.append(hs)
             sz_all.append(sz)
         if not hs_all:

@@ -69,29 +69,26 @@ def benchmark_probe_table(
 def tag_contamination(
     ds: ray.data.Dataset,
     benchmark_texts: list[str],
-    *,
-    n: int = 8,
-    text_col: str = "text",
-    id_col: str = "doc_id",
 ) -> ray.data.Dataset:
-    """Per-document contamination tags: ``n_probes_hit`` = how many
-    DISTINCT benchmark items share at least one token n-gram with the
-    doc, ``contaminated`` = any hit.  Every input row is kept (filter
-    downstream) — consistent with the engine's route-don't-drop rule."""
-    probe_h, probe_ids = benchmark_probe_table(benchmark_texts, n)
+    """Per-document contamination tags of ``(doc_id, text)`` rows:
+    ``n_probes_hit`` = how many DISTINCT benchmark items share at least
+    one token 8-gram with the doc, ``contaminated`` = any hit.  Every
+    input row is kept (filter downstream) — consistent with the
+    engine's route-don't-drop rule."""
+    probe_h, probe_ids = benchmark_probe_table(benchmark_texts, 8)
     probes_ref = ray.put((probe_h, probe_ids))
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
         ph, pids = ray.get(probes_ref)
         hits = np.zeros(len(df), dtype=np.int64)
-        for i, t in enumerate(df[text_col]):
-            wh = window_hashes(t.split(), n)
+        for i, t in enumerate(df["text"]):
+            wh = window_hashes(t.split(), 8)
             if not len(wh):
                 continue
             matched = np.isin(ph, wh)
             if matched.any():
                 hits[i] = len(np.unique(pids[matched]))
-        out = df[[id_col]].copy()
+        out = df[["doc_id"]].copy()
         out["n_probes_hit"] = hits
         out["contaminated"] = hits > 0
         return out

@@ -13,7 +13,7 @@ content-hash/bucket cardinality):
   ``grouped_map(min_group_size=2)`` (singleton buckets skipped
   vectorized); candidate verification uses the signatures carried in
   the band rows, so no join back to the corpus is needed.  Bucket
-  size is capped (``max_bucket``) with deterministic sorted
+  size is capped (``MAX_BUCKET``) with deterministic sorted
   truncation — a degenerate band otherwise produces O(n²) pairs in
   one reducer (skew guard; salt hot keys upstream at real scale).
 * SimHash: 64-bit signature, 4×16-bit band explode → same
@@ -49,6 +49,12 @@ def _empty_pairs(value_col: str, dtype: str) -> "pd.DataFrame":
         }
     )
 
+
+# rows an LSH bucket pairs up (the skew guard above); the permutation
+# and hyperplane seed; the round cap of cluster_labels
+MAX_BUCKET = 512
+SEED = 42
+MAX_ROUNDS = 64
 
 _MERSENNE = (1 << 61) - 1
 _FNV64_OFFSET = 0xCBF29CE484222325
@@ -263,15 +269,13 @@ def minhash_lsh_pairs(
     ds: ray.data.Dataset,
     *,
     num_perm: int = 64,
-    k_shingle: int = 3,
     bands: int = 16,
     threshold: float = 0.5,
-    max_bucket: int = 512,
-    seed: int = 42,
     seeds: tuple[int, ...] | None = None,
     star: bool = False,
 ) -> ray.data.Dataset:
-    """Near-duplicate pairs (signature-estimated Jaccard >= threshold).
+    """Near-duplicate pairs (signature-estimated Jaccard >= threshold)
+    over token 3-shingles.
 
     ``star=True`` bounds output to O(n) pairs-with-representative (see
     ``_bucket_pairs``) — use for corpora with huge near-dup cliques.
@@ -285,15 +289,15 @@ def minhash_lsh_pairs(
     SAME exchange (band_id offset by seed index keeps buckets
     seed-disjoint); cost scales linearly in ``len(seeds)`` while the
     exchange count stays at one.  Default (``seeds=None``) is the
-    single-``seed`` path unchanged."""
+    single-``SEED`` path unchanged."""
     from valere_ocr_ray.ops.exchange import grouped_agg, grouped_map
 
-    seed_list = tuple(seeds) if seeds is not None else (seed,)
+    seed_list = tuple(seeds) if seeds is not None else (SEED,)
     base = ds.select_columns(["doc_id", "text"])
 
     def _band_rows_for(df: pd.DataFrame, s: int, off: int) -> pd.DataFrame:
         out = _explode_bands(
-            _minhash_batch(df, num_perm, k_shingle, s), bands
+            _minhash_batch(df, num_perm, 3, s), bands
         )
         if off and len(out):
             out["band_id"] = out["band_id"] + off
@@ -316,7 +320,7 @@ def minhash_lsh_pairs(
     pairs = grouped_map(
         band_rows,
         ["band_id", "band_hash"],
-        lambda g: _bucket_pairs(g, threshold, max_bucket, star),
+        lambda g: _bucket_pairs(g, threshold, MAX_BUCKET, star),
         min_group_size=2,
     )
     # same pair can surface from several bands → distinct
@@ -346,18 +350,16 @@ def _simhash(texts: pd.Series, token_hashes) -> np.ndarray:
     return ((votes > 0).astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
 
 
-def simhash_batch(df: pd.DataFrame, col: str = "text") -> pd.DataFrame:
-    """``df`` plus an int64 ``simhash`` column (crc32+splitmix64 token
-    hashes)."""
+def simhash_batch(df: pd.DataFrame) -> pd.DataFrame:
+    """``df`` plus an int64 ``simhash`` column of its ``text``
+    (crc32+splitmix64 token hashes)."""
     df = df.copy()
-    df["simhash"] = _simhash(df[col], _token_hashes).view(np.int64)
+    df["simhash"] = _simhash(df["text"], _token_hashes).view(np.int64)
     return df
 
 
-def simhash_pairs(
-    ds: ray.data.Dataset, *, max_hamming: int = 3, max_bucket: int = 512
-) -> ray.data.Dataset:
-    """Near-dup pairs with hamming(simhash) <= max_hamming via 4×16-bit
+def simhash_pairs(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """Near-dup pairs with hamming(simhash) <= 3 via 4×16-bit
     band buckets (pigeonhole: any pair within distance 3 shares at
     least one exact 16-bit band)."""
     sh = ds.select_columns(["doc_id", "text"]).map_batches(
@@ -379,8 +381,8 @@ def simhash_pairs(
         )
 
     def bucket(g: pd.DataFrame) -> pd.DataFrame:
-        n = min(len(g), max_bucket)
-        if len(g) > max_bucket:
+        n = min(len(g), MAX_BUCKET)
+        if len(g) > MAX_BUCKET:
             # deterministic truncation (see _bucket_pairs)
             g = g.sort_values("doc_id", kind="stable")
         ids = g["doc_id"].to_numpy()[:n]
@@ -392,7 +394,7 @@ def simhash_pairs(
             axis=2, dtype=np.int64
         )
         ii, jj = np.triu_indices(n, k=1)
-        keep = (d[ii, jj] <= max_hamming) & (ids[ii] != ids[jj])
+        keep = (d[ii, jj] <= 3) & (ids[ii] != ids[jj])
         if not keep.any():
             return _empty_pairs("hamming", "int64")
         ia, jb = ids[ii[keep]], ids[jj[keep]]
@@ -420,15 +422,15 @@ def simhash_pairs(
 # ---------------------------------------------------------------------------
 
 
-def ngram_jaccard(a: str, b: str, n: int = 3) -> float:
-    """Exact token-n-gram Jaccard — the verification kernel for LSH
+def ngram_jaccard(a: str, b: str) -> float:
+    """Exact token-3-gram Jaccard — the verification kernel for LSH
     candidates (run on the small candidate set, never all-pairs)."""
 
     def grams(t: str) -> set[str]:
         toks = t.split()
-        if len(toks) < n:
+        if len(toks) < 3:
             return {" ".join(toks)} if toks else set()
-        return {" ".join(toks[i : i + n]) for i in range(len(toks) - n + 1)}
+        return {" ".join(toks[i : i + 3]) for i in range(len(toks) - 2)}
 
     ga, gb = grams(a), grams(b)
     if not ga and not gb:
@@ -440,7 +442,6 @@ def verify_pairs_exact_exchange(
     ds: ray.data.Dataset,
     pairs: ray.data.Dataset,
     *,
-    n: int = 3,
     threshold: float = 0.5,
 ) -> ray.data.Dataset:
     """Exact-Jaccard verify of candidate pairs with ZERO driver state:
@@ -455,7 +456,8 @@ def verify_pairs_exact_exchange(
        attaches each endpoint's text (the semi-join happens ON the
        exchange — untouched corpus texts simply find no endpoint);
     2. keyed by ``(id_a, id_b)``: the two endpoint rows regroup and a
-       per-pair n-gram Jaccard emits verified pairs.
+       per-pair 3-gram Jaccard (:func:`ngram_jaccard`) emits verified
+       pairs.
 
     Output: ``(id_a, id_b, jaccard)``, jaccard >= threshold.
     """
@@ -506,9 +508,7 @@ def verify_pairs_exact_exchange(
             return _empty_pairs("jaccard", "float64")
         ta = g.loc[g["doc_id"] == g["id_a"], "text"]
         tb = g.loc[g["doc_id"] == g["id_b"], "text"]
-        j = ngram_jaccard(
-            ta.iloc[0] if len(ta) else "", tb.iloc[0] if len(tb) else "", n
-        )
+        j = ngram_jaccard(ta.iloc[0] if len(ta) else "", tb.iloc[0] if len(tb) else "")
         if j < threshold:
             return _empty_pairs("jaccard", "float64")
         return pd.DataFrame(
@@ -532,28 +532,24 @@ def embedding_dup_pairs(
     *,
     dim: int,
     threshold: float = 0.95,
-    n_planes: int = 12,
-    seed: int = 42,
-    max_bucket: int = 2048,
-    id_col: str = "vec_id",
-    vec_col: str = "embedding",
 ) -> ray.data.Dataset:
-    """Pairs with cosine >= threshold via seeded hyperplane-LSH buckets.
+    """``(vec_id, embedding)`` pairs with cosine >= threshold via
+    seeded hyperplane-LSH buckets.
 
-    Sign-pattern bucket over ``n_planes`` random hyperplanes → groupby
-    bucket → dense within-bucket cosine (numpy matmul).  High-cosine
-    pairs land in the same bucket with probability
-    ``(1 - theta/pi)^n_planes``; for recall-critical uses run with two
-    seeds and union the pairs.
+    Sign-pattern bucket over 12 random hyperplanes → groupby bucket →
+    dense within-bucket cosine (numpy matmul) over a bucket's 2,048
+    smallest ids.  High-cosine pairs land in the same bucket with
+    probability ``(1 - theta/pi)^12``.
     """
-    rng = np.random.default_rng(seed)
-    planes = rng.standard_normal((dim, n_planes)).astype(np.float32)
+    rng = np.random.default_rng(SEED)
+    planes = rng.standard_normal((dim, 12)).astype(np.float32)
+    max_bucket = 2048
 
     def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        vecs = np.stack(df[vec_col].to_numpy()).astype(np.float32)
+        vecs = np.stack(df["embedding"].to_numpy()).astype(np.float32)
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True) + 1e-12
         signs = (vecs @ planes) > 0
-        bucket = (signs * (1 << np.arange(n_planes))).sum(axis=1)
+        bucket = (signs * (1 << np.arange(12))).sum(axis=1)
         # float32 BYTES, not an ndarray column: the Arrow tensor
         # extension dtype leaks through schema-stamped empty exchange
         # partitions and intermittently breaks downstream pandas
@@ -561,7 +557,7 @@ def embedding_dup_pairs(
         return pd.DataFrame(
             {
                 "bucket": bucket.astype(np.int64),
-                id_col: df[id_col].to_numpy(),
+                "vec_id": df["vec_id"].to_numpy(),
                 "vec": [v.tobytes() for v in vecs],
             }
         )
@@ -571,8 +567,8 @@ def embedding_dup_pairs(
         if n < 2:
             return _empty_pairs("cosine", "float64")
         if len(g) > max_bucket:
-            g = g.sort_values(id_col, kind="stable")
-        ids = g[id_col].to_numpy()[:n]
+            g = g.sort_values("vec_id", kind="stable")
+        ids = g["vec_id"].to_numpy()[:n]
         mat = np.frombuffer(b"".join(g["vec"].iloc[:n]), dtype=np.float32).reshape(
             n, -1
         )
@@ -590,7 +586,7 @@ def embedding_dup_pairs(
 
     from valere_ocr_ray.ops.exchange import grouped_map
 
-    bucketed = ds.select_columns([id_col, vec_col]).map_batches(
+    bucketed = ds.select_columns(["vec_id", "embedding"]).map_batches(
         bucketize, batch_format="pandas"
     )
     return grouped_map(
@@ -598,14 +594,9 @@ def embedding_dup_pairs(
     )
 
 
-def embedding_dup_pairs_exact(
-    ds: ray.data.Dataset,
-    *,
-    threshold: float = 0.9,
-    id_col: str = "vec_id",
-    vec_col: str = "embedding",
-) -> ray.data.Dataset:
-    """EXACT cosine near-dup pairs — the recall-1.0 baseline the LSH
+def embedding_dup_pairs_exact(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """EXACT cosine >= 0.9 near-dup ``(vec_id, embedding)`` pairs — the
+    recall-1.0 baseline the LSH
     variant (``embedding_dup_pairs``) is measured against.
 
     The full normalized matrix broadcasts once via ``ray.put``; each
@@ -616,9 +607,9 @@ def embedding_dup_pairs_exact(
     must fit one worker's heap (fine for probe/eval sets up to ~10M×64);
     beyond that, use the LSH buckets.  Scores are float64, rounded to 6
     decimals, so the SQL cross-join oracle reproduces them exactly."""
-    all_rows = ds.select_columns([id_col, vec_col]).to_pandas()
-    ids_all = all_rows[id_col].to_numpy(dtype=np.int64)
-    mat_all = np.stack(all_rows[vec_col].to_numpy()).astype(np.float64)
+    all_rows = ds.select_columns(["vec_id", "embedding"]).to_pandas()
+    ids_all = all_rows["vec_id"].to_numpy(dtype=np.int64)
+    mat_all = np.stack(all_rows["embedding"].to_numpy()).astype(np.float64)
     mat_all /= np.linalg.norm(mat_all, axis=1, keepdims=True) + 1e-12
     ref = ray.put((ids_all, mat_all))
 
@@ -627,7 +618,7 @@ def embedding_dup_pairs_exact(
         rows = df["_row"].to_numpy(dtype=np.int64)
         ids = ids_a[rows]
         sims = mat_a[rows] @ mat_a.T  # (batch, N)
-        ii, jj = np.nonzero(sims >= threshold)
+        ii, jj = np.nonzero(sims >= 0.9)
         keep = ids[ii] < ids_a[jj]  # each unordered pair exactly once
         ii, jj = ii[keep], jj[keep]
         return pd.DataFrame(
@@ -654,13 +645,10 @@ def embedding_semdedup(
     dim: int,
     threshold: float = 0.9,
     n_planes: int = 8,
-    seed: int = 42,
-    max_bucket: int = 8192,
-    id_col: str = "vec_id",
-    vec_col: str = "embedding",
 ) -> ray.data.Dataset:
     """SemDeDup-style survivor selection (Abbas et al. 2023): bucket the
-    corpus by embedding LSH, then within each bucket DROP every row that
+    ``(vec_id, embedding)`` corpus by embedding LSH, then within each
+    bucket DROP every row that
     has a smaller-id row at cosine >= ``threshold``; return the
     survivors' ids.
 
@@ -680,8 +668,8 @@ def embedding_semdedup(
       self-join), at the cost of over-dropping transitive chains —
       conservative in the right direction for dedup.
 
-    ``max_bucket``: rows in a pathological bucket compare only against
-    the bucket's first ``max_bucket`` smallest ids (deterministic
+    Rows in a pathological bucket compare only against the bucket's
+    8,192 smallest ids (deterministic
     recall cap, documented like ``embedding_dup_pairs``); survivors are
     never silently truncated.  Wire cost per row: id + d floats, once.
 
@@ -689,11 +677,11 @@ def embedding_semdedup(
     (IDD/finalcodes/import os1.py content-hash skip), lifted from exact
     bytes to semantic neighbourhoods.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     planes = rng.standard_normal((dim, n_planes)).astype(np.float32)
 
     def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        vecs = np.stack(df[vec_col].to_numpy()).astype(np.float32)
+        vecs = np.stack(df["embedding"].to_numpy()).astype(np.float32)
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True) + 1e-12
         signs = (vecs @ planes) > 0
         bucket = (signs * (1 << np.arange(n_planes))).sum(axis=1)
@@ -704,23 +692,23 @@ def embedding_semdedup(
         return pd.DataFrame(
             {
                 "bucket": bucket.astype(np.int64),
-                id_col: df[id_col].to_numpy(),
+                "vec_id": df["vec_id"].to_numpy(),
                 "vec": [v.tobytes() for v in vecs],
             }
         )
 
     def bucket_survivors(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) < 2:
-            return pd.DataFrame({id_col: g[id_col].to_numpy()})
-        g = g.sort_values(id_col, kind="stable")
-        ids = g[id_col].to_numpy()
+            return pd.DataFrame({"vec_id": g["vec_id"].to_numpy()})
+        g = g.sort_values("vec_id", kind="stable")
+        ids = g["vec_id"].to_numpy()
         mat = (
             np.frombuffer(b"".join(g["vec"]), dtype=np.float32)
             .reshape(len(ids), -1)
             .astype(np.float64)
         )
         n = len(ids)
-        ref_n = min(n, max_bucket)
+        ref_n = min(n, 8192)
         ref = mat[:ref_n]
         dropped = np.zeros(n, dtype=bool)
         chunk = 1024  # bounds sims to chunk × ref_n doubles
@@ -732,11 +720,11 @@ def embedding_semdedup(
             col_idx = np.arange(ref_n)[None, :]
             row_idx = np.arange(s, e)[:, None]
             dropped[s:e] = ((sims >= threshold) & (col_idx < row_idx)).any(axis=1)
-        return pd.DataFrame({id_col: ids[~dropped]})
+        return pd.DataFrame({"vec_id": ids[~dropped]})
 
     from valere_ocr_ray.ops.exchange import grouped_map
 
-    bucketed = ds.select_columns([id_col, vec_col]).map_batches(
+    bucketed = ds.select_columns(["vec_id", "embedding"]).map_batches(
         bucketize, batch_format="pandas"
     )
     return grouped_map(bucketed, ["bucket"], bucket_survivors)
@@ -808,11 +796,7 @@ def _cl_round(first: bool, state: pa.Table, asks: pa.Table, edges: pa.Table):
     return _cl_state(node, val, len(nodes))
 
 
-def cluster_labels(
-    pairs: ray.data.Dataset,
-    *,
-    max_rounds: int = 64,
-) -> ray.data.Dataset:
+def cluster_labels(pairs: ray.data.Dataset) -> ray.data.Dataset:
     """Distributed connected components over a pair Dataset
     ``(id_a, id_b)`` → Dataset ``(doc_id, cluster)`` where ``cluster``
     is the minimum node id of the component — same output as
@@ -838,7 +822,7 @@ def cluster_labels(
     The run stops when a round's state holds only label rows (counted
     from block metadata).  No bound is proven: measured on chains of up
     to 20,000 nodes in any id order and on chains of near-dup cliques,
-    the rounds stay in the tens, so ``max_rounds=64`` leaves headroom;
+    the rounds stay in the tens, so ``MAX_ROUNDS`` (64) leaves headroom;
     a run that does not converge raises instead of returning partial
     labels.  The driver holds one row count per round; everything else
     stays in the object store.
@@ -861,7 +845,7 @@ def cluster_labels(
     edges = _exchange([(edges_ds, ["node"])], lambda t: t, None)
     state = _exchange([(edges, None)], _cl_init, None)
     n_nodes = ray.data.from_arrow_refs(state).count()
-    for r in range(max_rounds):
+    for r in range(MAX_ROUNDS):
         sides = [(state, ["node"]), (state, ["val"]), (edges, None)]
         state = _exchange(sides, functools.partial(_cl_round, r == 0), None)
         labels = ray.data.from_arrow_refs(state)
@@ -869,7 +853,7 @@ def cluster_labels(
             break
     else:
         raise RuntimeError(
-            f"cluster_labels did not converge within {max_rounds} rounds"
+            f"cluster_labels did not converge within {MAX_ROUNDS} rounds"
         )
 
     def project(df: pd.DataFrame) -> pd.DataFrame:
@@ -909,16 +893,13 @@ def connected_components(pairs: list[tuple[int, int]]) -> dict[int, int]:
 def shared_ngram_spans(
     ds: ray.data.Dataset,
     *,
-    n: int = 8,
-    min_docs: int = 2,
-    text_col: str = "text",
-    id_col: str = "doc_id",
     emit_text: bool = True,
 ) -> ray.data.Dataset:
     """Exact duplicate-SPAN detection (the core of substring-level
     dedup, Lee et al. 2022 "Deduplicating Training Data Makes Language
-    Models Better"): every token ``n``-gram occurring in at least
-    ``min_docs`` DISTINCT documents, with occurrence + doc counts.
+    Models Better"): every token 8-gram of a ``(doc_id, text)`` corpus
+    occurring in at least 2 DISTINCT documents, with occurrence + doc
+    counts.
 
     Shape: explode each doc into (gram, doc_id) pairs — DEDUPED per
     (block, gram, doc) before the exchange so wire rows are bounded by
@@ -935,22 +916,20 @@ def shared_ngram_spans(
 
     def explode(df: pd.DataFrame) -> pd.DataFrame:
         grams, ids = [], []
-        for doc, t in zip(df[id_col], df[text_col]):
+        for doc, t in zip(df["doc_id"], df["text"]):
             toks = t.split()
-            if len(toks) < n:
+            if len(toks) < 8:
                 continue
             if emit_text:
-                seen = {
-                    " ".join(toks[i : i + n]) for i in range(len(toks) - n + 1)
-                }
+                seen = {" ".join(toks[i : i + 8]) for i in range(len(toks) - 7)}
             else:
-                seen = set(window_hashes(toks, n).tolist())
+                seen = set(window_hashes(toks, 8).tolist())
             grams.extend(seen)
             ids.extend([doc] * len(seen))
         key_dtype = object if emit_text else "uint64"
         return pd.DataFrame(
             {"gram": pd.Series(grams, dtype=key_dtype),
-             id_col: pd.Series(ids, dtype="int64")}
+             "doc_id": pd.Series(ids, dtype="int64")}
         )
 
     pairs = ds.map_batches(explode, batch_format="pandas")
@@ -961,9 +940,9 @@ def shared_ngram_spans(
                 {"gram": pd.Series([], dtype=object),
                  "n_docs": pd.Series([], dtype="int64")}
             )
-        nd = g[id_col].nunique()
-        if nd < min_docs:
+        nd = g["doc_id"].nunique()
+        if nd < 2:
             return g.iloc[0:0][["gram"]].assign(n_docs=pd.Series([], dtype="int64"))
         return pd.DataFrame({"gram": [g["gram"].iloc[0]], "n_docs": [nd]})
 
-    return grouped_map(pairs, ["gram"], count_docs, min_group_size=min_docs)
+    return grouped_map(pairs, ["gram"], count_docs, min_group_size=2)

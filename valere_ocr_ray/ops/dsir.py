@@ -47,9 +47,10 @@ def _bucket_of_grams(grams: pd.Series, k: int) -> np.ndarray:
     return (md5_lower(uniques) % np.uint64(k)).astype(np.int64)[codes]
 
 
-def _doc_grams(df: pd.DataFrame, text_col: str) -> pd.DataFrame:
-    """Explode each doc into its unigram+bigram rows: (doc_id, gram)."""
-    toks = df[text_col].astype(str).str.lower().str.findall(_TOKEN_RE)
+def _doc_grams(df: pd.DataFrame) -> pd.DataFrame:
+    """Explode each doc's ``text`` into its unigram+bigram rows:
+    (doc_id, gram)."""
+    toks = df["text"].astype(str).str.lower().str.findall(_TOKEN_RE)
     uni = df[["doc_id"]].assign(gram=toks).explode("gram").dropna(subset=["gram"])
     bi_lists = toks.map(
         lambda t: [f"{a} {b}" for a, b in zip(t, t[1:])] if len(t) > 1 else []
@@ -63,12 +64,11 @@ def bucket_count_partials(
     *,
     target_source: str,
     k: int = DEFAULT_K,
-    text_col: str = "text",
 ) -> ray.data.Dataset:
     """Per-block (bucket, c_target, c_raw) partials — ≤K rows per block."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        grams = _doc_grams(df, text_col)
+        grams = _doc_grams(df)
         if grams.empty:
             return pd.DataFrame(
                 {
@@ -114,14 +114,11 @@ def dsir_weights(
     *,
     target_source: str,
     k: int = DEFAULT_K,
-    text_col: str = "text",
 ) -> ray.data.Dataset:
     """Per-doc (doc_id, n_grams, weight_scaled) — docs with ≥1 gram."""
     from valere_ocr_ray.ops.exchange import grouped_sum
 
-    partials = bucket_count_partials(
-        ds, target_source=target_source, k=k, text_col=text_col
-    )
+    partials = bucket_count_partials(ds, target_source=target_source, k=k)
     counts = grouped_sum(partials, ["bucket"], ["c_target", "c_raw"]).to_pandas()
     # the log-ratio table is K int64s (8 KB at the default K) — small
     # enough to ship inside the task closure itself: task pools reuse
@@ -131,7 +128,7 @@ def dsir_weights(
     lrs = log_ratio_table(counts, k)
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
-        grams = _doc_grams(df, text_col)
+        grams = _doc_grams(df)
         if grams.empty:
             return pd.DataFrame(
                 {

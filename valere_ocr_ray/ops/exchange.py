@@ -59,12 +59,13 @@ it through unchanged without calling ``fn`` (the rule ``map_batches``
 applies to an empty block), while ``cogroup_exchange`` hands it to
 ``fn``.
 
-Hashing is deterministic across processes (splitmix64 for integer
-keys, crc32 for strings — same primitives as ops/dedup; the split
-hashes a string key only up to its first NUL, where pandas' groupby
-ends it), so results are reproducible and partition-count-invariant;
-an integer key hashes by its int64 value whatever its width, so the
-two sides of a co-group may key on differently typed integer columns.
+Hashing is deterministic across processes (``ops/hashing.mix64``,
+the splitmix64 finalizer, over integer keys and over the crc32 of
+string keys; the split hashes a string key only up to its first NUL,
+where pandas' groupby ends it), so results are reproducible and
+partition-count-invariant; an integer key hashes by its int64 value
+whatever its width, so the two sides of a co-group may key on
+differently typed integer columns.
 Memory: the exchange materializes the mapped input (it IS a barrier);
 each fold holds one partition, which must fit a worker (salt hot keys
 upstream).  The width is this module's decision: ``_auto_partitions``
@@ -128,8 +129,9 @@ def _auto_partitions(total_bytes: int) -> int:
 
 
 def _key_hash(table: pa.Table, keys: Sequence[str]) -> np.ndarray:
-    """Deterministic uint64 hash of the key column(s), vectorized for
-    integer keys; strings via crc32 (C loop)."""
+    """Deterministic uint64 hash of the key column(s): ``ops/hashing.mix64``
+    (splitmix64) over each integer key, vectorized, and over each
+    string key's crc32 (C loop)."""
     acc = np.zeros(table.num_rows, dtype=np.uint64)
     with np.errstate(over="ignore"):
         for k in keys:

@@ -72,7 +72,6 @@ def heavy_hitters(
     *,
     k: int = 64,
     denom: int = 16,
-    count_col: str = "cnt",
 ) -> pd.DataFrame:
     """EXACT report of every value of ``col`` whose count exceeds
     ``n/denom`` (``count·denom > n``, strict), discovered via a
@@ -88,7 +87,7 @@ def heavy_hitters(
     (``grouped_sum``), thresholded.
 
     Requires ``denom <= k + 1`` — the MG bound that makes the candidate
-    set provably complete.  Output: DataFrame ``[col, count_col]``
+    set provably complete.  Output: DataFrame ``[col, cnt]``
     sorted by count desc then value asc, both exact."""
     if denom > k + 1:
         raise ValueError(
@@ -113,7 +112,7 @@ def heavy_hitters(
     candidates = final.get("vals", [])
     n_total = final.get("n", 0)
     empty = pd.DataFrame(
-        {col: pd.Series([], dtype="object"), count_col: pd.Series([], dtype="int64")}
+        {col: pd.Series([], dtype="object"), "cnt": pd.Series([], dtype="int64")}
     )
     if not candidates or n_total == 0:
         return empty
@@ -124,19 +123,19 @@ def heavy_hitters(
         hit = df[df[col].isin(cand_set)]
         vc = hit[col].value_counts()
         return pd.DataFrame(
-            {col: vc.index, count_col: vc.to_numpy().astype("int64")}
+            {col: vc.index, "cnt": vc.to_numpy().astype("int64")}
         )
 
     exact = grouped_sum(
         ds.map_batches(exact_partial, batch_format="pandas"),
         [col],
-        [count_col],
+        ["cnt"],
     ).to_pandas()
     if not len(exact):
         return empty
-    exact[count_col] = exact[count_col].astype("int64")
-    out = exact[exact[count_col] * denom > n_total]
+    exact["cnt"] = exact["cnt"].astype("int64")
+    out = exact[exact["cnt"] * denom > n_total]
     return (
-        out.sort_values([count_col, col], ascending=[False, True], kind="stable")
+        out.sort_values(["cnt", col], ascending=[False, True], kind="stable")
         .reset_index(drop=True)
     )

@@ -279,28 +279,24 @@ def lsh_dedup_against_state(
     id_col: str = "doc_id",
     text_col: str = "text",
     num_perm: int = 64,
-    k_shingle: int = 3,
-    bands: int = 16,
-    threshold: float = 0.5,
-    seed: int = 42,
     num_buckets: int = 16,
-    max_bucket: int = 512,
 ) -> tuple[ray.data.Dataset, dict]:
     """Incremental NEAR-dup dedup: filter an arriving shard against the
     persisted MinHash band state (the approximate sibling of
     ``dedup_against_state`` — what a continuous crawl actually runs,
     since revisited pages mutate).  A new doc is a duplicate iff it
     shares an LSH band bucket with a historical doc (or an earlier-id
-    doc of the same shard) AND the signature-estimated Jaccard meets
-    ``threshold`` — identical semantics to ``ops/dedup.
-    minhash_lsh_pairs`` with history as the implicit left side.
+    doc of the same shard) AND the signature-estimated Jaccard over
+    token 3-shingles in 16 bands is at least 0.5 — identical semantics
+    to ``ops/dedup.minhash_lsh_pairs`` with history as the implicit
+    left side.
 
     Three passes, all bounded by the SHARD (never the history):
 
     1. shard band rows (``band_id, band_hash, doc_id, sig``) ride one
        hash exchange to the state's bucket layout; each touched bucket
        reads ONLY its committed band file and emits per-(doc, bucket)
-       match verdicts — vectorized signature-agreement, ``max_bucket``
+       match verdicts — vectorized signature-agreement, ``MAX_BUCKET``
        skew cap;
     2. one ``doc_id`` co-group (``cogroup_exchange``) of the payload
        rows with the verdicts folds verdicts across buckets (a doc is
@@ -311,19 +307,14 @@ def lsh_dedup_against_state(
        contract as ``update_keyed_state``: a rerun against the old
        committed state is idempotent).
 
-    State cost: ``bands × num_perm`` int64s per surviving doc — the
+    State cost: ``16 × num_perm`` int64s per surviving doc — the
     price of estimating Jaccard against history without its text.
     Returns ``(novel_rows, {version, n_novel, n_buckets_updated})``.
     """
-    from valere_ocr_ray.ops.dedup import _explode_bands, _minhash_batch
+    from valere_ocr_ray.ops.dedup import MAX_BUCKET, SEED, _explode_bands, _minhash_batch
     from valere_ocr_ray.ops.exchange import cogroup_exchange
 
-    params = {
-        "num_perm": num_perm,
-        "k_shingle": k_shingle,
-        "bands": bands,
-        "seed": seed,
-    }
+    params = {"num_perm": num_perm, "k_shingle": 3, "bands": 16, "seed": SEED}
     meta = _load_meta(state_dir)
     if meta is None:
         meta = {
@@ -357,8 +348,7 @@ def lsh_dedup_against_state(
 
     def sig_rows(df: pd.DataFrame) -> pd.DataFrame:
         br = _explode_bands(
-            _minhash_batch(df[["doc_id", "text"]], num_perm, k_shingle, seed),
-            bands,
+            _minhash_batch(df[["doc_id", "text"]], num_perm, 3, SEED), 16
         )
         if len(br):
             br["__bucket"] = (
@@ -400,19 +390,19 @@ def lsh_dedup_against_state(
                 ids_out.append(gg["doc_id"].to_numpy(dtype=np.int64))
                 matched_out.append(np.zeros(len(gg), np.int64))
                 continue
-            gg = gg.sort_values("doc_id", kind="mergesort").iloc[:max_bucket]
+            gg = gg.sort_values("doc_id", kind="mergesort").iloc[:MAX_BUCKET]
             new_ids = gg["doc_id"].to_numpy(dtype=np.int64)
             new_sigs = np.stack([np.asarray(s) for s in gg["sig"]])
             if og is not None and len(og):
-                og = og.sort_values("doc_id", kind="mergesort").iloc[:max_bucket]
+                og = og.sort_values("doc_id", kind="mergesort").iloc[:MAX_BUCKET]
                 old_sigs = np.stack([np.asarray(s) for s in og["sig"]])
                 est_old = (new_sigs[:, None, :] == old_sigs[None, :, :]).mean(axis=2)
-                m_old = (est_old >= threshold).any(axis=1)
+                m_old = (est_old >= 0.5).any(axis=1)
             else:
                 m_old = np.zeros(len(gg), bool)
             est_nn = (new_sigs[:, None, :] == new_sigs[None, :, :]).mean(axis=2)
             earlier = new_ids[None, :] < new_ids[:, None]
-            m_new = ((est_nn >= threshold) & earlier).any(axis=1)
+            m_new = ((est_nn >= 0.5) & earlier).any(axis=1)
             ids_out.append(new_ids)
             matched_out.append((m_old | m_new).astype(np.int64))
         out = pd.DataFrame(

@@ -43,34 +43,19 @@ def _distinct_pairs(
     return ds.map_batches(ex, batch_format="pandas")
 
 
-def doc_frequency(
-    ds: ray.data.Dataset,
-    *,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    min_df: int = 1,
-) -> ray.data.Dataset:
-    """(token, df): number of DISTINCT documents containing each token.
-    Distinct pairs per batch → keyed exchange → vectorized count; the
-    exchange carries one row per distinct (token, doc), never raw
-    text."""
-    pairs = _distinct_pairs(ds, id_col, text_col)
+def doc_frequency(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """(token, df): number of DISTINCT ``doc_id`` documents whose
+    ``text`` contains each token.  Distinct pairs per batch → keyed
+    exchange → vectorized count; the exchange carries one row per
+    distinct (token, doc), never raw text."""
+    pairs = _distinct_pairs(ds, "doc_id", "text")
 
     def pre(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {"token": df["token"], "df": np.ones(len(df), dtype="int64")}
         )
 
-    counts = grouped_sum(
-        pairs.map_batches(pre, batch_format="pandas"),
-        ["token"],
-        ["df"],
-    )
-    if min_df > 1:
-        counts = counts.filter(
-            lambda r: r["df"] >= min_df
-        )
-    return counts
+    return grouped_sum(pairs.map_batches(pre, batch_format="pandas"), ["token"], ["df"])
 
 
 def build_postings(
@@ -111,11 +96,9 @@ def build_postings(
 def conjunctive_search(
     ds: ray.data.Dataset,
     terms: list[str],
-    *,
-    id_col: str = "doc_id",
-    text_col: str = "text",
 ) -> ray.data.Dataset:
-    """Documents containing ALL ``terms`` as whole tokens — a
+    """``doc_id`` of the documents whose ``text`` contains ALL
+    ``terms`` as whole tokens — a
     vectorized scan-filter (each doc is one row, so conjunction needs
     no exchange; with a prebuilt postings table the same answer is the
     intersection of the terms' doc_id lists — use that path when the
@@ -123,11 +106,11 @@ def conjunctive_search(
 
     def hit(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
-            return pd.DataFrame({id_col: pd.Series([], dtype="int64")})
-        padded = " " + df[text_col] + " "
+            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64")})
+        padded = " " + df["text"] + " "
         m = pd.Series(True, index=df.index)
         for t in terms:
             m &= padded.str.contains(f" {t} ", regex=False)
-        return pd.DataFrame({id_col: df.loc[m, id_col].astype("int64")})
+        return pd.DataFrame({"doc_id": df.loc[m, "doc_id"].astype("int64")})
 
     return ds.map_batches(hit, batch_format="pandas")

@@ -89,23 +89,21 @@ def distinct_set_op(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
     cols: list[str],
-    right_cols: list[str] | None = None,
     *,
     op: str = "intersect",
 ) -> ray.data.Dataset:
     """SQL ``INTERSECT`` / ``EXCEPT`` (distinct set semantics) on the
     cogroup exchange: both sides hash-partitioned by the full column
     tuple, each partition pair resolved with one vectorized merge.
-    Output columns = ``cols`` (left names), one row per distinct tuple.
+    Both sides carry ``cols``; one output row per distinct tuple.
     Scale shape: both sides pre-deduplicate per block before the
     exchange, so wire bytes are bounded by distinct tuples per block."""
     if op not in ("intersect", "except"):
         raise ValueError(f"unsupported op={op!r}")
-    rcols = right_cols or cols
     l_keys = left.select_columns(cols).map_batches(
         lambda df: df.drop_duplicates(), batch_format="pandas"
     )
-    r_keys = right.select_columns(rcols).map_batches(
+    r_keys = right.select_columns(cols).map_batches(
         lambda df: df.drop_duplicates(), batch_format="pandas"
     )
 
@@ -113,14 +111,11 @@ def distinct_set_op(
         l2 = l.drop_duplicates()
         if not len(l2):
             return l2
-        m = l2.merge(
-            r.drop_duplicates(), left_on=cols, right_on=rcols,
-            how="left", indicator=True,
-        )
+        m = l2.merge(r.drop_duplicates(), on=cols, how="left", indicator=True)
         keep = m["_merge"] == ("both" if op == "intersect" else "left_only")
         return m.loc[keep, cols]
 
-    return cogroup_exchange(l_keys, r_keys, cols, rcols, fold)
+    return cogroup_exchange(l_keys, r_keys, cols, cols, fold)
 
 
 def skew_hash_join(

@@ -28,11 +28,11 @@ def linear_probe_fit(
     epochs: int = 10,
     lr: float = 1.0,
     vec_col: str = "embedding",
-    label_col: str = "label",
 ):
-    """Returns ``(weights (k, d+1) ndarray, history DataFrame with
-    per-epoch mean loss and training accuracy)``.  Deterministic up to
-    float summation order (~1e-12 relative)."""
+    """Fits ``label`` on ``vec_col``.  Returns ``(weights (k, d+1)
+    ndarray, history DataFrame with per-epoch mean loss and training
+    accuracy)``.  Deterministic up to float summation order (~1e-12
+    relative)."""
     from valere_ocr_ray.ops.exchange import grouped_sum
 
     first = ds.take(1)[0]
@@ -57,7 +57,7 @@ def linear_probe_fit(
             w = ray.get(wref)
             x = np.stack(df[vec_col].to_numpy()).astype(np.float64)
             x = np.hstack([x, np.ones((len(x), 1))])  # bias column
-            y = df[label_col].to_numpy().astype(np.int64)
+            y = df["label"].to_numpy().astype(np.int64)
             logits = x @ w.T
             logits -= logits.max(axis=1, keepdims=True)
             p = np.exp(logits)

@@ -57,14 +57,13 @@ def mix_by_rates(
     key_col: str = "source",
     id_col: str = "doc_id",
     salt: str = "mix",
-    default_rate: float = 0.0,
 ) -> ray.data.Dataset:
     """Keep each row of domain ``key_col`` with probability
     ``rates[domain]`` via the deterministic hash threshold above.
 
     ``rates`` values are clamped to [0, 1]; domains absent from
-    ``rates`` sample at ``default_rate`` (0.0 = drop unlisted domains,
-    the safe default for governed mixtures).  The hash input is
+    ``rates`` are dropped (the safe default for governed mixtures).
+    The hash input is
     ``salt + ':' + str(id)`` — change ``salt`` to draw an independent
     sample (e.g. a held-out eval split that provably never overlaps a
     training split drawn with another salt).
@@ -72,15 +71,7 @@ def mix_by_rates(
     thresholds = {
         k: int(round(min(max(float(v), 0.0), 1.0) * SCALE)) for k, v in rates.items()
     }
-    default_thr = int(round(min(max(float(default_rate), 0.0), 1.0) * SCALE))
-    return _sample_by_thresholds(
-        ds,
-        thresholds,
-        key_col=key_col,
-        id_col=id_col,
-        salt=salt,
-        default_thr=default_thr,
-    )
+    return _sample_by_thresholds(ds, thresholds, key_col=key_col, id_col=id_col, salt=salt)
 
 
 def mix_by_token_budget(
@@ -118,9 +109,7 @@ def mix_by_token_budget(
         k: min(SCALE, int(budget_tokens) * SCALE // v) if v > 0 else SCALE
         for k, v in totals.items()
     }
-    return _sample_by_thresholds(
-        ds, thresholds, key_col=key_col, id_col=id_col, salt=salt, default_thr=0
-    )
+    return _sample_by_thresholds(ds, thresholds, key_col=key_col, id_col=id_col, salt=salt)
 
 
 def _sample_by_thresholds(
@@ -130,10 +119,10 @@ def _sample_by_thresholds(
     key_col: str,
     id_col: str,
     salt: str,
-    default_thr: int,
 ) -> ray.data.Dataset:
-    """keep(row) <=> md5_number_lower(salt:id) % SCALE < thresholds[key];
-    one stateless vectorized pass, thresholds captured in the closure."""
+    """keep(row) <=> md5_number_lower(salt:id) % SCALE < thresholds[key]
+    (0 for a key without one); one stateless vectorized pass,
+    thresholds captured in the closure."""
     thresholds = dict(thresholds)
 
     def sample(df: pd.DataFrame) -> pd.DataFrame:
@@ -142,7 +131,7 @@ def _sample_by_thresholds(
         h = md5_lower(salt + ":" + df[id_col].astype(str)) % SCALE
         thr = (
             df[key_col]
-            .map(lambda s: thresholds.get(s, default_thr))
+            .map(lambda s: thresholds.get(s, 0))
             .to_numpy(dtype=np.int64)
         )
         return df[h.astype(np.int64) < thr]
@@ -186,16 +175,9 @@ def _sample_with_repeats(
     return ds.map_batches(sample, batch_format="pandas")
 
 
-def mix_by_temperature(
-    ds: ray.data.Dataset,
-    *,
-    tokens_col: str = "n_tokens",
-    key_col: str = "source",
-    id_col: str = "doc_id",
-    salt: str = "temp",
-    pin: bool = False,
-) -> ray.data.Dataset:
-    """Temperature-flattened domain mixture (the multilingual-LM
+def mix_by_temperature(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """Temperature-flattened domain mixture over ``source`` (token mass
+    ``n_tokens``, row id ``doc_id``, salt ``temp``) (the multilingual-LM
     sampling rule, XLM-R/mT5 family, alpha = 0.5) anchored at the
     smallest domain: domain ``d`` with token mass ``M_d`` samples docs
     at rate ``sqrt(M_min / M_d)`` — the smallest positive-mass domain
@@ -214,9 +196,7 @@ def mix_by_temperature(
     partitioning, any retry draws the same sample."""
     import math
 
-    if pin:
-        ds = ds.materialize()
-    totals = _domain_totals(ds, key_col, tokens_col)
+    totals = _domain_totals(ds, "source", "n_tokens")
     positive = [v for v in totals.values() if v > 0]
     m_min = min(positive) if positive else 0
     thresholds = {
@@ -224,7 +204,7 @@ def mix_by_temperature(
         for k, v in totals.items()
     }
     return _sample_by_thresholds(
-        ds, thresholds, key_col=key_col, id_col=id_col, salt=salt, default_thr=0
+        ds, thresholds, key_col="source", id_col="doc_id", salt="temp"
     )
 
 
@@ -234,20 +214,18 @@ def mix_unimax(
     budget_tokens: int | None = None,
     budget_denom: int = 2,
     epoch_cap: int = 1,
-    tokens_col: str = "n_tokens",
     key_col: str = "source",
-    id_col: str = "doc_id",
     salt: str = "unimax",
-    pin: bool = False,
 ) -> ray.data.Dataset:
     """UniMax mixing (Chung et al. 2023, "UniMax: Fairer and More
     Effective Language Sampling for Large-Scale Multilingual
     Pretraining"): distribute a total token budget as UNIFORMLY as
     possible across domains, each capped at ``epoch_cap`` epochs of its
-    own mass — the water-filling allocation.  Domains are processed in
-    ascending cap order; each takes ``min(cap_d, remaining // k)``
-    where ``k`` counts domains not yet allocated, so small domains are
-    kept whole (up to the cap) and the surplus flows to large ones.
+    own mass (``n_tokens``) — the water-filling allocation.  Domains are
+    processed in ascending cap order; each takes ``min(cap_d,
+    remaining // k)`` where ``k`` counts domains not yet allocated, so
+    small domains are kept whole (up to the cap) and the surplus flows
+    to large ones.
 
     The whole allocation is INTEGER arithmetic (token counts, floor
     divisions, ties broken by ``(cap, key)``) so a SQL oracle
@@ -260,10 +238,8 @@ def mix_unimax(
     shared by the whole mixing family (reproducible across runs /
     partitionings / retries, monotone under budget raises).  The
     driver holds one row per domain — at 100 TB that is the domain
-    count, not the corpus."""
-    if pin:
-        ds = ds.materialize()
-    totals = _domain_totals(ds, key_col, tokens_col)
+    count, not the corpus.  Rows are drawn by ``doc_id``."""
+    totals = _domain_totals(ds, key_col, "n_tokens")
     total = sum(v for v in totals.values() if v > 0)
     budget = int(budget_tokens) if budget_tokens is not None else total // budget_denom
     items = sorted(
@@ -286,6 +262,4 @@ def mix_unimax(
             # hash-threshold subset — E[domain tokens] == alloc exactly.
             full = alloc // mass
             specs[key] = (full, (alloc - full * mass) * SCALE // mass)
-    return _sample_with_repeats(
-        ds, specs, key_col=key_col, id_col=id_col, salt=salt
-    )
+    return _sample_with_repeats(ds, specs, key_col=key_col, id_col="doc_id", salt=salt)

@@ -143,14 +143,14 @@ class MediaFeatureExtractor:
 
 
 def extract_media_features(
-    ds: ray.data.Dataset, *, concurrency=(1, 4), batch_size: int = 32
+    ds: ray.data.Dataset, *, concurrency=(1, 4)
 ) -> ray.data.Dataset:
-    """Feature-extract a media table; small batches because rows are
-    payload-wide (see module docstring)."""
+    """Feature-extract a media table; small (32-row) batches because
+    rows are payload-wide (see module docstring)."""
     return ds.map_batches(
         MediaFeatureExtractor,
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=32,
         concurrency=concurrency,
         num_cpus=1,
     )
@@ -232,7 +232,7 @@ def sample_gif_frames(
     return ds.map_batches(run, batch_format="pyarrow", batch_size=batch_size)
 
 
-def synth_media_table(n: int, seed: int = 42) -> pa.Table:
+def synth_media_table(n: int) -> pa.Table:
     """Deterministic fake media corpus for plumbing tests.
 
     Image rows carry REAL encoded payloads (alternating BMP / PPM with
@@ -244,7 +244,7 @@ def synth_media_table(n: int, seed: int = 42) -> pa.Table:
 
     rows = {k.name: [] for k in MEDIA_SCHEMA}
     for i in range(n):
-        key = f"media:{seed}:{i}".encode()
+        key = f"media:42:{i}".encode()
         row_seed = int(md5_upper([key])[0]) & 0xFFFFFFFF
         mt = ["image", "audio", "video", "weird"][i % 4 if i % 17 == 0 else i % 3]
         if mt == "image":

@@ -36,29 +36,28 @@ from valere_ocr_ray.ops.exchange import grouped_map, grouped_sum
 def pack_sequences(
     ds: ray.data.Dataset,
     *,
-    id_col: str = "doc_id",
-    text_col: str = "text",
     budget: int = 256,
     n_shards: int = 8,
 ) -> ray.data.Dataset:
-    """Per-doc packing assignment: ``(id, shard, n_toks, seq_id,
-    start_off)``.  Tokens are whitespace-split words (swap the counter
-    for a real tokenizer's length column upstream if present)."""
+    """Per-doc packing assignment of ``(doc_id, text)`` rows: ``(doc_id,
+    shard, n_toks, seq_id, start_off)``.  Tokens are whitespace-split
+    words (swap the counter for a real tokenizer's length column
+    upstream if present)."""
 
     def pre(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df[id_col].astype("int64")
+        ids = df["doc_id"].astype("int64")
         return pd.DataFrame(
             {
-                id_col: ids,
+                "doc_id": ids,
                 "shard": (ids % n_shards).astype("int64"),
-                "n_toks": df[text_col].str.split(" ").str.len().astype("int64"),
+                "n_toks": df["text"].str.split(" ").str.len().astype("int64"),
             }
         )
 
     small = ds.map_batches(pre, batch_format="pandas")
 
     def pack(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(id_col, kind="mergesort")
+        g = g.sort_values("doc_id", kind="mergesort")
         start = g["n_toks"].cumsum().shift(fill_value=0).astype("int64")
         return g.assign(
             start_off=start.to_numpy(),
@@ -71,21 +70,13 @@ def pack_sequences(
 def pack_stats(
     ds: ray.data.Dataset,
     *,
-    id_col: str = "doc_id",
-    text_col: str = "text",
     budget: int = 256,
     n_shards: int = 8,
 ) -> ray.data.Dataset:
     """Per-sequence fill audit: ``(shard, seq_id, n_docs, sum_tokens)``
     — the table you read to check packing efficiency (sequences per
     shard, docs per sequence, token fill)."""
-    packed = pack_sequences(
-        ds,
-        id_col=id_col,
-        text_col=text_col,
-        budget=budget,
-        n_shards=n_shards,
-    )
+    packed = pack_sequences(ds, budget=budget, n_shards=n_shards)
 
     def pre(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -107,7 +98,6 @@ def pack_stats(
 def pack_bins_ffd(
     ds: ray.data.Dataset,
     *,
-    id_col: str = "doc_id",
     tokens_col: str = "n_toks",
     budget: int = 256,
     n_shards: int = 8,
@@ -118,13 +108,13 @@ def pack_bins_ffd(
     across sequences corrupts the example; `pack_sequences` above is
     the pretraining concat-and-chunk contract that allows straddling).
 
-    Per-doc output: ``(id, shard, n_toks, bin_id, oversize)``.
+    Per-doc output: ``(doc_id, shard, n_toks, bin_id, oversize)``.
     A doc with ``n_toks > budget`` can't fit any bin: it gets a
     dedicated bin and ``oversize=True`` (route to truncation or a
     long-context shard downstream — never silently dropped).
 
     Determinism + distribution: docs hash into ``n_shards`` by
-    ``id % n_shards`` and ride ONE int-only exchange (same contract
+    ``doc_id % n_shards`` and ride ONE int-only exchange (same contract
     as ``pack_sequences``); within a shard, FFD is the deterministic
     sort (tokens desc, id asc) + first-fit scan.  FFD is inherently
     sequential, so the in-shard kernel is a Python loop over docs with
@@ -142,10 +132,10 @@ def pack_bins_ffd(
     """
 
     def pre(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df[id_col].astype("int64")
+        ids = df["doc_id"].astype("int64")
         return pd.DataFrame(
             {
-                id_col: ids,
+                "doc_id": ids,
                 "shard": (ids % n_shards).astype("int64"),
                 "n_toks": df[tokens_col].astype("int64"),
             }
@@ -154,7 +144,7 @@ def pack_bins_ffd(
     small = ds.map_batches(pre, batch_format="pandas")
 
     def ffd(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["n_toks", id_col], ascending=[False, True], kind="mergesort")
+        g = g.sort_values(["n_toks", "doc_id"], ascending=[False, True], kind="mergesort")
         bin_of, _, oversize = ffd_assign(g["n_toks"].to_numpy(), budget)
         return g.assign(bin_id=bin_of, oversize=oversize)
 

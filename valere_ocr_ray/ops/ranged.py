@@ -9,7 +9,7 @@ proportional to selectivity, not corpus size.  The 100-TB pattern for event-time
 windows, length-sliced corpora, score-band exports.
 
 Boundaries come from a bounded random sample (``Dataset.take`` over a
-sampled fraction capped at ``max_sample`` rows on the driver — constant
+sampled fraction capped at ``MAX_SAMPLE`` rows on the driver — constant
 memory), so partitions are approximately equal-weight even for skewed
 distributions.  The boundary list is persisted to
 ``out_dir/_range_meta.json`` making the layout self-describing;
@@ -31,6 +31,9 @@ import pyarrow as pa
 import ray.data
 
 
+MAX_SAMPLE = 100_000  # boundary-sample rows the driver may hold
+
+
 def _meta_path(out_dir: str) -> str:
     return os.path.join(out_dir, "_range_meta.json")
 
@@ -41,16 +44,14 @@ def write_ranged(
     col: str,
     *,
     n_partitions: int = 16,
-    max_sample: int = 100_000,
-    seed: int = 0,
 ) -> list[float]:
     """Write ``ds`` range-partitioned on ``col``; returns the interior
-    boundary values (len = n_partitions - 1).  Sampling is a
-    ``random_sample`` capped at ``max_sample`` rows — the only driver
+    boundary values (len = n_partitions - 1).  Sampling is a seeded
+    ``random_sample`` capped at ``MAX_SAMPLE`` rows — the only driver
     materialization, bounded regardless of corpus size."""
     n_rows = ds.count()
-    frac = min(1.0, max_sample / max(n_rows, 1))
-    sample = ds.select_columns([col]).random_sample(frac, seed=seed).take_all()
+    frac = min(1.0, MAX_SAMPLE / max(n_rows, 1))
+    sample = ds.select_columns([col]).random_sample(frac, seed=0).take_all()
     vals = np.sort(np.array([r[col] for r in sample], dtype=np.float64))
     if not len(vals):
         raise ValueError("empty sample — cannot derive range boundaries")

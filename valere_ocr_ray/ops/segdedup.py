@@ -189,14 +189,13 @@ def segment_dedup_rebuild(
     *,
     id_col: str = "doc_id",
     text_col: str = "text",
-    window: int = 10,
     wire: str = "hash",
 ) -> ray.data.Dataset:
     """The cleaned corpus: ``(id, clean_text, n_kept)`` with dropped
-    segments removed and survivors re-joined in original order.  A doc
-    whose every segment was seen earlier comes back with
-    ``clean_text == ''`` rather than vanishing — the caller decides
-    the drop policy.
+    10-token segments removed and survivors re-joined in original
+    order.  A doc whose every segment was seen earlier comes back with
+    ``clean_text == ''`` rather than vanishing — the caller decides the
+    drop policy.
 
     Both wires compute the keep flags, then cogroup ONLY the dropped
     ``(id, seg_idx)`` pairs — the minority — with the docs, and each
@@ -212,7 +211,6 @@ def segment_dedup_rebuild(
         ds,
         id_col=id_col,
         text_col=text_col,
-        window=window,
         exact=wire == "exact",
     )
     dropped = flags.map_batches(
@@ -237,7 +235,7 @@ def segment_dedup_rebuild(
         ids, cleans, kepts = [], [], []
         for i, txt in zip(docs_df[id_col].to_numpy(), docs_df[text_col].to_numpy()):
             i = int(i)
-            segs = _doc_segments(txt, window)
+            segs = _doc_segments(txt, 10)
             d = drop_by_id.get(i)
             # segments are cut at single spaces, so an untouched doc's
             # survivors re-join to its own text

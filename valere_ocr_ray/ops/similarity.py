@@ -248,10 +248,9 @@ def kmeans_fit(
     k: int,
     *,
     iters: int = 5,
-    id_col: str = "vec_id",
-    vec_col: str = "embedding",
 ):
-    """Full-corpus Lloyd k-means, the iterative-algorithm pattern on
+    """Full-corpus Lloyd k-means of the ``embedding`` column, the
+    iterative-algorithm pattern on
     Ray Data: each round broadcasts the k×d centroid matrix once
     (``ray.put``), assignment + per-cluster partial sums run as ONE
     vectorized ``map_batches`` pass (numpy distance matmul +
@@ -260,7 +259,7 @@ def kmeans_fit(
     re-read per iteration rather than materialized (at 100 TB the
     re-read streams; pinning it in the object store would not fit).
 
-    Deterministic init: the k rows with the smallest ``id_col``.
+    Deterministic init: the k rows with the smallest ``vec_id``.
     Empty clusters keep their previous centroid.  Returns
     ``(centroids ndarray (k,d), stats DataFrame (cluster, n,
     inertia))``: stats reflect the LAST assignment pass, and the
@@ -270,13 +269,13 @@ def kmeans_fit(
     # expr filter → Arrow predicate pushdown, not a full Python row
     # scan of the corpus for k seed rows (VERDICT r2 item 5)
     seed_rows = (
-        ds.filter(expr=f"{id_col} < {int(k)}")
+        ds.filter(expr=f"vec_id < {int(k)}")
         .to_pandas()
-        .sort_values(id_col)
+        .sort_values("vec_id")
     )
     if len(seed_rows) < k:
         raise ValueError(f"need ids 0..{k-1} present for deterministic init")
-    centroids = np.stack(seed_rows[vec_col].to_numpy()).astype(np.float64)
+    centroids = np.stack(seed_rows["embedding"].to_numpy()).astype(np.float64)
     d = centroids.shape[1]
     scols = [f"s{j}" for j in range(d)]
 
@@ -296,7 +295,7 @@ def kmeans_fit(
             )
             if not len(df):
                 return pd.DataFrame(cols)
-            mat = np.stack(df[vec_col].to_numpy()).astype(np.float64)
+            mat = np.stack(df["embedding"].to_numpy()).astype(np.float64)
             # squared euclidean via the matmul identity (no (n,k,d) blowup)
             d2 = (
                 (mat * mat).sum(1, keepdims=True)
@@ -366,24 +365,20 @@ def pq_fit(
     m: int = 8,
     n_centroids: int = 16,
     sample_stride: int = 1,
-    iters: int = 15,
-    seed: int = 42,
-    id_col: str = "vec_id",
-    vec_col: str = "embedding",
 ) -> np.ndarray:
     """Train PQ codebooks (Jégou, Douze & Schmid 2011): split each
-    L2-NORMALIZED vector into ``m`` contiguous subvectors and run L2
-    k-means independently per subspace.  Returns ``(m, n_centroids,
-    d/m)`` float64 codebooks — a few KB, broadcast once via ``ray.put``
-    to every encode/search task.
+    L2-NORMALIZED ``embedding`` vector into ``m`` contiguous subvectors
+    and run 15 rounds of L2 k-means independently per subspace.
+    Returns ``(m, n_centroids, d/m)`` float64 codebooks — a few KB,
+    broadcast once via ``ray.put`` to every encode/search task.
 
     The training sample is ``_id_sample``: the ``PQ_FIT_MAX_ROWS``
-    smallest ids of the id-stride slice ``id % sample_stride == 0``, so
-    a single-process twin reproduces the codebook bit-exactly and even
-    ``sample_stride=1`` is bounded; codebook quality needs only a
-    sample."""
+    smallest ``vec_id`` values of the id-stride slice ``vec_id %
+    sample_stride == 0``, so a single-process twin reproduces the
+    codebook bit-exactly and even ``sample_stride=1`` is bounded;
+    codebook quality needs only a sample."""
     mat = _normalize(
-        _id_sample(ds, id_col, vec_col, sample_stride, PQ_FIT_MAX_ROWS).astype(
+        _id_sample(ds, "vec_id", "embedding", sample_stride, PQ_FIT_MAX_ROWS).astype(
             np.float64
         )
     )
@@ -398,8 +393,7 @@ def pq_fit(
             _kmeans_l2(
                 np.ascontiguousarray(mat[:, j * dsub : (j + 1) * dsub]),
                 n_centroids,
-                iters=iters,
-                seed=seed + j,
+                seed=42 + j,
             )
             for j in range(m)
         ]
@@ -410,14 +404,12 @@ def pq_encode(
     ds: ray.data.Dataset,
     codebooks: np.ndarray,
     *,
-    id_col: str = "vec_id",
-    vec_col: str = "embedding",
     keep_cols: tuple = (),
 ) -> ray.data.Dataset:
-    """Encode every vector to ``m`` uint8 code bytes (argmin-L2 centroid
+    """Encode every ``embedding`` vector to ``m`` uint8 code bytes (argmin-L2 centroid
     per subspace, matmul-identity distances) — ONE ``map_batches`` pass;
     the codebooks ride the object store (``ray.put`` once, fetched
-    zero-copy per task).  Output rows are ``(id, pq_code: bytes[,
+    zero-copy per task).  Output rows are ``(vec_id, pq_code: bytes[,
     keep_cols...])`` — at d=768 float32 → m=8 codes that is a 384×
     compression, which is what makes a full-corpus ADC scan cheap at
     100 TB: the scan reads the code column only."""
@@ -426,13 +418,13 @@ def pq_encode(
 
     def encode(df: pd.DataFrame) -> pd.DataFrame:
         cb = ray.get(cref)
-        out = {id_col: df[id_col].astype("int64")}
+        out = {"vec_id": df["vec_id"].astype("int64")}
         for c in keep_cols:
             out[c] = df[c]
         if not len(df):
             out["pq_code"] = pd.Series([], dtype=object)
             return pd.DataFrame(out)
-        mat = _normalize(np.stack(df[vec_col].to_numpy()).astype(np.float64))
+        mat = _normalize(np.stack(df["embedding"].to_numpy()).astype(np.float64))
         codes = np.empty((len(mat), m), dtype=np.uint8)
         for j in range(m):
             sub = mat[:, j * dsub : (j + 1) * dsub]
@@ -588,15 +580,14 @@ def pq_persist(
     codebooks: np.ndarray,
     out_dir: str,
     *,
-    id_col: str = "vec_id",
-    code_col: str = "pq_code",
     num_buckets: int = 16,
 ) -> "PqIndexOnDisk":
-    """Write an encoded-codes Dataset to a bucketed parquet layout
+    """Write an encoded-codes ``(vec_id, pq_code)`` Dataset to a
+    bucketed parquet layout
     (+ codebooks sidecar), the persisted twin of the in-memory ADC
     path (``IvfIndex.persist`` shape, VERDICT r4 item 5): a later
     search opens code shards directly — no re-encode, no float read.
-    Buckets = ``id % num_buckets`` give parallel read units and
+    Buckets = ``vec_id % num_buckets`` give parallel read units and
     per-bucket resume granularity; ADC always scans all buckets (it is
     an exhaustive compressed-domain scan — use :func:`ivfpq_build`
     when probing should prune I/O)."""
@@ -607,7 +598,7 @@ def pq_persist(
 
     def bucket(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
-        df["pq_bucket"] = (df[id_col].to_numpy().astype("int64") % nb).astype(
+        df["pq_bucket"] = (df["vec_id"].to_numpy().astype("int64") % nb).astype(
             "int64"
         )
         return df
@@ -619,7 +610,7 @@ def pq_persist(
     np.save(os.path.join(out_dir, "_meta", "codebooks.npy"), codebooks)
     with open(os.path.join(out_dir, "_meta", "meta.json"), "w") as f:
         json.dump(
-            {"id_col": id_col, "code_col": code_col, "num_buckets": nb}, f
+            {"id_col": "vec_id", "code_col": "pq_code", "num_buckets": nb}, f
         )
     return PqIndexOnDisk(out_dir)
 
@@ -686,60 +677,44 @@ def ivfpq_build(
     m: int = 8,
     n_centroids: int = 16,
     sample_size: int = 10_000,
-    sample_stride: int = 1,
-    seed: int = 42,
-    id_col: str = "vec_id",
-    vec_col: str = "embedding",
 ) -> "IvfPqIndexOnDisk":
     """IVF-PQ compose (coarse quantizer routes probes, PQ scans within
     cells — the FAISS ``IVFx,PQy`` serving shape with
     ``by_residual=False``: codes quantize the raw normalized vectors,
     which keeps one shared codebook valid across cells and lets the
     per-cell scan reuse the plain ADC kernel).  Build is two bounded
-    passes: fit (coarse centroids from a bounded sample + PQ codebooks
-    from a stride sample) and ONE encode pass emitting
-    ``(id, ivf_cluster, pq_code)`` written cluster-partitioned; a
+    passes over ``(vec_id, embedding)``: fit (coarse centroids from a
+    bounded sample + PQ codebooks from a bounded sample) and ONE encode
+    pass emitting ``(vec_id, ivf_cluster, pq_code)`` written
+    cluster-partitioned; a
     search then reads ONLY the probed clusters' code files, so probe
     I/O is ``n_probe/n_clusters`` of an already-16×-compressed corpus."""
     import json
     import os
 
-    sample = _id_sample(ds, id_col, vec_col, sample_stride, sample_size).astype(
-        np.float32
-    )
-    coarse = _kmeans(sample, min(n_clusters, len(sample)), seed=seed)
-    codebooks = pq_fit(
-        ds,
-        m=m,
-        n_centroids=n_centroids,
-        sample_stride=sample_stride,
-        seed=seed,
-        id_col=id_col,
-        vec_col=vec_col,
-    )
+    sample = _id_sample(ds, "vec_id", "embedding", 1, sample_size).astype(np.float32)
+    coarse = _kmeans(sample, min(n_clusters, len(sample)))
+    codebooks = pq_fit(ds, m=m, n_centroids=n_centroids)
     cref = ray.put(_normalize(coarse.astype(np.float64)))
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
         cents = ray.get(cref)
         df = df.copy()
         if len(df):
-            mat = _normalize(np.stack(df[vec_col].to_numpy()).astype(np.float64))
+            mat = _normalize(np.stack(df["embedding"].to_numpy()).astype(np.float64))
             df["ivf_cluster"] = np.argmax(mat @ cents.T, axis=1).astype("int64")
         else:
             df["ivf_cluster"] = pd.Series([], dtype="int64")
         return df
 
     assigned = ds.map_batches(assign, batch_format="pandas")
-    encoded = pq_encode(
-        assigned, codebooks, id_col=id_col, vec_col=vec_col,
-        keep_cols=("ivf_cluster",),
-    )
+    encoded = pq_encode(assigned, codebooks, keep_cols=("ivf_cluster",))
     encoded.write_parquet(out_dir, partition_cols=["ivf_cluster"])
     os.makedirs(os.path.join(out_dir, "_meta"), exist_ok=True)
     np.save(os.path.join(out_dir, "_meta", "coarse.npy"), coarse)
     np.save(os.path.join(out_dir, "_meta", "codebooks.npy"), codebooks)
     with open(os.path.join(out_dir, "_meta", "meta.json"), "w") as f:
-        json.dump({"id_col": id_col, "vec_col": vec_col}, f)
+        json.dump({"id_col": "vec_id", "vec_col": "embedding"}, f)
     return IvfPqIndexOnDisk(out_dir)
 
 

@@ -59,11 +59,9 @@ def kmv_estimate(sketch: np.ndarray, k: int) -> int:
     return int(round((k - 1) * _HASH_SPACE / max(kth, 1.0)))
 
 
-def distinct_tokens_kmv(
-    ds: ray.data.Dataset, *, col: str = "text", k: int = 4096
-) -> int:
-    """Approximate distinct lower-cased alpha-token count over a text
-    column: per-block KMV partials → ``tree_reduce`` (sketches are
+def distinct_tokens_kmv(ds: ray.data.Dataset, *, k: int = 4096) -> int:
+    """Approximate distinct lower-cased alpha-token count over the
+    ``text`` column: per-block KMV partials → ``tree_reduce`` (sketches are
     associative, so every merge runs in a task) → ONE k-vector
     reaches the driver.  A driver-side merge of per-block sketches
     would hold n_blocks × k int64s (≈32 GB at 100 TB block counts);
@@ -76,7 +74,7 @@ def distinct_tokens_kmv(
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         toks = set()
-        for t in df[col]:
+        for t in df["text"]:
             toks.update(w for w in alpha.findall(t.lower()) if len(w) >= 3)
         sk = kmv_from_hashes(md5_upper(list(toks)), k)
         return pd.DataFrame({"sketch": [sk.tolist()]})

@@ -59,19 +59,16 @@ def holdout_split_by_key(
     key_col: str,
     holdout_rate: float,
     salt: str = "holdout",
-    out_col: str = "split",
 ) -> ray.data.Dataset:
-    """Assign ``out_col`` in {'holdout','train'} as a deterministic
+    """Assign ``split`` in {'holdout','train'} as a deterministic
     hash-threshold function of ``key_col`` — every row sharing a key
     value lands on the same side.  One stateless vectorized pass."""
     thr = int(round(min(max(float(holdout_rate), 0.0), 1.0) * SCALE))
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
-            return df.assign(**{out_col: pd.Series([], dtype=object)})
-        return df.assign(
-            **{out_col: _assign_side(df[key_col], threshold=thr, salt=salt)}
-        )
+            return df.assign(split=pd.Series([], dtype=object))
+        return df.assign(split=_assign_side(df[key_col], threshold=thr, salt=salt))
 
     return ds.map_batches(assign, batch_format="pandas")
 
@@ -82,9 +79,9 @@ def holdout_split(
     holdout_rate: float,
     text_col: str = "text",
     salt: str = "holdout",
-    out_col: str = "split",
 ) -> ray.data.Dataset:
-    """Exact-duplicate-safe split: the side is a function of
+    """Exact-duplicate-safe split into a ``split`` column: the side is
+    a function of
     ``md5(text)``, so byte-identical documents can NEVER straddle the
     train/holdout boundary, whatever their ids, sources or partitions.
     Zero exchanges — the scale path for "carve a clean eval set out of
@@ -94,7 +91,7 @@ def holdout_split(
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
-            return df.assign(**{out_col: pd.Series([], dtype=object)})
+            return df.assign(split=pd.Series([], dtype=object))
         # content key = md5 hex of the text (unique-only hashing: dup
         # texts are the POINT of this op, so the dedupe pays for itself)
         codes, uniques = distinct(df[text_col].astype(str))
@@ -104,6 +101,6 @@ def holdout_split(
         side = _assign_side(
             pd.Series(hexes, index=df.index), threshold=thr, salt=salt
         )
-        return df.assign(**{out_col: side})
+        return df.assign(split=side)
 
     return ds.map_batches(assign, batch_format="pandas")

@@ -24,13 +24,13 @@ ALPHA_RE = re.compile(r"[^A-Za-z]")
 PUNCT_RE = re.compile(r"[^\w\s]")
 
 
-def token_count_batch(df: pd.DataFrame, col: str = "text") -> pd.DataFrame:
+def token_count_batch(df: pd.DataFrame) -> pd.DataFrame:
     df = df.copy()
-    df["n_tokens"] = df[col].str.count(TOKEN_RE).astype("int64")
+    df["n_tokens"] = df["text"].str.count(TOKEN_RE).astype("int64")
     # BPE-ish subword proxy: word-internal 4-char chunks (public
     # GPT-2-style pre-tokenizer shape, counted not materialized)
     df["n_subwords"] = (
-        df[col]
+        df["text"]
         .str.findall(WORD_RE)
         .map(lambda ws: sum((len(w) + 3) // 4 for w in ws))
         .astype("int64")
@@ -115,17 +115,17 @@ def _fnv1a_many(strs: list[str]) -> np.ndarray:
     )
 
 
-def fingerprint_text(text: str, window: int = 8) -> int:
-    """Deterministic 63-bit doc fingerprint: min FNV-1a over
-    ``window``-token shingles (rolling-hash winnowing, public
-    Rabin/winnowing scheme).  Equal fingerprints ⇒ near-identical
-    token streams with high probability."""
-    return _shingle_min(text, window, _fnv1a_many) >> 1
+def fingerprint_text(text: str) -> int:
+    """Deterministic 63-bit doc fingerprint: min FNV-1a over 8-token
+    shingles (rolling-hash winnowing, public Rabin/winnowing scheme).
+    Equal fingerprints ⇒ near-identical token streams with high
+    probability."""
+    return _shingle_min(text, 8, _fnv1a_many) >> 1
 
 
-def fingerprint_batch(df: pd.DataFrame, col: str = "text") -> pd.DataFrame:
+def fingerprint_batch(df: pd.DataFrame) -> pd.DataFrame:
     df = df.copy()
-    df["fingerprint"] = df[col].map(fingerprint_text).astype("int64")
+    df["fingerprint"] = df["text"].map(fingerprint_text).astype("int64")
     return df
 
 
@@ -200,14 +200,11 @@ def repetition_batch(
     return out
 
 
-def repetition_signals(
-    ds: ray.data.Dataset, *, col: str = "text", id_col: str = "doc_id"
-) -> ray.data.Dataset:
-    """Per-doc repetition metrics as an embarrassingly-parallel
-    map_batches stage — no shuffle; scales linearly with the corpus."""
-    return ds.map_batches(
-        lambda df: repetition_batch(df, col, id_col), batch_format="pandas"
-    )
+def repetition_signals(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """Per-doc repetition metrics of ``(doc_id, text)`` as an
+    embarrassingly-parallel map_batches stage — no shuffle; scales
+    linearly with the corpus."""
+    return ds.map_batches(repetition_batch, batch_format="pandas")
 
 
 # --- the FULL Gopher repetition sub-battery (Rae et al. 2021, App. A
@@ -245,16 +242,14 @@ REPETITION_THRESHOLDS: tuple[tuple[str, int], ...] = (
 )
 
 
-def gopher_repetition_batch(
-    df: pd.DataFrame, col: str = "text", id_col: str = "doc_id"
-) -> pd.DataFrame:
-    """All 13 Gopher repetition signals + ``rep_keep`` per document,
-    wholly vectorized (explodes + grouped counts; the only Python loop
-    is over the 9 n-gram sizes, not rows)."""
-    text = df[col].astype(str)
+def gopher_repetition_batch(df: pd.DataFrame) -> pd.DataFrame:
+    """All 13 Gopher repetition signals + ``rep_keep`` per ``(doc_id,
+    text)`` document, wholly vectorized (explodes + grouped counts; the
+    only Python loop is over the 9 n-gram sizes, not rows)."""
+    text = df["text"].astype(str)
     n = len(df)
     idx = np.arange(n, dtype=np.int64)
-    out = pd.DataFrame({id_col: df[id_col].to_numpy()})
+    out = pd.DataFrame({"doc_id": df["doc_id"].to_numpy()})
 
     def scatter(s: pd.Series) -> np.ndarray:
         a = np.zeros(n, dtype=np.int64)
@@ -383,19 +378,18 @@ QUALITY_RULES: tuple[tuple[str, str], ...] = (
 )
 
 
-def quality_filter_batch(
-    df: pd.DataFrame, col: str = "text", id_col: str = "doc_id"
-) -> pd.DataFrame:
-    """Fused keep/drop verdict: quality + repetition signals computed in
+def quality_filter_batch(df: pd.DataFrame) -> pd.DataFrame:
+    """Fused keep/drop verdict of ``(doc_id, text)`` rows: quality +
+    repetition signals computed in
     ONE pass over the batch (no intermediate dataset, no shuffle), then
     first-failing-rule attribution.  Output: ``(doc_id, n_tokens,
     alpha_ratio, stop_per_ktok, top2_per_mil, dup5_per_mil, keep,
     reason)`` — ``reason == ''`` iff ``keep == 1``."""
-    qual = quality_batch(df[[id_col, col]], col)
-    rep = repetition_batch(df[[id_col, col]], col, id_col)
+    qual = quality_batch(df[["doc_id", "text"]])
+    rep = repetition_batch(df[["doc_id", "text"]])
     out = pd.DataFrame(
         {
-            id_col: df[id_col].to_numpy(),
+            "doc_id": df["doc_id"].to_numpy(),
             "n_tokens": rep["n_tokens"].to_numpy(),
             "alpha_ratio": qual["alpha_ratio"].to_numpy(),
             "stop_per_ktok": qual["stop_per_ktok"].to_numpy(),
@@ -418,14 +412,11 @@ def quality_filter_batch(
     return out
 
 
-def quality_filter(
-    ds: ray.data.Dataset, *, col: str = "text", id_col: str = "doc_id"
-) -> ray.data.Dataset:
-    """Per-doc keep/drop verdict as one embarrassingly-parallel
-    ``map_batches`` stage — the canonical pre-training corpus filter."""
-    return ds.map_batches(
-        lambda df: quality_filter_batch(df, col, id_col), batch_format="pandas"
-    )
+def quality_filter(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """Per-doc keep/drop verdict of ``(doc_id, text)`` as one
+    embarrassingly-parallel ``map_batches`` stage — the canonical
+    pre-training corpus filter."""
+    return ds.map_batches(quality_filter_batch, batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +434,10 @@ def _tfidf_tokens(s: pd.Series) -> pd.Series:
 def tfidf_top_terms(
     ds: ray.data.Dataset,
     *,
-    id_col: str = "doc_id",
-    text_col: str = "text",
     k: int = 3,
 ) -> ray.data.Dataset:
-    """Per-document top-``k`` TF-IDF terms → ``(doc_id, term, score)``.
+    """Per-document top-``k`` TF-IDF terms of ``(doc_id, text)`` →
+    ``(doc_id, term, score)``.
 
     Two passes over the corpus:
 
@@ -471,7 +461,7 @@ def tfidf_top_terms(
     n_docs = ds.count()
 
     def df_partial(df: pd.DataFrame) -> pd.DataFrame:
-        toks = _tfidf_tokens(df[text_col])
+        toks = _tfidf_tokens(df["text"])
         out = pd.DataFrame(
             {
                 "tok": toks.explode().dropna(),
@@ -484,7 +474,7 @@ def tfidf_top_terms(
             )
         # distinct per doc first (df counts docs, not occurrences)
         out["doc"] = np.repeat(
-            df[id_col].to_numpy(), toks.map(len).to_numpy(dtype=np.int64)
+            df["doc_id"].to_numpy(), toks.map(len).to_numpy(dtype=np.int64)
         )
         out = out.drop_duplicates()
         g = out.groupby("tok", as_index=False).size()
@@ -500,7 +490,7 @@ def tfidf_top_terms(
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
         voc, dfv = _ray.get(ref)
-        toks = _tfidf_tokens(df[text_col])
+        toks = _tfidf_tokens(df["text"])
         flat = pd.DataFrame({"term": toks.explode().dropna()})
         if not len(flat):
             return pd.DataFrame(
@@ -511,7 +501,7 @@ def tfidf_top_terms(
                 }
             )
         flat["doc_id"] = np.repeat(
-            df[id_col].to_numpy(), toks.map(len).to_numpy(dtype=np.int64)
+            df["doc_id"].to_numpy(), toks.map(len).to_numpy(dtype=np.int64)
         )
         tf = flat.groupby(["doc_id", "term"], as_index=False).size()
         pos = np.searchsorted(voc, tf["term"].to_numpy())

@@ -37,9 +37,9 @@ def url_date(url: str) -> str:
     return m.group(1).replace("_", "/") if m else ""
 
 
-def url_tokens_batch(df: pd.DataFrame, col: str = "url") -> pd.DataFrame:
+def url_tokens_batch(df: pd.DataFrame) -> pd.DataFrame:
     df = df.copy()
-    df["url_tokens"] = df[col].map(url_tokens)
+    df["url_tokens"] = df["url"].map(url_tokens)
     return df
 
 

@@ -46,12 +46,9 @@ def build_training_shards(
     pages_dir: str,
     out_dir: str,
     *,
-    window: int = 10,
     budget: int = 512,
     n_shards: int = 8,
     min_tokens: int = 15,
-    min_alpha: int = 600,
-    max_top2_per_mil: int = 200,
     c4_rules: bool = False,
     gopher_rules: bool = False,
     gopher_rep_rules: bool = False,
@@ -179,11 +176,11 @@ def build_training_shards(
     ok = extracted.filter(expr="status == 'ok'").select_columns(carry)
 
     # 1. quality: verdict computed in-batch, rows filtered in place.
-    # Thresholds are PARAMETERS, tuned per corpus: extracted pages are
-    # KV-heavy (phones, dates, field labels), so the documents-table
-    # Gopher thresholds (alpha ≥ 800, stopwords ≥ 10/ktok) would drop
-    # ~100% here; the defaults keep prose-bearing pages and drop
-    # garbage/near-empty extractions.
+    # Thresholds are tuned for extracted pages, which are KV-heavy
+    # (phones, dates, field labels), so the documents-table Gopher
+    # thresholds (alpha ≥ 800, stopwords ≥ 10/ktok) would drop ~100%
+    # here; ≥ min_tokens tokens, alpha ≥ 600 and top-2-gram ≤ 200/mil
+    # keep prose-bearing pages and drop garbage/near-empty extractions.
     def keep_quality(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             return df
@@ -195,8 +192,8 @@ def build_training_shards(
         )
         keep = (
             (rep["n_tokens"].to_numpy() >= min_tokens)
-            & (qual["alpha_ratio"].to_numpy() >= min_alpha)
-            & (rep["top2_per_mil"].to_numpy() <= max_top2_per_mil)
+            & (qual["alpha_ratio"].to_numpy() >= 600)
+            & (rep["top2_per_mil"].to_numpy() <= 200)
         )
         if c4_rules:
             text = df["extracted_text"].astype(str)
@@ -376,10 +373,7 @@ def build_training_shards(
 
     # 3. segment-level rewrite (exact mode; fully-duplicated docs drop)
     rebuilt = segment_dedup_rebuild(
-        uniq,
-        id_col="url_hash",
-        text_col="extracted_text",
-        window=window,
+        uniq, id_col="url_hash", text_col="extracted_text"
     ).map_batches(
         lambda df: df[df["clean_text"].str.len() > 0],
         batch_format="pandas",

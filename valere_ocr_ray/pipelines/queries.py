@@ -1616,7 +1616,7 @@ def doc_contamination(sf_dir: str):
         " ".join(r["text"].split()[5:13])
         for r in sorted(probe_rows, key=lambda r: r["doc_id"])
     ]
-    tagged = tag_contamination(docs, probes, n=8)
+    tagged = tag_contamination(docs, probes)
     return tagged.filter(expr="contaminated == True").select_columns(
         ["doc_id", "n_probes_hit"]
     )
@@ -1716,7 +1716,7 @@ def doc_shared_ngrams(sf_dir: str):
     from valere_ocr_ray.ops.dedup import shared_ngram_spans
 
     docs = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
-    return shared_ngram_spans(docs, n=8, min_docs=2)
+    return shared_ngram_spans(docs)
 
 
 def doc_corpus_checksum(sf_dir: str):
@@ -3117,7 +3117,7 @@ def doc_segment_rebuild(sf_dir: str):
     from valere_ocr_ray.ops.segdedup import segment_dedup_rebuild
 
     docs = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
-    reb = segment_dedup_rebuild(docs, window=10, wire="exact")
+    reb = segment_dedup_rebuild(docs, wire="exact")
 
     def fingerprint(df: pd.DataFrame) -> pd.DataFrame:
         h = [
@@ -3604,7 +3604,7 @@ def doc_near_dup_verified(sf_dir: str):
     both sides floor the same IEEE-double ratio."""
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
     cand = dedup.minhash_lsh_pairs(ds, threshold=0.3)
-    verified = dedup.verify_pairs_exact_exchange(ds, cand, n=3, threshold=0.35)
+    verified = dedup.verify_pairs_exact_exchange(ds, cand, threshold=0.35)
 
     def scale(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -3630,7 +3630,7 @@ def doc_dup_clusters_verified(sf_dir: str):
     transitive closure (recursive CTE) over the identical pair set."""
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
     cand = dedup.minhash_lsh_pairs(ds, threshold=0.3)
-    verified = dedup.verify_pairs_exact_exchange(ds, cand, n=3, threshold=0.35)
+    verified = dedup.verify_pairs_exact_exchange(ds, cand, threshold=0.35)
     labels = dedup.cluster_labels(
         verified.select_columns(["id_a", "id_b"])
     )
@@ -3652,7 +3652,7 @@ def doc_simhash_pairs(sf_dir: str):
     """Near-dup pairs at hamming(simhash) <= 3 via 4×16-bit band
     buckets (pigeonhole-exact at this radius)."""
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
-    return dedup.simhash_pairs(ds, max_hamming=3)
+    return dedup.simhash_pairs(ds)
 
 
 def doc_holdout_split(sf_dir: str):
@@ -3688,7 +3688,7 @@ def doc_holdout_neardup(sf_dir: str):
 
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
     cand = dedup.minhash_lsh_pairs(ds, threshold=0.3)
-    verified = dedup.verify_pairs_exact_exchange(ds, cand, n=3, threshold=0.35)
+    verified = dedup.verify_pairs_exact_exchange(ds, cand, threshold=0.35)
     labels = dedup.cluster_labels(
         verified.select_columns(["id_a", "id_b"])
     )
@@ -4091,9 +4091,7 @@ def _planted_dup_embeddings(sf_dir: str):
 def emb_dup_pairs_exact(sf_dir: str):
     """Exact-cosine near-dup pairs (recall-1.0 baseline for the LSH
     variant) over the planted-duplicate corpus, SQL-oracled."""
-    return dedup.embedding_dup_pairs_exact(
-        _planted_dup_embeddings(sf_dir), threshold=0.9
-    )
+    return dedup.embedding_dup_pairs_exact(_planted_dup_embeddings(sf_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -4111,7 +4109,7 @@ def emb_lsh_recall(sf_dir: str):
     trusting the approximate path at scale.  Rows-only (the LSH side
     is hash-based)."""
     planted = _planted_dup_embeddings(sf_dir)
-    exact = dedup.embedding_dup_pairs_exact(planted, threshold=0.9).to_pandas()
+    exact = dedup.embedding_dup_pairs_exact(planted).to_pandas()
     lsh = dedup.embedding_dup_pairs(planted, dim=64, threshold=0.9).to_pandas()
     ex = {(int(a), int(b)) for a, b in zip(exact["id_a"], exact["id_b"])}
     got = {(int(a), int(b)) for a, b in zip(lsh["id_a"], lsh["id_b"])}
@@ -4172,25 +4170,23 @@ def doc_lsh_union_recall(sf_dir: str):
     )
 
     def verified(pairs) -> set:
-        v = dedup.verify_pairs_exact_exchange(
-            planted, pairs, n=3, threshold=0.5
-        ).to_pandas()
+        v = dedup.verify_pairs_exact_exchange(planted, pairs, threshold=0.5).to_pandas()
         return {(int(a), int(b)) for a, b in zip(v["id_a"], v["id_b"])}
 
     truth = verified(
         dedup.minhash_lsh_pairs(
-            planted, num_perm=32, k_shingle=3, bands=32, threshold=0.0
+            planted, num_perm=32, bands=32, threshold=0.0
         )
     )
     one = verified(
         dedup.minhash_lsh_pairs(
-            planted, num_perm=32, k_shingle=3, bands=8, threshold=0.45,
+            planted, num_perm=32, bands=8, threshold=0.45,
             seeds=(42,),
         )
     )
     two = verified(
         dedup.minhash_lsh_pairs(
-            planted, num_perm=32, k_shingle=3, bands=8, threshold=0.45,
+            planted, num_perm=32, bands=8, threshold=0.45,
             seeds=(42, 1337),
         )
     )
@@ -4582,7 +4578,7 @@ def events_heavy_hitters(sf_dir: str):
     from valere_ocr_ray.ops.heavyhitters import heavy_hitters
 
     ds = rd.read_parquet(_t(sf_dir, "events"), columns=["event_type"])
-    return heavy_hitters(ds, "event_type", k=64, denom=16, count_col="cnt")
+    return heavy_hitters(ds, "event_type", k=64, denom=16)
 
 
 def events_incremental_totals(sf_dir: str):
@@ -4635,7 +4631,7 @@ def doc_cdc_dedup(sf_dir: str):
     from valere_ocr_ray.ops.cdc import cdc_dedup_stats
 
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["text"])
-    return cdc_dedup_stats(ds, "text", min_size=64, mask_bits=8, max_size=2048)
+    return cdc_dedup_stats(ds)
 
 
 def emb_semdedup(sf_dir: str):
@@ -5006,7 +5002,7 @@ def doc_temperature_mix(sf_dir: str):
         )[["doc_id", "source", "n_tokens"]],
         batch_format="pandas",
     )
-    return mix_by_temperature(ds, salt="temp").sort("doc_id")
+    return mix_by_temperature(ds).sort("doc_id")
 
 
 _GOPHER_STOPS = ("the", "be", "to", "of", "and", "that", "have", "with")

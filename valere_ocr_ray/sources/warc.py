@@ -104,8 +104,9 @@ def parse_warc_records(stream: io.BufferedIOBase):
         yield headers, body
 
 
-def warc_file_to_table(path: str, default_lang: str = "") -> pa.Table:
-    """One WARC file → a ``pages``-schema Arrow table (one task's work)."""
+def warc_file_to_table(path: str) -> pa.Table:
+    """One WARC file → a ``pages``-schema Arrow table (one task's work;
+    ``text`` and ``lang`` empty)."""
     opener = gzip.open if path.endswith(".gz") else open
     urls: list[str] = []
     tss: list[int] = []
@@ -128,7 +129,7 @@ def warc_file_to_table(path: str, default_lang: str = "") -> pa.Table:
             "warc_ts": pa.array(tss, pa.timestamp("us")),
             "html": pa.array(payloads, pa.binary()),
             "text": pa.array([""] * n, pa.string()),
-            "lang": pa.array([default_lang] * n, pa.string()),
+            "lang": pa.array([""] * n, pa.string()),
         },
         schema=PAGES_SCHEMA,
     )
@@ -162,10 +163,8 @@ def read_warc(paths: list[str] | str) -> ray.data.Dataset:
     return ds.map_batches(parse, batch_format="pyarrow", batch_size=1)
 
 
-def convert_warc_dir(
-    warc_dir: str, pages_dir: str, *, compression: str = "zstd"
-) -> list[str]:
-    """WARC archive directory → pages parquet shards, one per WARC file
+def convert_warc_dir(warc_dir: str, pages_dir: str) -> list[str]:
+    """WARC archive directory → zstd pages parquet shards, one per WARC file
     (preserving the file == resume-partition mapping), so
     ``run_resumable`` consumes crawls directly:
 
@@ -188,7 +187,7 @@ def convert_warc_dir(
     def convert(path: str, out_path: str) -> str:
         if not os.path.exists(out_path):
             table = warc_file_to_table(path)
-            pq.write_table(table, out_path + ".tmp", compression=compression)
+            pq.write_table(table, out_path + ".tmp", compression="zstd")
             os.replace(out_path + ".tmp", out_path)
         return out_path
 

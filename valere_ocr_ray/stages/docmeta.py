@@ -105,21 +105,19 @@ def docmeta_batch(
     batch: pa.Table,
     *,
     max_doc_bytes: int = MAX_DOC_BYTES,
-    heavy_doc_bytes: int = HEAVY_DOC_BYTES,
-    blocklist: tuple[str, ...] = BLOCKLIST_TOKENS,
 ) -> pa.Table:
     html = batch["html"].combine_chunks()
     urls = batch["url"].combine_chunks()
 
     size = pc.binary_length(html).cast(pa.int64())
     kind = _sniff_kinds(html)
-    heavy = pc.greater(size, heavy_doc_bytes)
+    heavy = pc.greater(size, HEAVY_DOC_BYTES)
 
     # status resolution, cheapest check first; precedence: blocklist >
     # size cap > kind sniff (mirrors the reference's filter order E1)
     low_urls = pc.utf8_lower(urls)
     blocked = pa.array([False] * len(batch), pa.bool_())
-    for token in blocklist:
+    for token in BLOCKLIST_TOKENS:
         blocked = pc.or_(blocked, pc.match_substring(low_urls, token))
     too_large = pc.greater(size, max_doc_bytes)
     unknown = pc.equal(kind, KIND_UNKNOWN)
